@@ -69,8 +69,8 @@ def load_weight_table(source: str | Path | Mapping) -> WeightTable:
             raise WeightTableError(f"{where}: expected an object")
         instance = _instance(entry, where)
         w = entry.get("w")
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or w < 0:
-            raise WeightTableError(f"{where}: 'w' must be a number >= 0")
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
+            raise WeightTableError(f"{where}: 'w' must be a finite number >= 0, got {w!r}")
         if instance in weights:
             raise WeightTableError(f"{where}: duplicate instance {instance}")
         weights[instance] = float(w)

@@ -147,9 +147,6 @@ class CampaignLog:
         ids.update(r.vehicle for r in self.records)
         return sorted(ids, key=vehicle_sort_key)
 
-    def records_for(self, vehicle: str) -> list[TestRecord]:
-        return [r for r in self.records if r.vehicle == vehicle]
-
     def with_records(self, records: Iterable[TestRecord]) -> "CampaignLog":
         return replace(self, records=tuple(records))
 
@@ -278,9 +275,10 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     boundaries = {key: series_failure_speed(recs) for key, recs in day_series.items()}
 
     added: list[TestRecord] = []
+    night_configs = [(c, c.key()) for c in enumerate_configs(log.protocol, light=NIGHT)]
     for vehicle in log.vehicle_ids():
-        for config in enumerate_configs(log.protocol, light=NIGHT):
-            if (vehicle, config.key()) in existing:
+        for config, key in night_configs:
+            if (vehicle, key) in existing:
                 continue
             day_key = (config.scenario.code, DAY, config.overlap, config.vut_speed, config.tg_speed)
             day_record = day_records.get((vehicle, day_key))
@@ -330,17 +328,18 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     same series had already failed without any braking response.
     """
     diagnostics: list[Diagnostic] = []
-    licensed = set(log.protocol.config_index())
+    licensed = log.protocol.compiled.index
     seen: set[tuple] = set()
     series: dict[tuple, list[TestRecord]] = {}
 
     for record in log.records:
         locator = _locator(record)
-        if record.config.key() not in licensed:
+        key = record.config.key()
+        if key not in licensed:
             diagnostics.append(
                 Diagnostic("unlicensed-config", locator, "configuration is not in the protocol")
             )
-        dup_key = (record.vehicle, record.config.key())
+        dup_key = (record.vehicle, key)
         if dup_key in seen:
             diagnostics.append(
                 Diagnostic("duplicate-record", locator, "duplicate record for this configuration")
@@ -385,11 +384,15 @@ class CompletionStats:
 def completion_stats(log: CampaignLog) -> dict[str, CompletionStats]:
     """Per-vehicle expected/executed/judged counts and completion percentage."""
     expected = log.protocol.config_count()
+    counts = {vehicle: [0, 0] for vehicle in log.vehicle_ids()}  # executed, judged
+    for record in log.records:
+        kind = record.outcome.kind
+        if kind is OutcomeKind.JUDGED_FAILED:
+            counts[record.vehicle][1] += 1
+        elif kind in EXECUTED_KINDS:
+            counts[record.vehicle][0] += 1
     stats: dict[str, CompletionStats] = {}
-    for vehicle in log.vehicle_ids():
-        records = log.records_for(vehicle)
-        executed = sum(1 for r in records if r.outcome.kind in EXECUTED_KINDS)
-        judged = sum(1 for r in records if r.outcome.kind is OutcomeKind.JUDGED_FAILED)
+    for vehicle, (executed, judged) in counts.items():
         percent = round(100.0 * (executed + judged) / expected) if expected else 0
         stats[vehicle] = CompletionStats(expected, executed, judged, percent)
     return stats

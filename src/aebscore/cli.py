@@ -32,7 +32,6 @@ from .impact import (
     GEOMETRY_RULES,
     ImpactModelError,
     ImpactPowerModel,
-    scenario_passive_power,
 )
 from .logio import LogFormatError, read_log, write_log
 from .protocol import (
@@ -40,7 +39,6 @@ from .protocol import (
     ProtocolDefinition,
     ProtocolError,
     ScenarioGroup,
-    enumerate_configs,
     load_protocol,
 )
 from .report import EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table
@@ -258,26 +256,27 @@ def cmd_compare(args) -> int:
     for s in scores:
         by_vehicle.setdefault(s.vehicle, []).append(s)
     masses = {v.id: v.mass for v in log.vehicles}
+    passive_powers = {
+        vehicle: protocol.compiled.passive_powers(
+            model, masses.get(vehicle, DEFAULT_VUT_MASS)
+        ).by_instance
+        for vehicle in by_vehicle
+    }
 
     matrices = []
     for table in weight_tables:
-        for group, instances in table.groups.items():
+        for group in table.groups:
             group_scores = []
             for vehicle in sorted(by_vehicle, key=vehicle_sort_key):
-                mass = masses.get(vehicle, DEFAULT_VUT_MASS)
-                passive_powers = {
-                    (code, light): scenario_passive_power(
-                        enumerate_configs(protocol, scenario=code, light=light), model, mass
-                    )
-                    for code, light in instances
-                }
                 group_scores.append(
                     GroupScore(
                         vehicle=vehicle,
                         group=group,
                         region=table.region,
                         fs=aggregate_fs(by_vehicle[vehicle], table, group),
-                        mps=aggregate_mps(by_vehicle[vehicle], table, group, passive_powers),
+                        mps=aggregate_mps(
+                            by_vehicle[vehicle], table, group, passive_powers[vehicle]
+                        ),
                     )
                 )
             for metric in METRICS:

@@ -45,6 +45,10 @@ class ImpactPowerModel:
     )
     geometry_rule: str = "linear"
 
+    def __hash__(self) -> int:
+        # Compiled protocols cache passive powers per model; tg_masses is a dict.
+        return hash((self.name, frozenset(self.tg_masses.items()), self.geometry_rule))
+
     def geometry_factor(self, overlap: float) -> float:
         try:
             rule = GEOMETRY_RULES[self.geometry_rule]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -96,7 +97,8 @@ def read_log(
 
     Rows naming a scenario the protocol does not know are rejected here;
     rows whose settings are not licensed parse fine and are reported by
-    ``validate_log`` instead.
+    ``validate_log`` instead. A licensed row resolves to the protocol's
+    canonical ``TestConfig`` object, so records share their configs.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -127,7 +129,7 @@ def _rows_from_jsonl(text: str) -> list[tuple[Mapping, str]]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"line {i}: invalid JSON: {exc}") from exc
-        if not isinstance(row, Mapping):
+        if not isinstance(row, dict):  # json.loads makes every object a dict
             raise LogFormatError(f"line {i}: expected a JSON object")
         rows.append((row, f"line {i}"))
     return rows
@@ -177,12 +179,17 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition, where: str) -> 
     if pre_test is not None and pre_test not in ("passed", "failed"):
         raise LogFormatError(f"{where}: pre_test must be 'passed' or 'failed'")
 
-    spec = protocol.scenario(code) if protocol.has_scenario(code) else None
-    if spec is None:
+    if not protocol.has_scenario(code):
         raise LogFormatError(f"{where}: unknown scenario {code!r}")
-    config = TestConfig(
-        scenario=spec, vut_speed=vut_speed, tg_speed=tg_speed, overlap=overlap, light=light
-    )
+    config = protocol.compiled.canonical((code, light, overlap, vut_speed, tg_speed))
+    if config is None:
+        config = TestConfig(
+            scenario=protocol.scenario(code),
+            vut_speed=vut_speed,
+            tg_speed=tg_speed,
+            overlap=overlap,
+            light=light,
+        )
     outcome = TestOutcome(
         kind=kind,
         impact_speed=impact_speed,
@@ -195,12 +202,15 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition, where: str) -> 
 def _parse_number(value, where: str, name: str) -> float:
     if isinstance(value, bool):
         raise LogFormatError(f"{where}: {name} must be a number")
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
-        return float(str(value))
+        num = float(value if isinstance(value, (int, float)) else str(value))
     except ValueError:
         raise LogFormatError(f"{where}: {name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise LogFormatError(f"{where}: {name} must be a finite number, got {value!r}")
+    return num
 
 
 def _parse_bool(value, where: str, name: str) -> bool | None:

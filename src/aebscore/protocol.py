@@ -9,20 +9,35 @@ overlaps, a single TG speed, or shifted speed ranges).
 Enumerating a protocol produces every concrete test configuration in a
 deterministic order: scenario order, day before night, ascending overlap,
 ascending VUT speed, ascending TG speed.
+
+Each protocol is compiled once, when it is constructed: a ``CompiledProtocol``
+holds the canonical ``TestConfig`` objects in enumeration order, a key ->
+position index, one slice per licensed (scenario, light) instance with an
+escalation-series id per config, and passive impact powers per (impact
+model, VUT mass), computed on first use. Enumeration, lookups, log parsing
+and scoring all resolve against that one table, so every licensed
+configuration exists as exactly one object. Before anything is built, the
+size of the lattice is counted arithmetically and capped at ``MAX_CONFIGS``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 DAY = "day"
 NIGHT = "night"
 LIGHTS = (DAY, NIGHT)
+
+# Upper bound on the configurations one protocol may enumerate. Loading
+# builds every configuration, so a range/step that implies more is refused
+# before any lattice is built.
+MAX_CONFIGS = 100_000
 
 
 class ScenarioGroup(str, Enum):
@@ -100,6 +115,13 @@ class ScenarioSpec:
     night: LightOverride | None = None
 
     def settings(self, light: str) -> LightSettings:
+        ranges, tg_speeds, overlaps = self._light_fields(light)
+        return LightSettings(overlaps=overlaps, variants=self._variants(ranges, tg_speeds))
+
+    def _light_fields(
+        self, light: str
+    ) -> tuple[tuple[SpeedRange, ...], tuple[float, ...] | None, tuple[float, ...]]:
+        """Speed ranges, TG speeds and overlaps under ``light``, overrides applied."""
         if light not in self.lights:
             raise ProtocolError(f"scenario {self.code!r} is not licensed for {light!r}")
         ranges = self.vut_speed_ranges
@@ -109,7 +131,21 @@ class ScenarioSpec:
             ranges = self.night.vut_speed_ranges or ranges
             tg_speeds = self.night.tg_speeds if self.night.tg_speeds is not None else tg_speeds
             overlaps = self.night.overlaps or overlaps
-        return LightSettings(overlaps=overlaps, variants=self._variants(ranges, tg_speeds))
+        return ranges, tg_speeds, overlaps
+
+    def config_bound(self) -> int:
+        """Upper bound on the configurations this scenario enumerates.
+
+        Counted from the ranges and steps alone, without building a lattice;
+        exact unless ranges, TG speeds or overlaps repeat each other.
+        """
+        total = 0
+        for light in self.lights:
+            ranges, tg_speeds, overlaps = self._light_fields(light)
+            points = sum(int(round((r.hi - r.lo) / self.speed_step)) + 1 for r in ranges)
+            series = 1 if self.tg_paired else len(tg_speeds or (None,))
+            total += len(overlaps) * series * points
+        return total
 
     def _variants(
         self, ranges: tuple[SpeedRange, ...], tg_speeds: tuple[float, ...] | None
@@ -153,18 +189,129 @@ class TestConfig:
     def key(self) -> tuple:
         return (self.scenario.code, self.light, self.overlap, self.vut_speed, self.tg_speed)
 
+    def __hash__(self) -> int:
+        # Equal configs share their key fields, so this agrees with __eq__
+        # without hashing the whole ScenarioSpec.
+        return hash(self.key())
+
+
+class InstanceSlice(NamedTuple):
+    """The configs of one licensed (scenario, light) instance in the compiled table.
+
+    ``configs`` is ``CompiledProtocol.configs[start:stop]``; ``series[i]``
+    numbers the escalation series of ``configs[i]`` from 0, in order of
+    first appearance.
+    """
+
+    start: int
+    stop: int
+    configs: tuple[TestConfig, ...]
+    series: tuple[int, ...]
+
+
+class PassivePowers(NamedTuple):
+    """Passive impact powers under one impact model and VUT mass.
+
+    ``by_config[i]`` belongs to ``CompiledProtocol.configs[i]``;
+    ``by_instance`` maps (scenario, light) to the unweighted mean over the
+    instance's configs.
+    """
+
+    by_config: tuple[float, ...]
+    by_instance: Mapping[tuple[str, str], float]
+
+
+class CompiledProtocol:
+    """Every test configuration of a protocol, built once and shared.
+
+    ``configs`` holds the canonical configs in enumeration order, ``index``
+    maps a config key to its position, and ``instances`` maps each licensed
+    (scenario, light) pair, in output order, to its ``InstanceSlice``.
+    """
+
+    def __init__(self, scenarios: Iterable[ScenarioSpec]):
+        configs: list[TestConfig] = []
+        index: dict[tuple, int] = {}  # config key -> position
+        instances: dict[tuple[str, str], InstanceSlice] = {}
+        for spec, light in ((s, lt) for s in scenarios for lt in LIGHTS if lt in s.lights):
+            settings = spec.settings(light)
+            cells = sorted(
+                {
+                    (overlap, speed, variant.tg_speed)
+                    for overlap in settings.overlaps
+                    for variant in settings.variants
+                    for speed in variant.speeds
+                },
+                key=lambda t: (t[0], t[1], _tg_key(t[2])),
+            )
+            start = len(configs)
+            ids: dict[tuple, int] = {}
+            series = []
+            for overlap, speed, tg in cells:
+                index[(spec.code, light, overlap, speed, tg)] = len(configs)
+                configs.append(
+                    TestConfig(
+                        scenario=spec, vut_speed=speed, tg_speed=tg, overlap=overlap, light=light
+                    )
+                )
+                series.append(ids.setdefault((overlap, tg), len(ids)))
+            instances[(spec.code, light)] = InstanceSlice(
+                start, len(configs), tuple(configs[start:]), tuple(series)
+            )
+        self.configs: tuple[TestConfig, ...] = tuple(configs)
+        self.index = index
+        self.instances = instances
+        self._passive: dict[tuple, PassivePowers] = {}
+
+    def canonical(self, key: tuple) -> TestConfig | None:
+        """The protocol's own config for ``key``, or None if it is not licensed."""
+        i = self.index.get(key)
+        return None if i is None else self.configs[i]
+
+    def passive_powers(self, model, vut_mass: float) -> PassivePowers:
+        """Passive impact powers under ``model`` at ``vut_mass``, computed on first use."""
+        cache_key = (model, vut_mass)
+        powers = self._passive.get(cache_key)
+        if powers is None:
+            from .impact import passive_mu_pow  # impact imports this module
+
+            by_config = tuple(passive_mu_pow(model, c, vut_mass) for c in self.configs)
+            by_instance = {}
+            for pair, part in self.instances.items():
+                # Same order and arithmetic as impact.scenario_passive_power.
+                total = 0.0
+                for power in by_config[part.start:part.stop]:
+                    total += power
+                by_instance[pair] = total / float(part.stop - part.start)
+            powers = self._passive[cache_key] = PassivePowers(by_config, by_instance)
+        return powers
+
 
 @dataclass(frozen=True)
 class ProtocolDefinition:
-    """Validated, immutable scenario catalogue."""
+    """Validated, immutable scenario catalogue with its compiled config table."""
 
     scenarios: tuple[ScenarioSpec, ...]
     provenance: str = ""
     notes: str = ""
     _by_code: Mapping[str, ScenarioSpec] = field(default=None, repr=False, compare=False)
+    _compiled: CompiledProtocol = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_code", {s.code: s for s in self.scenarios})
+        total = 0
+        for i, spec in enumerate(self.scenarios):
+            total += spec.config_bound()
+            if total > MAX_CONFIGS:
+                raise ProtocolError(
+                    f"scenarios[{i}] ({spec.code}): the protocol would enumerate up to "
+                    f"{total} configurations; the limit is {MAX_CONFIGS}"
+                )
+        object.__setattr__(self, "_compiled", CompiledProtocol(self.scenarios))
+
+    @property
+    def compiled(self) -> CompiledProtocol:
+        return self._compiled
 
     def scenario(self, code: str) -> ScenarioSpec:
         try:
@@ -176,14 +323,15 @@ class ProtocolDefinition:
         return code in self._by_code
 
     def config_count(self) -> int:
-        return len(enumerate_configs(self))
+        return len(self._compiled.configs)
 
     def licensed_pairs(self) -> list[tuple[str, str]]:
         """(scenario code, light) pairs the protocol licenses, in output order."""
-        return [(s.code, light) for s in self.scenarios for light in LIGHTS if light in s.lights]
+        return list(self._compiled.instances)
 
     def config_index(self) -> dict[tuple, TestConfig]:
-        return {c.key(): c for c in enumerate_configs(self)}
+        configs = self._compiled.configs
+        return {key: configs[i] for key, i in self._compiled.index.items()}
 
 
 def _tg_key(tg: float | None) -> float:
@@ -227,28 +375,14 @@ def enumerate_configs(
             raise ProtocolError(f"unknown scenario group {group!r}") from None
 
     configs: list[TestConfig] = []
-    for spec in protocol.scenarios:
-        if scenario is not None and spec.code != scenario:
+    for (code, lt), part in protocol.compiled.instances.items():
+        if scenario is not None and code != scenario:
             continue
-        if group is not None and spec.group is not group:
+        if light is not None and lt != light:
             continue
-        for lt in LIGHTS:
-            if lt not in spec.lights or (light is not None and lt != light):
-                continue
-            settings = spec.settings(lt)
-            cells = sorted(
-                {
-                    (overlap, speed, variant.tg_speed)
-                    for overlap in settings.overlaps
-                    for variant in settings.variants
-                    for speed in variant.speeds
-                },
-                key=lambda t: (t[0], t[1], _tg_key(t[2])),
-            )
-            configs.extend(
-                TestConfig(scenario=spec, vut_speed=speed, tg_speed=tg, overlap=overlap, light=lt)
-                for overlap, speed, tg in cells
-            )
+        if group is not None and protocol.scenario(code).group is not group:
+            continue
+        configs.extend(part.configs)
     return configs
 
 
@@ -296,6 +430,8 @@ def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:
     )
     expected = doc.get("expected_config_count")
     if expected is not None:
+        if isinstance(expected, bool) or not isinstance(expected, (int, float)):
+            raise ProtocolError(f"expected_config_count: expected a number, got {expected!r}")
         actual = protocol.config_count()
         if actual != expected:
             raise ProtocolError(
@@ -396,8 +532,10 @@ def _parse_ranges(raw, step: float, where: str) -> tuple[SpeedRange, ...]:
         lo, hi = (_number(v, f"{where}[{j}]") for v in pair)
         if lo > hi:
             raise ProtocolError(f"{where}[{j}]: min {lo} exceeds max {hi}")
-        span = hi - lo
-        if abs(span / step - round(span / step)) > 1e-9:
+        steps = (hi - lo) / step
+        if not math.isfinite(steps):
+            raise ProtocolError(f"{where}[{j}]: range {lo}-{hi} is too wide for speed step {step}")
+        if abs(steps - round(steps)) > 1e-9:
             raise ProtocolError(
                 f"{where}[{j}]: range {lo}-{hi} is not divisible by speed step {step}"
             )
@@ -435,7 +573,13 @@ def _parse_lights(raw, where: str) -> tuple[str, ...]:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ProtocolError(f"{where}: expected a finite number, got {value!r}")
+    return num
 
 
 def _positive_number(value, where: str) -> float:

@@ -76,7 +76,8 @@ class Table:
     corner: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, tuple[str, ...]], ...]
-    shading: Mapping[tuple[str, str], str] | None = None  # (row, col) -> css color
+    # (row, col) -> value the HTML rendering shades; colours are computed there
+    shading: Mapping[tuple[str, str], float] | None = None
 
 
 def score_table(
@@ -106,16 +107,10 @@ def score_table(
 
 
 def matrix_table(matrix: RelativityMatrix) -> Table:
-    """Ranked pairwise relativity grid with diverging shading for HTML."""
+    """Ranked pairwise relativity grid; HTML shades it from the matrix cells."""
     rows = []
-    shading: dict[tuple[str, str], str] = {}
     for x in matrix.order:
-        cells = []
-        for y in matrix.order:
-            value = matrix.cell(x, y)
-            cells.append(format_percent_cell(value))
-            shading[(x, y)] = _diverging_color(value)
-        rows.append((x, tuple(cells)))
+        rows.append((x, tuple(format_percent_cell(matrix.cells[(x, y)]) for y in matrix.order)))
     metric_name = "FREQ" if matrix.metric == METRIC_FREQ else "MP"
     title = f"REL_{metric_name}_{matrix.group.value}_{matrix.region.upper()}"
     return Table(
@@ -123,7 +118,7 @@ def matrix_table(matrix: RelativityMatrix) -> Table:
         corner="",
         columns=matrix.order,
         rows=tuple(rows),
-        shading=shading,
+        shading=matrix.cells,
     )
 
 
@@ -213,9 +208,9 @@ def to_html(table: Table) -> str:
         for header, cell in zip(table.columns, cells):
             style = ""
             if table.shading is not None:
-                color = table.shading.get((label, header))
-                if color:
-                    style = f" style=\"background-color:{color}\""
+                value = table.shading.get((label, header))
+                if value is not None:
+                    style = f" style=\"background-color:{_diverging_color(value)}\""
             cols.append(f"<td{style}>{html.escape(cell)}</td>")
         parts.append("<tr>" + "".join(cols) + "</tr>")
     parts.append("</table></body></html>")

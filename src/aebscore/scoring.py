@@ -14,6 +14,13 @@ below the failure); a series failed outright has no boundary inside the
 tested range and stays fixed. Measured impact speeds shift with the assumed
 failure speed, clamped to the physical range. The reported mean and standard
 deviation summarize the three evaluations.
+
+One kernel computes both scores and the envelope: it takes an instance's
+configs with their series ids, outcomes and passive powers as parallel
+sequences and makes one pass over them per shift. ``score_campaign`` feeds it
+slices of the protocol's compiled table (one outcome array per vehicle,
+indexed like the table); ``frequency_score`` and ``mitigation_power_score``
+feed it any config sequence with its outcome mapping.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .campaign import (
     validate_log,
 )
 from .impact import ImpactPowerModel, mu_pow, passive_mu_pow
-from .protocol import LIGHTS, TestConfig, enumerate_configs
+from .protocol import LIGHTS, TestConfig
 
 UNCERTAINTY_SHIFT_KMH = 5.0
 _SHIFTS = (-UNCERTAINTY_SHIFT_KMH, 0.0, UNCERTAINTY_SHIFT_KMH)
@@ -88,61 +95,99 @@ class ScenarioScore:
     not_applicable: bool = False
 
 
-@dataclass(frozen=True)
-class _SeriesBoundary:
-    speed: float
-    shiftable: bool  # the series avoided something below: a boundary was observed
-
-
-def _boundaries(
-    configs: Sequence[TestConfig], outcomes: Mapping[TestConfig, TestOutcome]
-) -> dict[tuple, _SeriesBoundary]:
-    failures: dict[tuple, list[float]] = {}
-    capable: set[tuple] = set()
-    for config in configs:
-        key = series_key(config)
-        if outcomes[config].kind is OutcomeKind.AVOIDED:
-            capable.add(key)
-        else:
-            failures.setdefault(key, []).append(config.vut_speed)
-    return {
-        key: _SeriesBoundary(speed=min(speeds), shiftable=key in capable)
-        for key, speeds in failures.items()
-    }
-
-
-def _is_avoided(
-    config: TestConfig,
-    outcome: TestOutcome,
-    boundary: _SeriesBoundary | None,
-    shift: float,
-) -> bool:
-    avoided = outcome.kind is OutcomeKind.AVOIDED
-    if shift == 0.0 or boundary is None or not boundary.shiftable:
-        return avoided
-    f = boundary.speed
-    v = config.vut_speed
-    if (v < f) != (v < f + shift):
-        return not avoided
-    return avoided
-
-
-def _check_inputs(
+def _kernel(
     configs: Sequence[TestConfig],
-    outcomes: Mapping[TestConfig, TestOutcome],
+    series: Sequence[int],
+    outcomes: Sequence[TestOutcome | None],
     config_weights: Mapping[TestConfig, float] | None,
-) -> dict[TestConfig, float]:
+    passive: Sequence[float] | None = None,
+    model: ImpactPowerModel | None = None,
+    vut_mass: float = 0.0,
+) -> tuple[ScoreValue, ScoreValue | None]:
+    """FS and, given passive powers, MPS of one config sequence with their envelopes.
+
+    ``series[i]`` numbers the escalation series of ``configs[i]`` from 0,
+    ``outcomes[i]`` is its outcome (None when missing) and
+    ``passive[i]`` its passive impact power. Each shift is one pass over the
+    configs in order, accumulating exactly as the definitions read, so the
+    results do not depend on how the configs were gathered.
+    """
     if not configs:
         raise ScoringError("no configurations to score")
-    weights = {}
-    for config in configs:
-        if config not in outcomes:
+    weights = []
+    for config, outcome in zip(configs, outcomes):
+        if outcome is None:
             raise ScoringError(f"missing outcome for configuration {config.key()}")
         w = 1.0 if config_weights is None else float(config_weights.get(config, 1.0))
-        if w <= 0:
+        if not w > 0:
             raise ScoringError(f"config weight must be > 0, got {w} for {config.key()}")
-        weights[config] = w
-    return weights
+        weights.append(w)
+
+    # Per series: the lowest non-avoided speed, and whether the series avoided
+    # any test. Only such a demonstrated boundary moves with the shift.
+    n_series = max(series) + 1
+    failure: list[float | None] = [None] * n_series
+    capable = [False] * n_series
+    speeds = [c.vut_speed for c in configs]
+    avoided = [o.kind is OutcomeKind.AVOIDED for o in outcomes]
+    for s, v, a in zip(series, speeds, avoided):
+        if a:
+            capable[s] = True
+        elif failure[s] is None or v < failure[s]:
+            failure[s] = v
+    edges = [failure[s] if capable[s] else None for s in series]
+
+    den = 0.0
+    for w in weights:
+        den += w
+    if passive is not None:
+        denominator = sum(w * p for w, p in zip(weights, passive))
+        if denominator <= 0.0:
+            raise ScoringError("passive impact power is zero across all configurations")
+
+    fs_values = []
+    mps_values = []
+    for shift in _SHIFTS:
+        num = 0.0
+        realized = 0.0
+        for i, edge in enumerate(edges):
+            v = speeds[i]
+            hit = not avoided[i]
+            if shift and edge is not None and (v < edge) != (v < edge + shift):
+                hit = not hit
+            if not hit:
+                num += weights[i]
+                continue
+            if passive is None:
+                continue
+            outcome = outcomes[i]
+            if outcome.kind is OutcomeKind.IMPACTED:
+                speed = outcome.impact_speed
+                if speed is None:
+                    raise ScoringError(
+                        f"impacted record without impact_speed at {configs[i].key()}"
+                    )
+                if edge is not None:
+                    speed = min(max(speed - shift, 0.0), v)
+                realized += weights[i] * mu_pow(model, configs[i], vut_mass, speed)
+            else:
+                realized += weights[i] * passive[i]
+        fs_values.append(num / den)
+        if passive is not None:
+            mps_values.append(1.0 - realized / denominator)
+    fs = ScoreValue(nominal=fs_values[1], lower=fs_values[0], upper=fs_values[2])
+    if passive is None:
+        return fs, None
+    return fs, ScoreValue(nominal=mps_values[1], lower=mps_values[0], upper=mps_values[2])
+
+
+def _sequence(
+    configs: Sequence[TestConfig], outcomes: Mapping[TestConfig, TestOutcome]
+) -> tuple[list[int], list[TestOutcome | None]]:
+    """Series ids and outcomes of an arbitrary config sequence, for the kernel."""
+    ids: dict[tuple, int] = {}
+    series = [ids.setdefault(series_key(c), len(ids)) for c in configs]
+    return series, [outcomes.get(c) for c in configs]
 
 
 def frequency_score(
@@ -151,20 +196,8 @@ def frequency_score(
     config_weights: Mapping[TestConfig, float] | None = None,
 ) -> ScoreValue:
     """Weighted fraction of configurations avoided, with its envelope."""
-    weights = _check_inputs(configs, outcomes, config_weights)
-    boundaries = _boundaries(configs, outcomes)
-    values = []
-    for shift in _SHIFTS:
-        num = 0.0
-        den = 0.0
-        for config in configs:
-            w = weights[config]
-            den += w
-            if _is_avoided(config, outcomes[config], boundaries.get(series_key(config)), shift):
-                num += w
-        values.append(num / den)
-    lower, nominal, upper = values
-    return ScoreValue(nominal=nominal, lower=lower, upper=upper)
+    series, ordered = _sequence(configs, outcomes)
+    return _kernel(configs, series, ordered, config_weights)[0]
 
 
 def mitigation_power_score(
@@ -181,36 +214,9 @@ def mitigation_power_score(
     at the measured impact speed, shifted with the assumed failure speed and
     clamped to [0, test speed].
     """
-    weights = _check_inputs(configs, outcomes, config_weights)
-    boundaries = _boundaries(configs, outcomes)
-    passive = {c: passive_mu_pow(model, c, vut_mass) for c in configs}
-    denominator = sum(weights[c] * passive[c] for c in configs)
-    if denominator <= 0.0:
-        raise ScoringError("passive impact power is zero across all configurations")
-
-    values = []
-    for shift in _SHIFTS:
-        realized = 0.0
-        for config in configs:
-            outcome = outcomes[config]
-            boundary = boundaries.get(series_key(config))
-            if _is_avoided(config, outcome, boundary, shift):
-                contribution = 0.0
-            elif outcome.kind is OutcomeKind.IMPACTED:
-                if outcome.impact_speed is None:
-                    raise ScoringError(
-                        f"impacted record without impact_speed at {config.key()}"
-                    )
-                speed = outcome.impact_speed
-                if boundary is not None and boundary.shiftable:
-                    speed = min(max(speed - shift, 0.0), config.vut_speed)
-                contribution = mu_pow(model, config, vut_mass, speed)
-            else:
-                contribution = passive[config]
-            realized += weights[config] * contribution
-        values.append(1.0 - realized / denominator)
-    lower, nominal, upper = values
-    return ScoreValue(nominal=nominal, lower=lower, upper=upper)
+    series, ordered = _sequence(configs, outcomes)
+    passive = [passive_mu_pow(model, c, vut_mass) for c in configs]
+    return _kernel(configs, series, ordered, config_weights, passive, model, vut_mass)[1]
 
 
 def score_campaign(
@@ -225,6 +231,9 @@ def score_campaign(
     A licensed instance with no records at all means the vehicle never got
     past the scenario's entry bar and scores zero. Partial coverage of a
     licensed instance is an error: score either everything or nothing.
+    Without validation, a later duplicate record replaces an earlier one and
+    records off the protocol's lattice are not scored, though they still
+    count as coverage of their instance.
     """
     if validate:
         diagnostics = validate_log(log)
@@ -232,34 +241,58 @@ def score_campaign(
             raise ScoringError(
                 f"log has {len(diagnostics)} validation finding(s); first: {diagnostics[0]}"
             )
+    compiled = log.protocol.compiled
+    index = compiled.index
     masses = {v.id: v.mass for v in log.vehicles}
-    by_instance: dict[tuple[str, str, str], dict[TestConfig, TestOutcome]] = {}
+    # One outcome slot per protocol config and vehicle; instances are slices.
+    outcomes_of: dict[str, list[TestOutcome | None]] = {}
+    off_lattice: set[tuple[str, str, str]] = set()
     for record in log.records:
-        key = (record.vehicle, record.config.code, record.config.light)
-        by_instance.setdefault(key, {})[record.config] = record.outcome
+        outcomes = outcomes_of.get(record.vehicle)
+        if outcomes is None:
+            outcomes = outcomes_of[record.vehicle] = [None] * len(compiled.configs)
+        config = record.config
+        i = index.get(config.key())
+        if i is None:
+            off_lattice.add((record.vehicle, config.code, config.light))
+        else:
+            outcomes[i] = record.outcome
 
     scores: list[ScenarioScore] = []
     for vehicle in log.vehicle_ids():
         mass = masses.get(vehicle, 1500.0)
+        outcomes = outcomes_of.get(vehicle, ())
+        passive = None
         for spec in log.protocol.scenarios:
             for light in LIGHTS:
-                if light not in spec.lights:
+                part = compiled.instances.get((spec.code, light))
+                if part is None:
                     scores.append(
                         ScenarioScore(vehicle, spec.code, light, None, None, 0, True)
                     )
                     continue
-                outcomes = by_instance.get((vehicle, spec.code, light))
-                if not outcomes:
+                instance_outcomes = outcomes[part.start:part.stop]
+                if (vehicle, spec.code, light) not in off_lattice and all(
+                    o is None for o in instance_outcomes
+                ):
                     scores.append(
                         ScenarioScore(
                             vehicle, spec.code, light, ScoreValue.zero(), ScoreValue.zero(), 0
                         )
                     )
                     continue
-                configs = enumerate_configs(log.protocol, scenario=spec.code, light=light)
-                fs = frequency_score(configs, outcomes, config_weights)
-                mps = mitigation_power_score(configs, outcomes, model, mass, config_weights)
+                if passive is None:
+                    passive = compiled.passive_powers(model, mass).by_config
+                fs, mps = _kernel(
+                    part.configs,
+                    part.series,
+                    instance_outcomes,
+                    config_weights,
+                    passive[part.start:part.stop],
+                    model,
+                    mass,
+                )
                 scores.append(
-                    ScenarioScore(vehicle, spec.code, light, fs, mps, len(configs))
+                    ScenarioScore(vehicle, spec.code, light, fs, mps, len(part.configs))
                 )
     return scores

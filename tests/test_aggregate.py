@@ -212,6 +212,21 @@ def test_weight_table_validation_errors():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_weight_table_rejects_non_finite_weight(bad):
+    with pytest.raises(WeightTableError, match=r"weights\[1\]: 'w' must be a finite number"):
+        load_weight_table(
+            {
+                "region": "EU",
+                "weights": [
+                    {"scenario": "A", "light": "day", "w": 1},
+                    {"scenario": "B", "light": "day", "w": bad},
+                ],
+                "groups": {"C2C": [{"scenario": "A", "light": "day"}]},
+            }
+        )
+
+
 def test_bundled_weight_tables_cover_protocol(protocol):
     from aebscore.protocol import bundled_protocol_path
 

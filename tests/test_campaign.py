@@ -300,3 +300,23 @@ def test_completion_stats_empty_vehicle(protocol):
 def test_vehicle_sort_key_natural_order():
     ids = ["10", "2", "1B", "7A", "1A", "7B", "6"]
     assert sorted(ids, key=vehicle_sort_key) == ["1A", "1B", "2", "6", "7A", "7B", "10"]
+
+
+def test_completion_stats_matches_brute_force_on_interleaved_log(protocol):
+    rng = random.Random(3)
+    configs = enumerate_configs(protocol)
+    kinds = [TestOutcome.avoided(), TestOutcome.impacted(10.0), TestOutcome.judged(),
+             TestOutcome(OutcomeKind.NOT_EXECUTED)]
+    vehicles = ["10", "2", "1B", "X"]
+    records = [
+        TestRecord(rng.choice(vehicles), rng.choice(configs), rng.choice(kinds))
+        for _ in range(600)
+    ]
+    stats = completion_stats(CampaignLog(protocol=protocol, records=tuple(records)))
+    assert list(stats) == sorted(vehicles, key=vehicle_sort_key)
+    for vehicle, s in stats.items():
+        mine = [r for r in records if r.vehicle == vehicle]
+        executed = sum(r.outcome.kind in (OutcomeKind.AVOIDED, OutcomeKind.IMPACTED) for r in mine)
+        judged = sum(r.outcome.kind is OutcomeKind.JUDGED_FAILED for r in mine)
+        assert (s.expected, s.executed, s.judged) == (224, executed, judged)
+        assert s.completion_percent == round(100.0 * (executed + judged) / 224)

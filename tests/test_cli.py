@@ -331,3 +331,30 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "validate" in result.stdout and "compare" in result.stdout
+
+
+def test_non_finite_protocol_bound_exits_2_with_location(fixture_log, tmp_path, capsys):
+    doc = json.loads(bundled_protocol_path().read_text(encoding="utf-8"))
+    doc["scenarios"][1]["vut_speed_ranges"][0][1] = float("inf")
+    protocol = tmp_path / "p.json"
+    protocol.write_text(json.dumps(doc))  # writes the literal Infinity
+    code = main(["validate", "--protocol", str(protocol), "--log", str(fixture_log)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1] (CCRm).vut_speed_ranges[0]: expected a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_nan_weight_exits_2_and_writes_no_matrix(fixture_log, tmp_path, capsys):
+    doc = json.loads((DATA_DIR / "weights_eu_example.json").read_text(encoding="utf-8"))
+    doc["weights"][0]["w"] = float("nan")
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(doc))  # writes the literal NaN
+    out = tmp_path / "o"
+    code = main(
+        ["compare", *_protocol_args(), "--log", str(fixture_log), "--weights", str(weights),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "weights[0]: 'w' must be a finite number" in capsys.readouterr().err
+    assert not out.exists()

@@ -103,3 +103,54 @@ def test_vehicle_profiles_merge(protocol, tmp_path):
     write_log(log, path)
     again = read_log(path, protocol, vehicles=[VehicleProfile("1A", mass=1777.0)])
     assert {v.id: v.mass for v in again.vehicles} == {"1A": 1777.0}
+
+
+def test_licensed_rows_resolve_to_canonical_configs(protocol, tmp_path):
+    log = _sample_log(protocol)
+    path = tmp_path / "campaign.csv"
+    write_log(log, path)
+    canonical = set(map(id, protocol.compiled.configs))
+    assert all(id(r.config) in canonical for r in read_log(path, protocol).records)
+    # a second read shares the same objects
+    first, second = read_log(path, protocol), read_log(path, protocol)
+    assert all(a.config is b.config for a, b in zip(first.records, second.records))
+
+
+def test_off_lattice_row_gets_a_fresh_config(protocol, tmp_path):
+    path = tmp_path / "odd.jsonl"
+    path.write_text(
+        '{"vehicle":"V","scenario":"CCRs","light":"day","vut_speed":60,"overlap":100,"outcome":"avoided"}\n'
+    )
+    config = read_log(path, protocol).records[0].config
+    assert protocol.compiled.canonical(config.key()) is None
+    assert all(config is not c for c in protocol.compiled.configs)
+    assert config.scenario is protocol.scenario("CCRs")
+
+
+@pytest.mark.parametrize("field", ["vut_speed", "overlap", "tg_speed", "impact_speed"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_numbers_rejected_with_location(protocol, tmp_path, field, value):
+    row = {
+        "vehicle": "V",
+        "scenario": "CCRm",
+        "light": "day",
+        "vut_speed": "55",
+        "tg_speed": "20",
+        "overlap": "100",
+        "outcome": "impacted",
+        "impact_speed": "30",
+    }
+    row[field] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(LogFormatError, match=rf"line 2: {field} must be a finite number"):
+        read_log(path, protocol)
+
+
+def test_non_finite_json_literal_rejected(protocol, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"vehicle":"V","scenario":"CCRs","light":"day","vut_speed":NaN,"overlap":100,"outcome":"avoided"}\n'
+    )
+    with pytest.raises(LogFormatError, match="line 1: vut_speed must be a finite number"):
+        read_log(path, protocol)

@@ -5,6 +5,7 @@ import pytest
 from aebscore.protocol import (
     ProtocolError,
     ScenarioGroup,
+    bundled_protocol_path,
     enumerate_configs,
     load_protocol,
     protocol_to_dict,
@@ -205,3 +206,91 @@ def test_overlap_range_enforced():
     }
     with pytest.raises(ProtocolError, match="outside"):
         load_protocol(doc)
+
+
+def _one_scenario(**fields):
+    entry = {
+        "code": "X",
+        "group": "C2O",
+        "vut_speed_ranges": [[10, 20]],
+        "tg_speeds": None,
+        "speed_step": 10,
+        "overlaps": [100],
+        "lights": ["day"],
+    }
+    entry.update(fields)
+    return {"scenarios": [entry]}
+
+
+@pytest.mark.parametrize(
+    "bad", [float("inf"), float("-inf"), float("nan"), 10**400], ids=["inf", "-inf", "nan", "10e400"]
+)
+def test_non_finite_numbers_rejected_with_location(bad):
+    with pytest.raises(ProtocolError, match=r"scenarios\[0\] \(X\)\.vut_speed_ranges\[0\]: .*finite"):
+        load_protocol(_one_scenario(vut_speed_ranges=[[10, bad]]))
+    with pytest.raises(ProtocolError, match=r"scenarios\[0\] \(X\)\.speed_step: .*finite"):
+        load_protocol(_one_scenario(speed_step=bad))
+    with pytest.raises(ProtocolError, match=r"scenarios\[0\] \(X\)\.tg_speeds: .*finite"):
+        load_protocol(_one_scenario(tg_speeds=[bad]))
+
+
+def test_non_finite_json_literals_rejected(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_one_scenario()).replace("[[10, 20]]", "[[10, Infinity]]"))
+    with pytest.raises(ProtocolError, match=r"vut_speed_ranges\[0\]: expected a finite number"):
+        load_protocol(path)
+
+
+def test_range_too_wide_for_step_rejected():
+    with pytest.raises(ProtocolError, match="too wide"):
+        load_protocol(_one_scenario(vut_speed_ranges=[[-1e308, 1e308]]))
+
+
+def test_lattice_size_capped_before_building(monkeypatch):
+    from aebscore import protocol as protocol_module
+
+    def no_lattice(self, step):
+        raise AssertionError("a lattice was built before the size check")
+
+    monkeypatch.setattr(protocol_module.SpeedRange, "lattice", no_lattice)
+    # MAX_CONFIGS + 1 lattice points
+    top = protocol_module.MAX_CONFIGS
+    with pytest.raises(ProtocolError, match=r"scenarios\[0\] \(X\).*limit is"):
+        load_protocol(_one_scenario(vut_speed_ranges=[[0, top]], speed_step=1))
+    with pytest.raises(ProtocolError, match="limit is"):
+        load_protocol(_one_scenario(vut_speed_ranges=[[0, 1e12]], speed_step=0.5))
+
+
+def test_config_bound_covers_the_enumeration(protocol):
+    assert sum(s.config_bound() for s in protocol.scenarios) >= protocol.config_count()
+    small = load_protocol(_one_scenario(tg_speeds=[5, 10], overlaps=[50, 100]))
+    assert small.scenarios[0].config_bound() == small.config_count() == 8
+
+
+def test_declared_count_must_be_a_number():
+    doc = _one_scenario()
+    doc["expected_config_count"] = "2"
+    with pytest.raises(ProtocolError, match="expected_config_count"):
+        load_protocol(doc)
+
+
+def test_config_hash_follows_key(protocol):
+    again = load_protocol(bundled_protocol_path())
+    for a, b in zip(protocol.compiled.configs, again.compiled.configs):
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a.key())
+    assert {c: i for i, c in enumerate(protocol.compiled.configs)}[again.compiled.configs[7]] == 7
+
+
+def test_compiled_table_matches_enumeration(protocol):
+    compiled = protocol.compiled
+    assert list(compiled.configs) == enumerate_configs(protocol)
+    assert protocol.config_index() == {c.key(): c for c in compiled.configs}
+    for (code, light), part in compiled.instances.items():
+        configs = enumerate_configs(protocol, scenario=code, light=light)
+        assert list(part.configs) == configs
+        assert all(a is b for a, b in zip(part.configs, configs))
+        keys = [(c.overlap, c.tg_speed) for c in configs]
+        assert sorted(set(part.series)) == list(range(len(set(keys))))
+        for i, j in ((i, j) for i in range(len(keys)) for j in range(len(keys))):
+            assert (part.series[i] == part.series[j]) == (keys[i] == keys[j])

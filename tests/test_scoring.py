@@ -8,9 +8,10 @@ from aebscore.campaign import (
     OutcomeKind,
     TestOutcome,
     TestRecord,
+    VehicleProfile,
 )
 from aebscore.impact import ImpactPowerModel
-from aebscore.protocol import enumerate_configs, load_protocol
+from aebscore.protocol import TestConfig, enumerate_configs, load_protocol
 from aebscore.scoring import (
     ScoreValue,
     ScoringError,
@@ -348,3 +349,88 @@ def test_score_campaign_rejects_invalid_log(protocol, model):
     )
     with pytest.raises(ScoringError, match="validation finding"):
         score_campaign(CampaignLog(protocol=protocol, records=records), model)
+
+
+def _assert_triple(score, triple):
+    for value, ref in zip((score.lower, score.nominal, score.upper), triple):
+        assert math.isclose(value, ref, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _campaign_with_noise(protocol, rng, mass):
+    """A one-vehicle log with a replaced duplicate and an off-lattice record per instance."""
+    expected = {}
+    records = []
+    for code, light in protocol.licensed_pairs():
+        configs = enumerate_configs(protocol, scenario=code, light=light)
+        outcomes = random_escalation_outcomes(configs, rng)
+        stale = rng.choice(configs)
+        records.append(TestRecord("V", stale, TestOutcome.judged()))
+        records += [TestRecord("V", c, o) for c, o in outcomes.items()]
+        records.append(TestRecord("V", stale, outcomes[stale]))  # the last record wins
+        rogue = TestConfig(
+            scenario=stale.scenario,
+            vut_speed=stale.vut_speed + 2.5,
+            tg_speed=stale.tg_speed,
+            overlap=stale.overlap,
+            light=light,
+        )
+        records.append(TestRecord("V", rogue, TestOutcome.avoided()))
+        expected[(code, light)] = (configs, outcomes)
+    log = CampaignLog(
+        protocol=protocol, vehicles=(VehicleProfile("V", mass=mass),), records=tuple(records)
+    )
+    return log, expected
+
+
+def test_score_campaign_unvalidated_matches_reference(protocol, model):
+    rng = random.Random(404)
+    log, expected = _campaign_with_noise(protocol, rng, 1720.0)
+    scores = score_campaign(log, model, validate=False)
+    assert len(scores) == 2 * len(protocol.scenarios)
+    for s in scores:
+        if s.not_applicable:
+            assert (s.scenario, s.light) not in expected
+            continue
+        configs, outcomes = expected[(s.scenario, s.light)]
+        assert s.configs_used == len(configs)
+        _assert_triple(s.fs, frequency_triple(configs, outcomes))
+        _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1720.0))
+
+
+def test_score_campaign_config_weights_match_reference(protocol, model):
+    rng = random.Random(405)
+    log, expected = _campaign_with_noise(protocol, rng, 1380.0)
+    weights = {c: rng.uniform(0.1, 3.0) for c in enumerate_configs(protocol)}
+    for s in score_campaign(log, model, config_weights=weights, validate=False):
+        if s.not_applicable:
+            continue
+        configs, outcomes = expected[(s.scenario, s.light)]
+        _assert_triple(s.fs, frequency_triple(configs, outcomes, weights))
+        _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1380.0, weights))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_score_campaign_rejects_nonpositive_weight(protocol, model, bad):
+    configs = enumerate_configs(protocol, scenario="CPLA", light="day")
+    outcomes = escalation_outcomes(configs, None)
+    log = CampaignLog(
+        protocol=protocol, records=tuple(TestRecord("V1", c, o) for c, o in outcomes.items())
+    )
+    with pytest.raises(ScoringError, match="config weight must be > 0"):
+        score_campaign(log, model, config_weights={configs[2]: bad})
+    with pytest.raises(ScoringError, match="config weight must be > 0"):
+        mitigation_power_score(configs, outcomes, model, 1500.0, {configs[-1]: bad})
+
+
+def test_off_lattice_record_alone_still_covers_its_instance(protocol, model):
+    config = enumerate_configs(protocol, scenario="CPLA", light="day")[0]
+    rogue = TestConfig(
+        scenario=config.scenario,
+        vut_speed=config.vut_speed + 2.5,
+        tg_speed=config.tg_speed,
+        overlap=config.overlap,
+        light="day",
+    )
+    log = CampaignLog(protocol=protocol, records=(TestRecord("V1", rogue, TestOutcome.avoided()),))
+    with pytest.raises(ScoringError, match="missing outcome"):
+        score_campaign(log, model, validate=False)
