@@ -333,20 +333,23 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     series: dict[tuple, list[TestRecord]] = {}
 
     for record in log.records:
-        locator = _locator(record)
         key = record.config.key()
         if key not in licensed:
             diagnostics.append(
-                Diagnostic("unlicensed-config", locator, "configuration is not in the protocol")
+                Diagnostic(
+                    "unlicensed-config", _locator(record), "configuration is not in the protocol"
+                )
             )
         dup_key = (record.vehicle, key)
         if dup_key in seen:
             diagnostics.append(
-                Diagnostic("duplicate-record", locator, "duplicate record for this configuration")
+                Diagnostic(
+                    "duplicate-record", _locator(record), "duplicate record for this configuration"
+                )
             )
         seen.add(dup_key)
         for problem in outcome_problems(record.outcome, record.config):
-            diagnostics.append(Diagnostic("invalid-outcome", locator, problem))
+            diagnostics.append(Diagnostic("invalid-outcome", _locator(record), problem))
         series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
 
     for records in series.values():

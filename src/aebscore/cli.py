@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -138,22 +139,46 @@ def _load_impact_config(path: Path | None) -> tuple[ImpactPowerModel, dict[str, 
             f"unknown geometry rule {geometry_rule!r}; expected one of {sorted(GEOMETRY_RULES)}"
         )
     tg_masses = {}
-    for name, mass in dict(doc.get("tg_masses", {})).items():
+    for name, mass in _masses(doc, "tg_masses").items():
         try:
             group = ScenarioGroup(name)
         except ValueError:
             raise ImpactModelError(f"unknown scenario group {name!r} in tg_masses") from None
-        tg_masses[group] = float(mass)
+        tg_masses[group] = _mass(mass, f"tg_masses[{name!r}]")
     name = str(doc.get("name", "kinetic-energy-proxy"))
     if tg_masses:
         model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
     else:
         model = ImpactPowerModel(name=name, geometry_rule=geometry_rule)
-    vut_masses = {str(k): float(v) for k, v in dict(doc.get("vut_masses", {})).items()}
-    default_mass = float(doc.get("default_vut_mass", DEFAULT_VUT_MASS))
-    if default_mass <= 0 or any(m <= 0 for m in vut_masses.values()):
-        raise ImpactModelError("vehicle masses must be > 0")
+    vut_masses = {
+        str(k): _mass(v, f"vut_masses[{k!r}]", positive=True)
+        for k, v in _masses(doc, "vut_masses").items()
+    }
+    default_mass = _mass(
+        doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass", positive=True
+    )
     return model, vut_masses, default_mass
+
+
+def _masses(doc: Mapping, field: str) -> Mapping:
+    masses = doc.get(field, {})
+    if not isinstance(masses, Mapping):
+        raise ImpactModelError(f"impact model {field}: expected an object of masses")
+    return masses
+
+
+def _mass(value, where: str, positive: bool = False) -> float:
+    try:
+        mass = float(value)
+    except (TypeError, ValueError):
+        raise ImpactModelError(f"impact model {where}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond float range
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ImpactModelError(f"impact model {where}: expected a finite number, got {value!r}")
+    if positive and mass <= 0:
+        raise ImpactModelError(f"impact model {where}: vehicle masses must be > 0")
+    return mass
 
 
 def _read_inputs(args) -> tuple[ProtocolDefinition, CampaignLog, ImpactPowerModel]:

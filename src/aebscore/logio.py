@@ -4,6 +4,12 @@ Logs are line-delimited records with the columns ``vehicle, scenario, light,
 vut_speed, tg_speed, overlap, outcome, impact_speed, intervention, projected,
 pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
+
+Campaign logs repeat themselves: every vehicle runs the same configurations
+with few distinct outcomes. ``read_log`` therefore parses each distinct row
+once per call. Rows that differ only in their vehicle share one config,
+outcome and pre-test, and only the first of them goes through the checks.
+The memo is a local of each call; nothing is cached between reads.
 """
 
 from __future__ import annotations
@@ -99,20 +105,22 @@ def read_log(
     rows whose settings are not licensed parse fine and are reported by
     ``validate_log`` instead. A licensed row resolves to the protocol's
     canonical ``TestConfig`` object, so records share their configs.
+
+    Each distinct row is parsed once per call: rows that differ only in
+    their vehicle share the config, outcome and pre-test of the first such
+    row, which alone goes through the checks. The memo lives for this call.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".csv":
-        rows = _rows_from_csv(text)
+        records = _read_csv(text, protocol)
     else:
-        rows = _rows_from_jsonl(text)
+        records = _read_jsonl(text, protocol)
 
-    records = [
-        _record_from_row(row, protocol, where) for row, where in rows
-    ]
     profiles = {v.id: v for v in vehicles}
-    for record in records:
-        profiles.setdefault(record.vehicle, VehicleProfile(id=record.vehicle))
+    for vehicle in dict.fromkeys(r.vehicle for r in records):
+        if vehicle not in profiles:
+            profiles[vehicle] = VehicleProfile(id=vehicle)
     return CampaignLog(
         protocol=protocol,
         vehicles=tuple(profiles.values()),
@@ -120,67 +128,115 @@ def read_log(
     )
 
 
-def _rows_from_jsonl(text: str) -> list[tuple[Mapping, str]]:
-    rows = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
+    decode = json.JSONDecoder().decode
+    memo: dict[tuple, tuple] = {}
+    records = []
+    for line, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
             continue
         try:
-            row = json.loads(line)
+            row = decode(raw)
         except json.JSONDecodeError as exc:
-            raise LogFormatError(f"line {i}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):  # json.loads makes every object a dict
-            raise LogFormatError(f"line {i}: expected a JSON object")
-        rows.append((row, f"line {i}"))
-    return rows
+            raise LogFormatError(f"line {line}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):  # the decoder makes every object a dict
+            raise LogFormatError(f"line {line}: expected a JSON object")
+        key = None
+        if "vehicle" in row:
+            vehicle = row.pop("vehicle")
+            # Types are part of the key: True == 1, but only 1 is a speed.
+            key = (tuple(row.items()), tuple(map(type, row.values())))
+            try:
+                shared = memo.get(key)
+            except TypeError:  # a list or object value cannot be a key
+                key = shared = None
+            if shared is not None:
+                records.append(TestRecord(str(vehicle), *shared))
+                continue
+            row["vehicle"] = vehicle
+        records.append(_parse_row(row, protocol, line, memo, key))
+    return records
 
 
-def _rows_from_csv(text: str) -> list[tuple[Mapping, str]]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+def _read_csv(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         return []
-    unknown = set(reader.fieldnames) - set(LOG_COLUMNS)
+    unknown = set(header) - set(LOG_COLUMNS)
     if unknown:
         raise LogFormatError(f"unknown column(s) {sorted(unknown)}")
-    rows = []
-    for i, raw in enumerate(reader, start=2):
-        row = {k: v for k, v in raw.items() if v not in (None, "")}
-        rows.append((row, f"line {i}"))
-    return rows
+    width = len(header)
+    at = {name: i for i, name in enumerate(header)}.get("vehicle")  # the last one wins
+    memo: dict[tuple, tuple] = {}
+    records = []
+    line = 1  # counts non-blank rows, the header included
+    for cells in reader:
+        if not cells:
+            continue
+        line += 1
+        key = None
+        # Only full-width rows with a vehicle can share a parse; the others
+        # take the checks below and fail or parse on their own.
+        if at is not None and len(cells) == width and cells[at]:
+            vehicle = cells[at]
+            cells[at] = ""
+            key = tuple(cells)
+            shared = memo.get(key)
+            if shared is not None:
+                records.append(TestRecord(vehicle, *shared))
+                continue
+            cells[at] = vehicle
+        row = {k: v for k, v in dict(zip(header, cells)).items() if v}
+        if len(cells) > width:
+            row[None] = cells[width:]  # reported as an unknown field
+        records.append(_parse_row(row, protocol, line, memo, key))
+    return records
 
 
-def _record_from_row(row: Mapping, protocol: ProtocolDefinition, where: str) -> TestRecord:
+def _parse_row(
+    row: Mapping, protocol: ProtocolDefinition, line: int, memo: dict, key: tuple | None
+) -> TestRecord:
+    """Parse one row in full and remember its vehicle-free part under ``key``."""
+    try:
+        record = _record_from_row(row, protocol)
+    except LogFormatError as exc:
+        raise LogFormatError(f"line {line}: {exc}") from None
+    if key is not None:
+        memo[key] = (record.config, record.outcome, record.pre_test)
+    return record
+
+
+def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
     unknown = set(row) - set(LOG_COLUMNS)
     if unknown:
-        raise LogFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise LogFormatError(f"unknown field(s) {sorted(unknown)}")
     try:
         vehicle = str(row["vehicle"])
         code = str(row["scenario"])
         light = str(row["light"])
-        vut_speed = _parse_number(row["vut_speed"], where, "vut_speed")
-        overlap = _parse_number(row["overlap"], where, "overlap")
+        vut_speed = _parse_number(row["vut_speed"], "vut_speed")
+        overlap = _parse_number(row["overlap"], "overlap")
         outcome_name = str(row["outcome"])
     except KeyError as exc:
-        raise LogFormatError(f"{where}: missing field {exc.args[0]!r}") from None
+        raise LogFormatError(f"missing field {exc.args[0]!r}") from None
     if light not in LIGHTS:
-        raise LogFormatError(f"{where}: unknown light {light!r}")
+        raise LogFormatError(f"unknown light {light!r}")
     try:
         kind = OutcomeKind(outcome_name)
     except ValueError:
-        raise LogFormatError(f"{where}: unknown outcome {outcome_name!r}") from None
+        raise LogFormatError(f"unknown outcome {outcome_name!r}") from None
 
     tg_speed = row.get("tg_speed")
-    tg_speed = None if tg_speed is None else _parse_number(tg_speed, where, "tg_speed")
+    tg_speed = None if tg_speed is None else _parse_number(tg_speed, "tg_speed")
     impact_speed = row.get("impact_speed")
-    impact_speed = (
-        None if impact_speed is None else _parse_number(impact_speed, where, "impact_speed")
-    )
+    impact_speed = None if impact_speed is None else _parse_number(impact_speed, "impact_speed")
     pre_test = row.get("pre_test")
     if pre_test is not None and pre_test not in ("passed", "failed"):
-        raise LogFormatError(f"{where}: pre_test must be 'passed' or 'failed'")
+        raise LogFormatError("pre_test must be 'passed' or 'failed'")
 
     if not protocol.has_scenario(code):
-        raise LogFormatError(f"{where}: unknown scenario {code!r}")
+        raise LogFormatError(f"unknown scenario {code!r}")
     config = protocol.compiled.canonical((code, light, overlap, vut_speed, tg_speed))
     if config is None:
         config = TestConfig(
@@ -193,27 +249,29 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition, where: str) -> 
     outcome = TestOutcome(
         kind=kind,
         impact_speed=impact_speed,
-        intervention=_parse_bool(row.get("intervention"), where, "intervention"),
-        projected=_parse_bool(row.get("projected"), where, "projected"),
+        intervention=_parse_bool(row.get("intervention"), "intervention"),
+        projected=_parse_bool(row.get("projected"), "projected"),
     )
     return TestRecord(vehicle=vehicle, config=config, outcome=outcome, pre_test=pre_test)
 
 
-def _parse_number(value, where: str, name: str) -> float:
+def _parse_number(value, name: str) -> float:
     if isinstance(value, bool):
-        raise LogFormatError(f"{where}: {name} must be a number")
+        raise LogFormatError(f"{name} must be a number")
     try:
         num = float(value if isinstance(value, (int, float)) else str(value))
     except ValueError:
-        raise LogFormatError(f"{where}: {name} must be a number, got {value!r}") from None
+        raise LogFormatError(f"{name} must be a number, got {value!r}") from None
     except OverflowError:  # an integer beyond float range
         num = math.inf
     if not math.isfinite(num):
-        raise LogFormatError(f"{where}: {name} must be a finite number, got {value!r}")
-    return num
+        raise LogFormatError(f"{name} must be a finite number, got {value!r}")
+    # -0.0 == 0.0 but prints as "-0"; adding 0.0 gives +0.0, so rows whose
+    # values compare equal parse to equal values and may share a parse.
+    return num + 0.0
 
 
-def _parse_bool(value, where: str, name: str) -> bool | None:
+def _parse_bool(value, name: str) -> bool | None:
     if value is None:
         return None
     if isinstance(value, bool):
@@ -223,7 +281,7 @@ def _parse_bool(value, where: str, name: str) -> bool | None:
         return True
     if text in ("false", "0", "no"):
         return False
-    raise LogFormatError(f"{where}: {name} must be a boolean, got {value!r}")
+    raise LogFormatError(f"{name} must be a boolean, got {value!r}")
 
 
 def _plain(x: float):

@@ -141,7 +141,12 @@ def _kernel(
     for w in weights:
         den += w
     if passive is not None:
-        denominator = sum(w * p for w, p in zip(weights, passive))
+        # Summed as ``realized`` is below, not with sum(): since Python 3.12
+        # sum() compensates rounding, and a vehicle that never brakes must
+        # get exactly realized == denominator, hence an MPS of 0, not -2e-16.
+        denominator = 0.0
+        for w, p in zip(weights, passive):
+            denominator += w * p
         if denominator <= 0.0:
             raise ScoringError("passive impact power is zero across all configurations")
 

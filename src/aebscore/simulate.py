@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -108,6 +109,17 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
 _ORACLE_KINDS = ("always_avoid", "never_respond", "threshold", "random")
 
 
+_FLOAT_MAX = sys.float_info.max
+# Numeric oracle fields: default, lowest and highest accepted value.
+_ORACLE_NUMBERS = {
+    "fail_at": (None, -_FLOAT_MAX, _FLOAT_MAX),
+    "impact_fraction": (0.6, -_FLOAT_MAX, _FLOAT_MAX),
+    "pretest_fail_prob": (0.0, 0.0, 1.0),
+    "never_prob": (0.25, 0.0, 1.0),
+    "respond_prob": (0.9, 0.0, 1.0),
+}
+
+
 def _parse_oracle(doc, where: str) -> OracleSpec:
     if not isinstance(doc, Mapping):
         raise SimulationSpecError(f"{where}: expected an object")
@@ -117,18 +129,51 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     rules = doc.get("rules", [])
     if not isinstance(rules, list):
         raise SimulationSpecError(f"{where}: 'rules' must be an array")
+    for i, rule in enumerate(rules):
+        if not isinstance(rule, Mapping):
+            raise SimulationSpecError(f"{where}.rules[{i}]: expected an object")
+        fail_at = rule.get("fail_at")
+        if fail_at is not None and not _within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
+            raise SimulationSpecError(
+                f"{where}.rules[{i}]: 'fail_at' must be a finite number, got {fail_at!r}"
+            )
+    numbers = {}
+    for name, (default, lo, hi) in _ORACLE_NUMBERS.items():
+        value = doc.get(name, default)
+        if value is not None:
+            if not _within(value, lo, hi):
+                bounds = "" if hi == _FLOAT_MAX else f" in [{lo:g}, {hi:g}]"
+                raise SimulationSpecError(
+                    f"{where}: {name!r} must be a finite number{bounds}, got {value!r}"
+                )
+            value = float(value)
+        numbers[name] = value
     fraction_range = doc.get("impact_fraction_range", [0.3, 0.95])
+    if not (
+        isinstance(fraction_range, list)
+        and len(fraction_range) == 2
+        and _within(fraction_range[0], 0.0, 1.0)
+        and _within(fraction_range[1], fraction_range[0], 1.0)
+    ):
+        raise SimulationSpecError(
+            f"{where}: 'impact_fraction_range' must be [lo, hi] with 0 <= lo <= hi <= 1"
+        )
+    respond = doc.get("respond", True)
+    if not isinstance(respond, bool):
+        raise SimulationSpecError(f"{where}: 'respond' must be true or false")
     return OracleSpec(
         kind=kind,
-        fail_at=doc.get("fail_at"),
         rules=tuple(rules),
-        impact_fraction=float(doc.get("impact_fraction", 0.6)),
-        respond=bool(doc.get("respond", True)),
-        pretest_fail_prob=float(doc.get("pretest_fail_prob", 0.0)),
-        never_prob=float(doc.get("never_prob", 0.25)),
+        respond=respond,
         impact_fraction_range=(float(fraction_range[0]), float(fraction_range[1])),
-        respond_prob=float(doc.get("respond_prob", 0.9)),
+        **numbers,
     )
+
+
+def _within(value, lo: float, hi: float) -> bool:
+    """A number in [lo, hi]. Booleans are not numbers; NaN, infinities and
+    integers beyond float range fall outside any finite bounds."""
+    return isinstance(value, (int, float)) and value.__class__ is not bool and lo <= value <= hi
 
 
 def _stable_rng(*parts) -> random.Random:

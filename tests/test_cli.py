@@ -358,3 +358,75 @@ def test_nan_weight_exits_2_and_writes_no_matrix(fixture_log, tmp_path, capsys):
     assert code == 2
     assert "weights[0]: 'w' must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("V2,CCRs,day,55,100", "line 3: missing field 'outcome'"),
+        ("V2,CCRs,day,55,100,avoided,x", "line 3: unknown field"),
+        (",CCRs,day,55,100,avoided", "line 3: missing field 'vehicle'"),
+    ],
+)
+def test_csv_row_of_wrong_shape_exits_2(tmp_path, capsys, row, message):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "vehicle,scenario,light,vut_speed,overlap,outcome\n"
+        "V1,CCRs,day,55,100,avoided\n" + row + "\n"
+    )
+    assert main(["validate", *_protocol_args(), "--log", str(log)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ('{"vut_masses": {"1A": NaN}}', "vut_masses['1A']"),
+        ('{"vut_masses": {"2": -Infinity}}', "vut_masses['2']"),
+        ('{"default_vut_mass": Infinity}', "default_vut_mass"),
+        ('{"tg_masses": {"C2C": NaN}}', "tg_masses['C2C']"),
+    ],
+)
+def test_non_finite_impact_masses_exit_2(fixture_log, tmp_path, capsys, doc, where):
+    config = tmp_path / "impact.json"
+    config.write_text(doc)
+    out = tmp_path / "reports"
+    code = main(
+        [
+            "score",
+            *_protocol_args(),
+            "--log",
+            str(fixture_log),
+            "--impact-model",
+            str(config),
+            "--weights",
+            str(DATA_DIR / "weights_eu_example.json"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert f"impact model {where}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        ({"type": "threshold", "fail_at": "abc"}, ": 'fail_at' must be a finite number"),
+        (
+            {"type": "threshold", "rules": [{"scenario": "CCRs", "fail_at": "abc"}]},
+            ".rules[0]: 'fail_at' must be a finite number",
+        ),
+        ({"type": "random", "impact_fraction_range": [0.9]}, ": 'impact_fraction_range' must be"),
+        ({"type": "random", "never_prob": 7}, ": 'never_prob' must be a finite number in [0, 1]"),
+    ],
+)
+def test_bad_simulation_spec_exits_2_with_location(tmp_path, capsys, oracle, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "vehicles": [{"id": "V", "oracle": oracle}]}))
+    out = tmp_path / "log.jsonl"
+    args = ["simulate", *_protocol_args(), "--oracle", str(spec), "--out", str(out)]
+    assert main(args) == 2
+    assert f"vehicles[0].oracle{message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,13 @@
+import csv
+import json
+import math
+
 import pytest
 
-from aebscore.campaign import CampaignLog, TestOutcome, TestRecord, VehicleProfile
-from aebscore.logio import LogFormatError, read_log, write_log
+from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
+from aebscore.logio import LogFormatError, read_log, record_to_row, write_log
 from aebscore.protocol import enumerate_configs
+from aebscore.simulate import load_simulation_spec, simulate_campaign
 
 
 def _sample_log(protocol):
@@ -154,3 +159,137 @@ def test_non_finite_json_literal_rejected(protocol, tmp_path):
     )
     with pytest.raises(LogFormatError, match="line 1: vut_speed must be a finite number"):
         read_log(path, protocol)
+
+
+# Column order of a third-party track export; differs from LOG_COLUMNS.
+EXPORT_COLUMNS = (
+    "vehicle", "scenario", "light", "overlap", "tg_speed", "vut_speed",
+    "outcome", "intervention", "impact_speed", "projected", "pre_test",
+)
+
+
+def _row_by_row(rows, protocol):
+    """Parse each row on its own, as a reference for ``read_log``."""
+
+    def number(value):
+        return None if value in (None, "") else float(value)
+
+    def flag(value):
+        return None if value in (None, "") else str(value).lower() == "true"
+
+    records = []
+    for row in rows:
+        key = (
+            row["scenario"], row["light"], number(row["overlap"]),
+            number(row["vut_speed"]), number(row.get("tg_speed")),
+        )
+        outcome = TestOutcome(
+            OutcomeKind(row["outcome"]),
+            impact_speed=number(row.get("impact_speed")),
+            intervention=flag(row.get("intervention")),
+            projected=flag(row.get("projected")),
+        )
+        records.append(
+            (str(row["vehicle"]), protocol.compiled.canonical(key), outcome,
+             row.get("pre_test") or None)
+        )
+    return records
+
+
+def _simulated_log(protocol):
+    oracle = {"type": "random", "pretest_fail_prob": 0.3, "never_prob": 0.2}
+    spec = load_simulation_spec(
+        {"seed": 7, "vehicles": [{"id": f"V{i}", "oracle": oracle} for i in range(8)]}
+    )
+    return simulate_campaign(protocol, spec)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_read_log_matches_a_row_by_row_parse(protocol, tmp_path, suffix):
+    log = _simulated_log(protocol)
+    path = tmp_path / f"campaign{suffix}"
+    if suffix == ".jsonl":
+        write_log(log, path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+    else:
+        rows = [
+            {k: "" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+             for k, v in record_to_row(r).items()}
+            for r in log.records
+        ]
+        with path.open("w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=EXPORT_COLUMNS, restval="")
+            writer.writeheader()
+            writer.writerows(rows)
+    expected = _row_by_row(rows, protocol)
+    got = read_log(path, protocol).records
+    assert len(got) == len(expected) == len(log.records)
+    assert len({r.vehicle for r in got}) == 8
+    for record, (vehicle, config, outcome, pre_test) in zip(got, expected):
+        assert record.vehicle == vehicle
+        assert config is not None and record.config is config
+        assert record.outcome == outcome
+        assert record.pre_test == pre_test
+
+
+_ROW = {"scenario": "CCRm", "light": "day", "vut_speed": 55, "tg_speed": 20, "overlap": 100,
+        "outcome": "impacted", "impact_speed": 30, "intervention": True}
+
+
+@pytest.mark.parametrize(
+    "field, good, bad, message",
+    [
+        ("vut_speed", 1, True, "vut_speed must be a number"),
+        ("intervention", 1, 1.0, "intervention must be a boolean"),
+        ("tg_speed", 20, [20], "tg_speed must be a number"),
+    ],
+)
+def test_equal_values_of_another_type_are_parsed_again(
+    protocol, tmp_path, field, good, bad, message
+):
+    rows = [dict(_ROW, vehicle="A", **{field: good}), dict(_ROW, vehicle="B", **{field: bad})]
+    assert rows[0][field] == rows[1][field] or field == "tg_speed"
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(LogFormatError, match=f"^line 2: {message}"):
+        read_log(path, protocol)
+
+
+def test_negative_zero_parses_like_zero(protocol, tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        '{"vehicle":"A","scenario":"CCRs","light":"day","vut_speed":-0.0,"overlap":100,"outcome":"avoided"}\n'
+        '{"vehicle":"B","scenario":"CCRs","light":"day","vut_speed":0.0,"overlap":100,"outcome":"avoided"}\n'
+    )
+    speeds = [r.config.vut_speed for r in read_log(path, protocol).records]
+    assert [math.copysign(1.0, s) for s in speeds] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_bad_row_after_many_good_ones_is_located(protocol, tmp_path, suffix):
+    good = [dict(_ROW, vehicle=f"V{i}", intervention="true") for i in range(200)]
+    rows = good + [dict(good[0], vehicle="X", outcome="meh")]
+    path = tmp_path / f"log{suffix}"
+    if suffix == ".jsonl":
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        line = 201
+    else:
+        lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        line = 202
+    with pytest.raises(LogFormatError, match=f"^line {line}: unknown outcome 'meh'"):
+        read_log(path, protocol)
+
+
+def test_repeated_rows_share_one_outcome(protocol, tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "vehicle,scenario,light,vut_speed,overlap,outcome,impact_speed,intervention\n"
+        "A,CCRs,day,60,100,impacted,20,true\n"
+        "B,CCRs,day,60,100,impacted,20,true\n"
+        "C,CCRs,day,60,100,impacted,21,true\n"
+    )
+    a, b, c = read_log(path, protocol).records
+    assert [a.vehicle, b.vehicle, c.vehicle] == ["A", "B", "C"]
+    assert a.outcome is b.outcome and a.config is b.config
+    assert c.outcome is not a.outcome and c.outcome.impact_speed == 21
