@@ -174,16 +174,7 @@ def aggregate_fs(
         if score.not_applicable:
             continue
         terms.append((table.weight(instance), score.fs))
-    total = sum(w for w, _ in terms)
-    if total <= 0:
-        raise AggregationError(
-            f"group {group.value} has zero total applicable weight in region {table.region!r}"
-        )
-    return ScoreValue(
-        nominal=sum(w * s.nominal for w, s in terms) / total,
-        lower=sum(w * s.lower for w, s in terms) / total,
-        upper=sum(w * s.upper for w, s in terms) / total,
-    )
+    return _weighted_mean(terms, "applicable", group, table)
 
 
 def aggregate_mps(
@@ -209,16 +200,29 @@ def aggregate_mps(
         if power is None or power <= 0:
             raise AggregationError(f"passive power must be > 0 for instance {instance}")
         terms.append((table.weight(instance) * power, score.mps))
-    total = sum(w for w, _ in terms)
+    return _weighted_mean(terms, "power", group, table)
+
+
+def _weighted_mean(
+    terms: list[tuple[float, ScoreValue]], kind: str, group: ScenarioGroup, table: WeightTable
+) -> ScoreValue:
+    """Weighted mean of each ScoreValue field over (weight, value) terms.
+
+    Summed left to right, not with sum(): since Python 3.12 sum() compensates
+    rounding, which moves last bits and, at a rounding boundary, a printed
+    percentage, so reports would differ between Python versions.
+    """
+    total = nominal = lower = upper = 0.0
+    for w, s in terms:
+        total += w
+        nominal += w * s.nominal
+        lower += w * s.lower
+        upper += w * s.upper
     if total <= 0:
         raise AggregationError(
-            f"group {group.value} has zero total power weight in region {table.region!r}"
+            f"group {group.value} has zero total {kind} weight in region {table.region!r}"
         )
-    return ScoreValue(
-        nominal=sum(w * s.nominal for w, s in terms) / total,
-        lower=sum(w * s.lower for w, s in terms) / total,
-        upper=sum(w * s.upper for w, s in terms) / total,
-    )
+    return ScoreValue(nominal=nominal / total, lower=lower / total, upper=upper / total)
 
 
 def relativity(score_x: float, score_y: float) -> float:

@@ -59,7 +59,7 @@ class TestOutcome:
 
     @staticmethod
     def avoided() -> "TestOutcome":
-        return TestOutcome(OutcomeKind.AVOIDED, intervention=True)
+        return _AVOIDED
 
     @staticmethod
     def impacted(
@@ -74,7 +74,12 @@ class TestOutcome:
 
     @staticmethod
     def judged() -> "TestOutcome":
-        return TestOutcome(OutcomeKind.JUDGED_FAILED)
+        return _JUDGED
+
+
+# Outcomes are frozen, so every avoided and every judged record shares one.
+_AVOIDED = TestOutcome(OutcomeKind.AVOIDED, intervention=True)
+_JUDGED = TestOutcome(OutcomeKind.JUDGED_FAILED)
 
 
 def outcome_problems(outcome: TestOutcome, config: TestConfig) -> list[str]:

@@ -9,7 +9,10 @@ Campaign logs repeat themselves: every vehicle runs the same configurations
 with few distinct outcomes. ``read_log`` therefore parses each distinct row
 once per call. Rows that differ only in their vehicle share one config,
 outcome and pre-test, and only the first of them goes through the checks.
-The memo is a local of each call; nothing is cached between reads.
+``write_log`` works the other way round: it encodes each distinct row once
+and splices each record's vehicle cell into it. Both memos are locals of
+one call; nothing is cached between calls. CSV errors name the physical
+line a row starts on.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import io
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
@@ -66,24 +70,41 @@ def record_to_row(record: TestRecord) -> dict:
 
 
 def write_log(log: CampaignLog, path: str | Path) -> None:
+    """Write a log as CSV (``.csv``) or JSON lines (any other suffix).
+
+    Same bytes as encoding each record in full, but each distinct row and
+    vehicle cell is encoded once per call (see the module docstring).
+    """
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        path.write_text(_to_csv(log.records), encoding="utf-8")
-    else:
-        lines = [json.dumps(record_to_row(r), sort_keys=True) for r in log.records]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def _to_csv(records: Iterable[TestRecord]) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=LOG_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        row = record_to_row(record)
-        writer.writerow(
-            {k: _csv_cell(row.get(k)) for k in LOG_COLUMNS}
-        )
-    return buffer.getvalue()
+    as_csv = path.suffix.lower() == ".csv"
+    # writerow returns what the file's write returns: here, the line itself.
+    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    lines = [encode(LOG_COLUMNS)] if as_csv else []
+    rows: dict[tuple, tuple[str, str]] = {}  # (config, outcome, pre_test) -> around the cell
+    cells: dict[str, str] = {}  # vehicle -> its encoded cell
+    for record in log.records:
+        key = (record.config, record.outcome, record.pre_test)
+        row = rows.get(key)
+        if row is None:
+            fields = record_to_row(record)
+            del fields["vehicle"]
+            if as_csv:  # the vehicle is column 0
+                row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])
+            else:  # "vehicle" sorts second to last, just before "vut_speed"
+                text = json.dumps(fields, sort_keys=True)
+                cut = text.rindex('"vut_speed": ')
+                row = text[:cut], text[cut:] + "\n"
+            rows[key] = row
+        vehicle = record.vehicle
+        cell = cells.get(vehicle)
+        if cell is None:
+            if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
+                cell = encode([_csv_cell(vehicle), ""])[:-2]
+            else:
+                cell = f'"vehicle": {json.dumps(vehicle)}, '
+            cells[vehicle] = cell
+        lines.append(row[0] + cell + row[1])
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def _csv_cell(value) -> str:
@@ -113,7 +134,11 @@ def read_log(
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".csv":
-        records = _read_csv(text, protocol)
+        reader = csv.reader(io.StringIO(text))
+        try:
+            records = _read_csv(reader, protocol)
+        except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+            raise LogFormatError(f"line {reader.line_num}: {exc}") from None
     else:
         records = _read_jsonl(text, protocol)
 
@@ -158,8 +183,7 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
     return records
 
 
-def _read_csv(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
-    reader = csv.reader(io.StringIO(text))
+def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
     header = next(reader, None)
     if header is None:
         return []
@@ -170,11 +194,9 @@ def _read_csv(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
     at = {name: i for i, name in enumerate(header)}.get("vehicle")  # the last one wins
     memo: dict[tuple, tuple] = {}
     records = []
-    line = 1  # counts non-blank rows, the header included
     for cells in reader:
         if not cells:
             continue
-        line += 1
         key = None
         # Only full-width rows with a vehicle can share a parse; the others
         # take the checks below and fail or parse on their own.
@@ -187,9 +209,13 @@ def _read_csv(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
                 records.append(TestRecord(vehicle, *shared))
                 continue
             cells[at] = vehicle
-        row = {k: v for k, v in dict(zip(header, cells)).items() if v}
+        # The physical line the row starts on: quoted cells may span lines.
+        line = reader.line_num - sum(cell.count("\n") for cell in cells)
         if len(cells) > width:
-            row[None] = cells[width:]  # reported as an unknown field
+            raise LogFormatError(
+                f"line {line}: unknown field(s): {len(cells)} cells for {width} columns"
+            )
+        row = {k: v for k, v in dict(zip(header, cells)).items() if v}
         records.append(_parse_row(row, protocol, line, memo, key))
     return records
 

@@ -86,9 +86,6 @@ class LightSettings:
     overlaps: tuple[float, ...]
     variants: tuple[SeriesVariant, ...]
 
-    def config_count(self) -> int:
-        return len(self.overlaps) * sum(len(v.speeds) for v in self.variants)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -113,10 +110,14 @@ class ScenarioSpec:
     tg_crossing: bool = False
     requires_pretest: bool = False
     night: LightOverride | None = None
+    # light -> LightSettings, filled by settings() on first use per light.
+    _settings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def settings(self, light: str) -> LightSettings:
-        ranges, tg_speeds, overlaps = self._light_fields(light)
-        return LightSettings(overlaps=overlaps, variants=self._variants(ranges, tg_speeds))
+        if light not in self._settings:
+            ranges, tg_speeds, overlaps = self._light_fields(light)
+            self._settings[light] = LightSettings(overlaps, self._variants(ranges, tg_speeds))
+        return self._settings[light]
 
     def _light_fields(
         self, light: str

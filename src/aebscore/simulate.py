@@ -6,7 +6,9 @@ impacted. The driver replays the full incremental procedure - pre-tests,
 speed escalation, judged expansion above failures, and night tests judged
 where the daylight counterpart failed. Randomized oracles derive all draws
 from the seed and the configuration identity, so a seed fixes the log
-byte for byte regardless of execution order.
+byte for byte regardless of execution order: one draw per escalation series
+and one per pre-tested (scenario, light), each made on first use and kept
+for that vehicle.
 """
 
 from __future__ import annotations
@@ -197,6 +199,9 @@ def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
             return rule.get("fail_at")
         return spec.fail_at
 
+    pretest_failed: dict[tuple, bool] = {}  # (scenario, light) -> pre-test draw failed
+    series_draws: dict[tuple, tuple] = {}  # series key -> (fail speed, fraction, respond)
+
     def oracle(config: TestConfig) -> TestOutcome:
         if spec.kind == "always_avoid":
             return TestOutcome.avoided()
@@ -208,17 +213,27 @@ def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
                 return TestOutcome.avoided()
             impact = max(min(spec.impact_fraction, 1.0), 1e-3) * config.vut_speed
             return TestOutcome.impacted(impact, intervention=spec.respond)
-        # Random oracle: every draw is keyed by the series identity, so the
-        # answer for a configuration never depends on visit order.
-        scenario_rng = _stable_rng(seed, vehicle, "pretest", config.code, config.light)
-        if scenario_rng.random() < spec.pretest_fail_prob:
+        # Random oracle: every draw is keyed by the series identity, or by
+        # (scenario, light) for the pre-test, so it is made once per key and
+        # the answer for a configuration never depends on visit order.
+        pair = (config.code, config.light)
+        failed = pretest_failed.get(pair)
+        if failed is None:
+            rng = _stable_rng(seed, vehicle, "pretest", *pair)
+            failed = pretest_failed[pair] = rng.random() < spec.pretest_fail_prob
+        if failed:
             return TestOutcome.impacted(config.vut_speed, intervention=False)
-        rng = _stable_rng(seed, vehicle, config.code, config.light, config.overlap, config.tg_speed)
-        lattice = _series_speeds(config)
-        fail_index = len(lattice) if rng.random() < spec.never_prob else rng.randrange(len(lattice))
-        fraction = rng.uniform(*spec.impact_fraction_range)
-        respond = rng.random() < spec.respond_prob
-        fail_speed = lattice[fail_index] if fail_index < len(lattice) else None
+        series = series_key(config)
+        draw = series_draws.get(series)
+        if draw is None:
+            rng = _stable_rng(seed, vehicle, *series)
+            lattice = _series_speeds(config)
+            fail_index = len(lattice) if rng.random() < spec.never_prob else rng.randrange(len(lattice))
+            fraction = rng.uniform(*spec.impact_fraction_range)
+            respond = rng.random() < spec.respond_prob
+            fail_speed = lattice[fail_index] if fail_index < len(lattice) else None
+            draw = series_draws[series] = (fail_speed, fraction, respond)
+        fail_speed, fraction, respond = draw
         if fail_speed is None or config.vut_speed < fail_speed:
             return TestOutcome.avoided()
         return TestOutcome.impacted(

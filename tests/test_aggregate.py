@@ -242,3 +242,16 @@ def test_check_weight_table_reports_unlicensed(protocol):
     table = _table({("CPLAs", "day"): 1.0})
     problems = check_weight_table(table, protocol)
     assert any("not licensed" in p for p in problems)
+
+
+def test_aggregate_sums_left_to_right_on_every_python():
+    # Left to right, 1 + 1e16 - 1e16 is 0: 1e16 + 1 rounds back to 1e16.
+    # Since Python 3.12, sum() compensates rounding and gives 1, so a report
+    # would print differently depending on the interpreter.
+    weights = {("A", "day"): 1.0, ("B", "day"): 1.0, ("C", "day"): 1.0}
+    scores = [_score("A", "day", 1.0), _score("B", "day", 1e16), _score("C", "day", -1e16)]
+    for aggregate in (aggregate_fs, aggregate_mps):
+        args = (scores, _table(weights), ScenarioGroup.C2VRU)
+        if aggregate is aggregate_mps:
+            args += (dict.fromkeys(weights, 1.0),)
+        assert aggregate(*args).nominal == 0.0

@@ -320,3 +320,14 @@ def test_completion_stats_matches_brute_force_on_interleaved_log(protocol):
         judged = sum(r.outcome.kind is OutcomeKind.JUDGED_FAILED for r in mine)
         assert (s.expected, s.executed, s.judged) == (224, executed, judged)
         assert s.completion_percent == round(100.0 * (executed + judged) / 224)
+
+
+def test_avoided_and_judged_outcomes_are_shared(protocol):
+    assert TestOutcome.avoided() is TestOutcome.avoided()
+    assert TestOutcome.avoided() == TestOutcome(OutcomeKind.AVOIDED, intervention=True)
+    assert TestOutcome.judged() is TestOutcome.judged()
+    assert TestOutcome.judged() == TestOutcome(OutcomeKind.JUDGED_FAILED)
+    records = run_scenario(threshold_oracle(85), protocol.scenario("CCRs"), 100, "day")
+    judged = [r.outcome for r in records if r.outcome.kind is OutcomeKind.JUDGED_FAILED]
+    assert len(judged) == 4
+    assert all(o is TestOutcome.judged() for o in judged)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import aebscore
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path
 
@@ -430,3 +432,23 @@ def test_bad_simulation_spec_exits_2_with_location(tmp_path, capsys, oracle, mes
     assert main(args) == 2
     assert f"vehicles[0].oracle{message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_csv_cell_beyond_the_field_limit_exits_2_without_traceback(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "vehicle,scenario,light,vut_speed,overlap,outcome\n"
+        "V1,CCRs,day,55,100," + "x" * 200_000 + "\n"
+    )
+    src = str(Path(aebscore.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-m", "aebscore", "validate", *_protocol_args(), "--log", str(log)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 2
+    assert "line 2: field larger than field limit" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -1,11 +1,13 @@
 import csv
+import io
 import json
 import math
+import random
 
 import pytest
 
 from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
-from aebscore.logio import LogFormatError, read_log, record_to_row, write_log
+from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, record_to_row, write_log
 from aebscore.protocol import enumerate_configs
 from aebscore.simulate import load_simulation_spec, simulate_campaign
 
@@ -293,3 +295,99 @@ def test_repeated_rows_share_one_outcome(protocol, tmp_path):
     assert [a.vehicle, b.vehicle, c.vehicle] == ["A", "B", "C"]
     assert a.outcome is b.outcome and a.config is b.config
     assert c.outcome is not a.outcome and c.outcome.impact_speed == 21
+
+
+def _csv_text(header, *rows):
+    return "\n".join((",".join(header),) + rows) + "\n"
+
+
+_HEADER = ("vehicle", "scenario", "light", "vut_speed", "overlap", "outcome")
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (("", "V1,CCRs,day,55,100,meh"), 3),
+        (("", "", "V1,CCRs,day,55,100,avoided", "", "V2,CCRs,day,55,100,meh"), 6),
+        (('"V\n1",CCRs,day,55,100,avoided', "V2,CCRs,day,55,100,meh"), 4),
+        (('"V\n1",CCRs,day,55,100,meh',), 2),
+    ],
+    ids=["blank", "blanks", "after-two-line-row", "two-line-row"],
+)
+def test_csv_errors_name_the_physical_line(protocol, tmp_path, rows, line):
+    path = tmp_path / "log.csv"
+    path.write_text(_csv_text(_HEADER, *rows))
+    with pytest.raises(LogFormatError, match=f"^line {line}: unknown outcome 'meh'"):
+        read_log(path, protocol)
+
+
+def test_csv_row_with_extra_cells_names_the_count(protocol, tmp_path):
+    path = tmp_path / "log.csv"
+    rows = ("V1,CCRs,day,55,100,avoided", "", "V2,CCRs,day,55,100,avoided,x,")
+    path.write_text(_csv_text(_HEADER, *rows))
+    with pytest.raises(LogFormatError, match=r"^line 4: unknown field\(s\): 8 cells for 6 columns$"):
+        read_log(path, protocol)
+
+
+def test_csv_cell_beyond_the_field_limit_is_a_located_error(protocol, tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "log.csv"
+    rows = ("V1,CCRs,day,55,100,avoided", "V2,CCRs,day,55,100," + "x" * (limit + 1))
+    path.write_text(_csv_text(_HEADER, *rows))
+    with pytest.raises(LogFormatError, match=rf"^line 3: field larger than field limit \({limit}\)"):
+        read_log(path, protocol)
+    assert csv.field_size_limit() == limit
+
+
+def _reference_write(records, path):
+    """Encode every record in full, one row at a time."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+    if path.suffix == ".csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=LOG_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            row = record_to_row(record)
+            writer.writerow({k: cell(row.get(k)) for k in LOG_COLUMNS})
+        return buffer.getvalue().encode("utf-8")
+    lines = [json.dumps(record_to_row(r), sort_keys=True) + "\n" for r in records]
+    return "".join(lines).encode("utf-8")
+
+
+VEHICLES = ("a,b", 'say "hi"', "two\nlines", "Zürich ß ✓", "", "cr\rhere", " padded ", "1A")
+OUTCOMES = (
+    TestOutcome.avoided(),
+    TestOutcome(OutcomeKind.AVOIDED),
+    TestOutcome.impacted(30.5, intervention=False, projected=True),
+    TestOutcome.impacted(42, intervention=True, projected=False),
+    TestOutcome(OutcomeKind.IMPACTED, impact_speed=12.25),
+    TestOutcome.judged(),
+    TestOutcome(OutcomeKind.NOT_EXECUTED),
+)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_write_log_matches_a_row_by_row_writer(protocol, tmp_path, suffix):
+    # tg_speed absent (CCRs) and present (CCRm); each optional outcome field
+    # and pre_test both set and unset; every row repeated across vehicles.
+    configs = enumerate_configs(protocol, scenario="CCRs")[:3] + enumerate_configs(
+        protocol, scenario="CCRm"
+    )[:3]
+    records = [
+        TestRecord(vehicle, config, outcome, pre_test)
+        for config in configs
+        for outcome in OUTCOMES
+        for pre_test in (None, "passed", "failed")
+        for vehicle in VEHICLES
+    ]
+    random.Random(1).shuffle(records)
+    records.append(TestRecord("V", configs[0], TestOutcome(OutcomeKind.AVOIDED, projected=False)))
+    path = tmp_path / f"log{suffix}"
+    for chosen in (records, records[:1], []):
+        write_log(CampaignLog(protocol=protocol, records=tuple(chosen)), path)
+        assert path.read_bytes() == _reference_write(chosen, path)

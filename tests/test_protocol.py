@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 
 import pytest
@@ -294,3 +296,27 @@ def test_compiled_table_matches_enumeration(protocol):
         assert sorted(set(part.series)) == list(range(len(set(keys))))
         for i, j in ((i, j) for i in range(len(keys)) for j in range(len(keys))):
             assert (part.series[i] == part.series[j]) == (keys[i] == keys[j])
+
+
+def test_light_settings_are_built_once_per_light_and_spec(protocol):
+    spec = protocol.scenario("CCRm")
+    assert spec.settings("day") is spec.settings("day")
+    assert spec.settings("night") is spec.settings("night")
+    assert "_settings" not in repr(spec)
+    copy = dataclasses.replace(spec)
+    assert copy == spec and hash(copy) == hash(spec)
+    assert copy.settings("day") == spec.settings("day")
+    day_only = protocol.scenario("CBNA")
+    for _ in range(2):  # a refusal is not remembered as settings
+        with pytest.raises(ProtocolError, match="not licensed for 'night'"):
+            day_only.settings("night")
+
+
+def test_each_protocol_gets_its_own_lattice():
+    # Settings are kept on the spec itself, so a spec built after another one
+    # was collected (and may reuse its memory) never sees the old lattice.
+    for hi in (20, 40, 30):
+        spec = load_protocol(_one_scenario(vut_speed_ranges=[[10, hi]])).scenarios[0]
+        assert spec.settings("day").variants[0].speeds == tuple(range(10, hi + 1, 10))
+        del spec
+        gc.collect()

@@ -1,12 +1,31 @@
+import hashlib
+import random
+from pathlib import Path
+
 import pytest
 
-from aebscore.campaign import OutcomeKind, completion_stats, expand_night_judgements, validate_log
+from aebscore import simulate
+from aebscore.campaign import (
+    OutcomeKind,
+    TestOutcome,
+    completion_stats,
+    expand_night_judgements,
+    pretest_config,
+    validate_log,
+)
+from aebscore.cli import main
 from aebscore.logio import record_to_row
+from aebscore.protocol import bundled_protocol_path, enumerate_configs
 from aebscore.simulate import (
     SimulationSpecError,
+    build_oracle,
     load_simulation_spec,
     simulate_campaign,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
+FIXTURE_SIM = DATA_DIR / "fixture_sim.json"
+GOLDEN_DIR = DATA_DIR / "golden"
 
 
 def _spec(seed=42, oracle=None):
@@ -115,3 +134,72 @@ def test_spec_validation_errors():
         load_simulation_spec(
             {"seed": 1, "vehicles": [{"id": "V", "oracle": {"type": "psychic"}}]}
         )
+
+
+def test_simulate_of_the_fixture_spec_matches_the_golden_log(tmp_path):
+    out = tmp_path / "campaign.jsonl"
+    args = ["simulate", "--protocol", str(bundled_protocol_path()), "--oracle", str(FIXTURE_SIM)]
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "fixture_campaign.jsonl").read_bytes()
+
+
+def _reference_random_oracle(spec, seed, vehicle):
+    """The random oracle drawing afresh, from newly seeded generators, per call."""
+
+    def stable_rng(*parts):
+        digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
+
+    def oracle(config):
+        pretest_rng = stable_rng(seed, vehicle, "pretest", config.code, config.light)
+        if pretest_rng.random() < spec.pretest_fail_prob:
+            return TestOutcome.impacted(config.vut_speed, intervention=False)
+        rng = stable_rng(seed, vehicle, config.code, config.light, config.overlap, config.tg_speed)
+        variants = config.scenario.settings(config.light).variants
+        lattice = next(v.speeds for v in variants if v.tg_speed == config.tg_speed)
+        fail_index = len(lattice) if rng.random() < spec.never_prob else rng.randrange(len(lattice))
+        fraction = rng.uniform(*spec.impact_fraction_range)
+        respond = rng.random() < spec.respond_prob
+        if fail_index == len(lattice) or config.vut_speed < lattice[fail_index]:
+            return TestOutcome.avoided()
+        return TestOutcome.impacted(max(fraction * config.vut_speed, 1e-3), intervention=respond)
+
+    return oracle
+
+
+RANDOM_ORACLES = [
+    {"type": "random", "never_prob": 0.0},
+    {"type": "random", "never_prob": 1.0},
+    {"type": "random", "pretest_fail_prob": 0.5, "never_prob": 0.3, "respond_prob": 0.5},
+    {"type": "random", "pretest_fail_prob": 1.0},
+    {"type": "random", "never_prob": 0.0, "impact_fraction_range": [0.0, 1.0], "respond_prob": 0.0},
+]
+
+
+@pytest.mark.parametrize("oracle", RANDOM_ORACLES)
+def test_random_oracle_matches_a_per_config_reference_in_any_order(protocol, oracle):
+    spec = load_simulation_spec({"seed": 11, "vehicles": [{"id": "V", "oracle": oracle}]})
+    oracle_spec = spec.vehicles[0][1]
+    configs = enumerate_configs(protocol) + [
+        pretest_config(protocol.scenario(code), light)
+        for code, light in protocol.licensed_pairs()
+        if protocol.scenario(code).requires_pretest
+    ]
+    random.Random(3).shuffle(configs)
+    for vehicle in ("V1", "V2", "a,b"):
+        got = build_oracle(oracle_spec, spec.seed, vehicle)
+        expected = _reference_random_oracle(oracle_spec, spec.seed, vehicle)
+        for config in configs:
+            assert got(config) == expected(config), (vehicle, config.key())
+
+
+def test_simulated_campaign_matches_one_driven_by_the_reference_oracle(protocol, monkeypatch):
+    vehicles = [{"id": f"V{i}", "oracle": o} for i, o in enumerate(RANDOM_ORACLES * 2)]
+    spec = load_simulation_spec({"seed": 5, "vehicles": vehicles})
+    log = simulate_campaign(protocol, spec)
+    monkeypatch.setattr(simulate, "build_oracle", _reference_random_oracle)
+    expected = simulate_campaign(protocol, spec)
+    assert len(log.records) == len(expected.records) > 0
+    assert log.records == expected.records
+    kinds = {r.outcome.kind for r in log.records}
+    assert {OutcomeKind.AVOIDED, OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED} <= kinds
