@@ -221,13 +221,7 @@ def run_scenario(
             judged_from = judge_from.get(variant.tg_speed)
         stopped = pre_test == PRETEST_FAILED
         for speed in variant.speeds:
-            config = TestConfig(
-                scenario=spec,
-                vut_speed=speed,
-                tg_speed=variant.tg_speed,
-                overlap=overlap,
-                light=light,
-            )
+            config = settings.configs[(overlap, speed, variant.tg_speed)]
             if not stopped and judged_from is not None and speed >= judged_from:
                 stopped = True
             if stopped:

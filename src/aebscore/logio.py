@@ -9,6 +9,16 @@ Campaign logs repeat themselves: every vehicle runs the same configurations
 with few distinct outcomes. ``read_log`` therefore parses each distinct row
 once per call. Rows that differ only in their vehicle share one config,
 outcome and pre-test, and only the first of them goes through the checks.
+A row is looked up by its text with the vehicle cut out, before it is
+decoded: a CSV row by its other cells, a JSON line by its text around the
+body of the first string after the first ``"vehicle"``, which json's own
+string scanner reads, escapes included. A JSON line becomes a key only when
+that string is the decoded vehicle, ``"vehicle"`` occurs once and no
+backslash lies outside the string; then every other quote is a delimiter,
+and lines with the same key decode to the same row but for the vehicle.
+Other lines, and lines equal only once decoded (``1`` and ``1.0``, another
+key order), take the full parse. A vehicle is a non-empty string or an
+integer.
 ``write_log`` works the other way round: it encodes each distinct row once
 and splices each record's vehicle cell into it. Both memos are locals of
 one call; nothing is cached between calls. CSV errors name the physical
@@ -21,6 +31,7 @@ import csv
 import io
 import json
 import math
+from json.decoder import scanstring
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping
@@ -155,30 +166,37 @@ def read_log(
 
 def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
     decode = json.JSONDecoder().decode
-    memo: dict[tuple, tuple] = {}
+    memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
     records = []
     for line, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
+        key = vehicle = None
+        at = raw.find('"vehicle"')
+        start = raw.find('"', at + 9) if at >= 0 else -1
+        if start >= 0:
+            try:
+                vehicle, end = scanstring(raw, start + 1)
+            except ValueError:  # unterminated or bad escape: the decode below reports it
+                pass
+            else:
+                key = raw[: start + 1] + raw[end - 1 :]
+                shared = memo.get(key)
+                if shared is not None and vehicle:  # an empty vehicle takes the checks
+                    records.append(TestRecord(vehicle, *shared))
+                    continue
         try:
             row = decode(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer beyond int's digit limit
             raise LogFormatError(f"line {line}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):  # the decoder makes every object a dict
             raise LogFormatError(f"line {line}: expected a JSON object")
-        key = None
-        if "vehicle" in row:
-            vehicle = row.pop("vehicle")
-            # Types are part of the key: True == 1, but only 1 is a speed.
-            key = (tuple(row.items()), tuple(map(type, row.values())))
-            try:
-                shared = memo.get(key)
-            except TypeError:  # a list or object value cannot be a key
-                key = shared = None
-            if shared is not None:
-                records.append(TestRecord(str(vehicle), *shared))
-                continue
-            row["vehicle"] = vehicle
+        # The cut text is a key only if the cut string is the vehicle value and
+        # every quote outside it is a delimiter (see the module docstring).
+        if key is not None and (
+            row.get("vehicle") != vehicle or raw.count('"vehicle"') != 1 or "\\" in key
+        ):
+            key = None
         records.append(_parse_row(row, protocol, line, memo, key))
     return records
 
@@ -221,7 +239,7 @@ def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
 
 
 def _parse_row(
-    row: Mapping, protocol: ProtocolDefinition, line: int, memo: dict, key: tuple | None
+    row: Mapping, protocol: ProtocolDefinition, line: int, memo: dict, key: str | tuple | None
 ) -> TestRecord:
     """Parse one row in full and remember its vehicle-free part under ``key``."""
     try:
@@ -238,7 +256,7 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
     if unknown:
         raise LogFormatError(f"unknown field(s) {sorted(unknown)}")
     try:
-        vehicle = str(row["vehicle"])
+        vehicle = row["vehicle"]
         code = str(row["scenario"])
         light = str(row["light"])
         vut_speed = _parse_number(row["vut_speed"], "vut_speed")
@@ -246,6 +264,8 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
         outcome_name = str(row["outcome"])
     except KeyError as exc:
         raise LogFormatError(f"missing field {exc.args[0]!r}") from None
+    if isinstance(vehicle, bool) or not isinstance(vehicle, (str, int)) or vehicle == "":
+        raise LogFormatError(f"vehicle must be a non-empty string or an integer, got {vehicle!r}")
     if light not in LIGHTS:
         raise LogFormatError(f"unknown light {light!r}")
     try:
@@ -278,7 +298,7 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
         intervention=_parse_bool(row.get("intervention"), "intervention"),
         projected=_parse_bool(row.get("projected"), "projected"),
     )
-    return TestRecord(vehicle=vehicle, config=config, outcome=outcome, pre_test=pre_test)
+    return TestRecord(vehicle=str(vehicle), config=config, outcome=outcome, pre_test=pre_test)
 
 
 def _parse_number(value, name: str) -> float:

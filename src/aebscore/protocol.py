@@ -14,8 +14,9 @@ Each protocol is compiled once, when it is constructed: a ``CompiledProtocol``
 holds the canonical ``TestConfig`` objects in enumeration order, a key ->
 position index, one slice per licensed (scenario, light) instance with an
 escalation-series id per config, and passive impact powers per (impact
-model, VUT mass), computed on first use. Enumeration, lookups, log parsing
-and scoring all resolve against that one table, so every licensed
+model, VUT mass), computed on first use. The configs themselves are built
+with each scenario's light settings. Enumeration, lookups, log parsing,
+simulation and scoring all resolve against them, so every licensed
 configuration exists as exactly one object. Before anything is built, the
 size of the lattice is counted arithmetically and capped at ``MAX_CONFIGS``.
 """
@@ -81,10 +82,15 @@ class SeriesVariant:
 
 @dataclass(frozen=True)
 class LightSettings:
-    """The settings a scenario licenses under one light condition."""
+    """The settings a scenario licenses under one light condition.
+
+    ``configs`` maps each lattice cell (overlap, VUT speed, TG speed) to its
+    one ``TestConfig``: the compiled protocol and ``run_scenario`` share them.
+    """
 
     overlaps: tuple[float, ...]
     variants: tuple[SeriesVariant, ...]
+    configs: Mapping[tuple, TestConfig] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,14 @@ class ScenarioSpec:
     def settings(self, light: str) -> LightSettings:
         if light not in self._settings:
             ranges, tg_speeds, overlaps = self._light_fields(light)
-            self._settings[light] = LightSettings(overlaps, self._variants(ranges, tg_speeds))
+            variants = self._variants(ranges, tg_speeds)
+            configs = {
+                (overlap, speed, v.tg_speed): TestConfig(self, speed, v.tg_speed, overlap, light)
+                for overlap in overlaps
+                for v in variants
+                for speed in v.speeds
+            }
+            self._settings[light] = LightSettings(overlaps, variants, configs)
         return self._settings[light]
 
     def _light_fields(
@@ -235,26 +248,14 @@ class CompiledProtocol:
         index: dict[tuple, int] = {}  # config key -> position
         instances: dict[tuple[str, str], InstanceSlice] = {}
         for spec, light in ((s, lt) for s in scenarios for lt in LIGHTS if lt in s.lights):
-            settings = spec.settings(light)
-            cells = sorted(
-                {
-                    (overlap, speed, variant.tg_speed)
-                    for overlap in settings.overlaps
-                    for variant in settings.variants
-                    for speed in variant.speeds
-                },
-                key=lambda t: (t[0], t[1], _tg_key(t[2])),
-            )
+            cells = spec.settings(light).configs
             start = len(configs)
             ids: dict[tuple, int] = {}
             series = []
-            for overlap, speed, tg in cells:
+            for cell in sorted(cells, key=lambda t: (t[0], t[1], _tg_key(t[2]))):
+                overlap, speed, tg = cell
                 index[(spec.code, light, overlap, speed, tg)] = len(configs)
-                configs.append(
-                    TestConfig(
-                        scenario=spec, vut_speed=speed, tg_speed=tg, overlap=overlap, light=light
-                    )
-                )
+                configs.append(cells[cell])
                 series.append(ids.setdefault((overlap, tg), len(ids)))
             instances[(spec.code, light)] = InstanceSlice(
                 start, len(configs), tuple(configs[start:]), tuple(series)

@@ -331,3 +331,12 @@ def test_avoided_and_judged_outcomes_are_shared(protocol):
     judged = [r.outcome for r in records if r.outcome.kind is OutcomeKind.JUDGED_FAILED]
     assert len(judged) == 4
     assert all(o is TestOutcome.judged() for o in judged)
+
+
+def test_run_scenario_records_use_the_protocols_configs(protocol):
+    canonical = set(map(id, protocol.compiled.configs))
+    for code, light in protocol.licensed_pairs():
+        spec = protocol.scenario(code)
+        for overlap in spec.settings(light).overlaps:
+            records = run_scenario(threshold_oracle(None), spec, overlap, light)
+            assert records and all(id(r.config) in canonical for r in records)
