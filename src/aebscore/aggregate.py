@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .campaign import vehicle_sort_key
-from .protocol import LIGHTS, ProtocolDefinition, ScenarioGroup
+from .protocol import LIGHTS, ProtocolDefinition, ScenarioGroup, read_text
 from .scoring import ScenarioScore, ScoreValue
 
 METRIC_FREQ = "freq"
@@ -111,7 +111,7 @@ def _instance(entry: Mapping, where: str) -> Instance:
 def _read(source: str | Path | Mapping) -> Mapping:
     if isinstance(source, Mapping):
         return source
-    text = Path(source).read_text(encoding="utf-8")
+    text = read_text(source, "weight table")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

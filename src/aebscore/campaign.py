@@ -7,22 +7,31 @@ every higher speed in the series is recorded as judged failed without being
 driven. Night tests whose daylight counterpart failed are likewise judged
 without execution. Scenarios outside standardized protocols get a low-speed
 pre-test first; no response there fails the whole scenario.
+
+A campaign log is a vehicle x configuration table: ``LogTable`` keeps, per
+vehicle, one outcome and one pre-test slot for each position of the
+protocol's compiled table, with the row number of the record in each, and
+a residual list of the records off the lattice and of repeated positions.
+Validation, completion statistics, night expansion, scoring and log writing
+read those slots, with the compiled series numbers and the night-to-day
+position pairs; ``log.records`` builds ``TestRecord`` objects, in row
+order, only when something reads them.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .protocol import (
     DAY,
-    NIGHT,
+    CompiledProtocol,
     ProtocolDefinition,
     ScenarioSpec,
     TestConfig,
-    enumerate_configs,
 )
 
 
@@ -34,6 +43,9 @@ class OutcomeKind(str, Enum):
 
 
 EXECUTED_KINDS = (OutcomeKind.AVOIDED, OutcomeKind.IMPACTED)
+# The loops over a log's table compare kinds with these: looking a member up
+# on its Enum class costs about 0.2 us on Python 3.11.
+_IMPACTED_KIND, _JUDGED_KIND = OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED
 
 PRETEST_PASSED = "passed"
 PRETEST_FAILED = "failed"
@@ -139,17 +151,164 @@ class TestRecord:
     pre_test: str | None = None  # "passed" | "failed" for pre-tested scenarios
 
 
+class VehicleSlots:
+    """One vehicle's records in a ``LogTable``.
+
+    ``outcomes[i]``, ``pre_tests[i]`` and ``rows[i]`` hold the first record
+    at compiled position ``i`` and its row number in the log (None while the
+    slot is empty). ``residual`` holds every other record as ``(row,
+    position, config, outcome, pre_test)`` in row order: repeats of a filled
+    position, and records off the lattice, whose position is None.
+    """
+
+    __slots__ = ("outcomes", "pre_tests", "rows", "residual")
+
+    def __init__(self, size: int):
+        self.outcomes: list[TestOutcome | None] = [None] * size
+        self.pre_tests: list[str | None] = [None] * size
+        self.rows: list[int | None] = [None] * size
+        self.residual: list[tuple] = []
+
+    def copy(self) -> VehicleSlots:
+        other = VehicleSlots(0)
+        other.outcomes = self.outcomes[:]
+        other.pre_tests = self.pre_tests[:]
+        other.rows = self.rows[:]
+        other.residual = self.residual[:]
+        return other
+
+    def entries(self, configs: Sequence[TestConfig]) -> list[tuple]:
+        """``(row, position, config, outcome, pre_test)`` of every record:
+        the slots in position order, then the residual."""
+        outcomes, pre_tests = self.outcomes, self.pre_tests
+        filled = [
+            (row, i, configs[i], outcomes[i], pre_tests[i])
+            for i, row in enumerate(self.rows)
+            if row is not None
+        ]
+        return filled + self.residual if self.residual else filled
+
+
+_NO_VEHICLE = object()
+
+
+class LogTable(Sequence):
+    """A campaign log's records, stored per vehicle by compiled position.
+
+    Built in one pass from ``(vehicle, (position, config, outcome,
+    pre_test))`` entries in row order, where the position indexes
+    ``compiled.configs`` or is None off the lattice. With ``base``, the
+    entries are rows after the base's own: the new table shares the base's
+    vehicles and copies only those the entries touch. ``vehicles`` maps each
+    vehicle, in order of first appearance, to its ``VehicleSlots``.
+
+    As a sequence it is the log's records in row order, built on first
+    access; its length is known without building them.
+    """
+
+    def __init__(
+        self, compiled: CompiledProtocol, entries: Iterable[tuple], base: LogTable | None = None
+    ):
+        size = len(compiled.configs)
+        vehicles = {} if base is None else dict(base.vehicles)
+        start = 0 if base is None else base.size
+        row = start - 1
+        last = _NO_VEHICLE
+        for row, (vehicle, (pos, config, outcome, pre_test)) in enumerate(entries, start):
+            if vehicle != last:
+                last = vehicle
+                slots = vehicles.get(vehicle)
+                if slots is None:
+                    slots = vehicles[vehicle] = VehicleSlots(size)
+                elif base is not None and base.vehicles.get(vehicle) is slots:
+                    slots = vehicles[vehicle] = slots.copy()
+                outcomes, pre_tests, rows = slots.outcomes, slots.pre_tests, slots.rows
+                residual = slots.residual
+            if pos is not None and outcomes[pos] is None:
+                outcomes[pos] = outcome
+                pre_tests[pos] = pre_test
+                rows[pos] = row
+            else:
+                residual.append((row, pos, config, outcome, pre_test))
+        self.compiled = compiled
+        self.vehicles: dict[str, VehicleSlots] = vehicles
+        self.size = row + 1
+        self._records: tuple[TestRecord, ...] | None = None
+
+    @classmethod
+    def of_records(cls, compiled: CompiledProtocol, records: Iterable[TestRecord]) -> LogTable:
+        """Index records by position; the table keeps them as its sequence."""
+        records = tuple(records)
+        index = compiled.index
+        table = cls(
+            compiled,
+            (
+                (r.vehicle, (index.get(r.config.key()), r.config, r.outcome, r.pre_test))
+                for r in records
+            ),
+        )
+        table._records = records
+        return table
+
+    def _tuple(self) -> tuple[TestRecord, ...]:
+        if self._records is None:
+            records: list = [None] * self.size
+            configs = self.compiled.configs
+            for vehicle, slots in self.vehicles.items():
+                for row, _, config, outcome, pre_test in slots.entries(configs):
+                    records[row] = TestRecord(vehicle, config, outcome, pre_test)
+            self._records = tuple(records)
+        return self._records
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if isinstance(other, LogTable):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __add__(self, other):
+        return self._tuple() + tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class CampaignLog:
-    """All records of a campaign against one protocol."""
+    """All records of a campaign against one protocol.
+
+    ``records`` may be given as any sequence of ``TestRecord``; it is
+    indexed once, here, into a ``LogTable`` against the protocol's compiled
+    table, and read back as that table. A ``LogTable`` of the same protocol
+    is kept as it is, so ``dataclasses.replace`` shares it.
+    """
 
     protocol: ProtocolDefinition
     vehicles: tuple[VehicleProfile, ...] = ()
-    records: tuple[TestRecord, ...] = ()
+    records: LogTable = ()
+
+    def __post_init__(self):
+        records = self.records
+        compiled = self.protocol.compiled
+        if not (isinstance(records, LogTable) and records.compiled is compiled):
+            object.__setattr__(self, "records", LogTable.of_records(compiled, records))
 
     def vehicle_ids(self) -> list[str]:
         ids = {v.id for v in self.vehicles}
-        ids.update(r.vehicle for r in self.records)
+        ids.update(self.records.vehicles)
         return sorted(ids, key=vehicle_sort_key)
 
     def with_records(self, records: Iterable[TestRecord]) -> "CampaignLog":
@@ -167,14 +326,7 @@ def series_key(config: TestConfig) -> tuple:
 
 def pretest_config(spec: ScenarioSpec, light: str) -> TestConfig:
     """Low-speed probe configuration outside the scenario's speed range."""
-    settings = spec.settings(light)
-    return TestConfig(
-        scenario=spec,
-        vut_speed=spec.pretest_speed(),
-        tg_speed=settings.variants[0].tg_speed,
-        overlap=settings.overlaps[0],
-        light=light,
-    )
+    return spec.settings(light).pretest
 
 
 def pretest_passes(outcome: TestOutcome) -> bool:
@@ -254,6 +406,15 @@ def series_failure_speed(records: Sequence[TestRecord]) -> tuple[float, OutcomeK
     return min(failures) if failures else None
 
 
+def _series(compiled: CompiledProtocol, pos: int | None, config: TestConfig):
+    """Escalation series of a record: its number in the compiled table, or
+    the series key when the lattice has no such series."""
+    if pos is not None:
+        return compiled.series[pos]
+    key = series_key(config)
+    return compiled.series_index.get(key, key)
+
+
 def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     """Judge missing night tests whose daylight counterpart failed.
 
@@ -262,40 +423,37 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     its day series. Existing night records are never touched; applying the
     expansion twice changes nothing.
     """
-    day_records: dict[tuple, TestRecord] = {}
-    day_series: dict[tuple, list[TestRecord]] = {}
-    existing: set[tuple] = set()
-    for record in log.records:
-        existing.add((record.vehicle, record.config.key()))
-        if record.config.light == DAY:
-            day_records[(record.vehicle, record.config.key())] = record
-            day_series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
-
-    boundaries = {key: series_failure_speed(recs) for key, recs in day_series.items()}
-
-    added: list[TestRecord] = []
-    night_configs = [(c, c.key()) for c in enumerate_configs(log.protocol, light=NIGHT)]
+    table = log.records
+    compiled = table.compiled
+    configs = compiled.configs
+    judged = TestOutcome.judged()
+    added = []
     for vehicle in log.vehicle_ids():
-        for config, key in night_configs:
-            if (vehicle, key) in existing:
+        slots = table.vehicles.get(vehicle)
+        if slots is None:
+            continue
+        day = {}  # day position, or key off the lattice -> (series, speed, last outcome)
+        failed = {}  # day series -> lowest impacted or judged speed
+        for _, pos, config, outcome, _ in slots.entries(configs):
+            if config.light != DAY:
                 continue
-            day_key = (config.scenario.code, DAY, config.overlap, config.vut_speed, config.tg_speed)
-            day_record = day_records.get((vehicle, day_key))
-            if day_record is None:
+            series = _series(compiled, pos, config)
+            speed = config.vut_speed
+            day[config.key() if pos is None else pos] = (series, speed, outcome)
+            if outcome.kind is _IMPACTED_KIND or outcome.kind is _JUDGED_KIND:
+                failed[series] = min(speed, failed.get(series, speed))
+        for night, counterpart in compiled.night_pairs:
+            found = day.get(counterpart)
+            if found is None or slots.outcomes[night] is not None:
                 continue
-            kind = day_record.outcome.kind
-            if kind is OutcomeKind.JUDGED_FAILED:
-                triggered = True
-            elif kind is OutcomeKind.IMPACTED:
-                boundary = boundaries.get((vehicle,) + series_key(day_record.config))
-                triggered = boundary is not None and day_record.config.vut_speed == boundary[0]
-            else:
-                triggered = False
-            if triggered:
-                added.append(TestRecord(vehicle, config, TestOutcome.judged()))
+            series, speed, outcome = found
+            kind = outcome.kind
+            # A judged day record, or the impact that ended its day series.
+            if kind is _JUDGED_KIND or (kind is _IMPACTED_KIND and failed[series] == speed):
+                added.append((vehicle, (night, configs[night], judged, None)))
     if not added:
         return log
-    return log.with_records(log.records + tuple(added))
+    return replace(log, records=LogTable(compiled, added, base=table))
 
 
 @dataclass(frozen=True)
@@ -310,13 +468,9 @@ class Diagnostic:
         return f"{self.locator}: {self.message} [{self.code}]"
 
 
-def _locator(record: TestRecord) -> str:
-    c = record.config
+def _locator(vehicle: str, c: TestConfig) -> str:
     tg = "-" if c.tg_speed is None else f"{c.tg_speed:g}"
-    return (
-        f"{record.vehicle}/{c.code}/{c.light}/overlap={c.overlap:g}"
-        f"/tg={tg}/vut={c.vut_speed:g}"
-    )
+    return f"{vehicle}/{c.code}/{c.light}/overlap={c.overlap:g}/tg={tg}/vut={c.vut_speed:g}"
 
 
 def validate_log(log: CampaignLog) -> list[Diagnostic]:
@@ -324,55 +478,65 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
 
     Findings, not exceptions: unlicensed configurations, duplicate records,
     outcome invariant violations, and executed tests above a speed where the
-    same series had already failed without any braking response.
+    same series had already failed without any braking response. Findings
+    come in row order, those about a series last, one series after another
+    in order of its first row.
     """
-    diagnostics: list[Diagnostic] = []
-    licensed = log.protocol.compiled.index
-    seen: set[tuple] = set()
-    series: dict[tuple, list[TestRecord]] = {}
-
-    for record in log.records:
-        key = record.config.key()
-        if key not in licensed:
-            diagnostics.append(
-                Diagnostic(
-                    "unlicensed-config", _locator(record), "configuration is not in the protocol"
-                )
-            )
-        dup_key = (record.vehicle, key)
-        if dup_key in seen:
-            diagnostics.append(
-                Diagnostic(
-                    "duplicate-record", _locator(record), "duplicate record for this configuration"
-                )
-            )
-        seen.add(dup_key)
-        for problem in outcome_problems(record.outcome, record.config):
-            diagnostics.append(Diagnostic("invalid-outcome", _locator(record), problem))
-        series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
-
-    for records in series.values():
-        # A judged record, or an impact with no braking response, ends a series;
-        # nothing may execute above the lowest such speed.
-        hard_failures = [
-            r.config.vut_speed
-            for r in records
-            if r.outcome.kind is OutcomeKind.JUDGED_FAILED
-            or (r.outcome.kind is OutcomeKind.IMPACTED and r.outcome.intervention is False)
-        ]
-        if not hard_failures:
+    table = log.records
+    compiled = table.compiled
+    configs = compiled.configs
+    checked: dict[tuple, list[str]] = {}  # (position, id(outcome)) -> its problems
+    findings = []  # (order, code, vehicle, config, message)
+    for vehicle, slots in table.vehicles.items():
+        entries = slots.entries(configs)
+        off_lattice: set[tuple] = set()
+        stops: dict = {}  # series -> lowest judged or unbraked-impact speed
+        for row, pos, config, outcome, _ in entries:
+            if pos is None:
+                message = "configuration is not in the protocol"
+                findings.append(((0, row), "unlicensed-config", vehicle, config, message))
+                duplicate = config.key() in off_lattice
+                off_lattice.add(config.key())
+                problems = outcome_problems(outcome, config)
+            else:
+                duplicate = row != slots.rows[pos]
+                problems = checked.get((pos, id(outcome)))
+                if problems is None:
+                    problems = checked[pos, id(outcome)] = outcome_problems(outcome, config)
+            if duplicate:
+                message = "duplicate record for this configuration"
+                findings.append(((0, row), "duplicate-record", vehicle, config, message))
+            for problem in problems:
+                findings.append(((0, row), "invalid-outcome", vehicle, config, problem))
+            kind = outcome.kind
+            # A judged record, or an impact with no braking response, ends a
+            # series; nothing may execute above the lowest such speed.
+            if kind is _JUDGED_KIND or (kind is _IMPACTED_KIND and outcome.intervention is False):
+                series = _series(compiled, pos, config)
+                stops[series] = min(config.vut_speed, stops.get(series, config.vut_speed))
+        if not stops:
             continue
-        stop_speed = min(hard_failures)
-        for r in records:
-            if r.outcome.kind in EXECUTED_KINDS and r.config.vut_speed > stop_speed:
-                diagnostics.append(
-                    Diagnostic(
-                        "executed-above-failure",
-                        _locator(r),
-                        f"executed above a failure at {stop_speed:g} km/h in the same series",
-                    )
-                )
-    return diagnostics
+        above = []
+        for row, pos, config, outcome, _ in entries:
+            if outcome.kind in EXECUTED_KINDS:
+                series = _series(compiled, pos, config)
+                if config.vut_speed > stops.get(series, math.inf):
+                    above.append((series, row, config))
+        if not above:
+            continue
+        first: dict = {}  # series -> its first row
+        for row, pos, config, _, _ in entries:
+            series = _series(compiled, pos, config)
+            first[series] = min(row, first.get(series, row))
+        for series, row, config in above:
+            message = f"executed above a failure at {stops[series]:g} km/h in the same series"
+            order = (1, first[series], row)
+            findings.append((order, "executed-above-failure", vehicle, config, message))
+    findings.sort(key=lambda finding: finding[0])
+    return [
+        Diagnostic(code, _locator(vehicle, config), message)
+        for _, code, vehicle, config, message in findings
+    ]
 
 
 @dataclass(frozen=True)
@@ -386,15 +550,20 @@ class CompletionStats:
 def completion_stats(log: CampaignLog) -> dict[str, CompletionStats]:
     """Per-vehicle expected/executed/judged counts and completion percentage."""
     expected = log.protocol.config_count()
-    counts = {vehicle: [0, 0] for vehicle in log.vehicle_ids()}  # executed, judged
-    for record in log.records:
-        kind = record.outcome.kind
-        if kind is OutcomeKind.JUDGED_FAILED:
-            counts[record.vehicle][1] += 1
-        elif kind in EXECUTED_KINDS:
-            counts[record.vehicle][0] += 1
+    table = log.records
     stats: dict[str, CompletionStats] = {}
-    for vehicle, (executed, judged) in counts.items():
+    for vehicle in log.vehicle_ids():
+        executed = judged = 0
+        slots = table.vehicles.get(vehicle)
+        outcomes = () if slots is None else slots.outcomes + [e[3] for e in slots.residual]
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            kind = outcome.kind
+            if kind is _JUDGED_KIND:
+                judged += 1
+            elif kind in EXECUTED_KINDS:
+                executed += 1
         percent = round(100.0 * (executed + judged) / expected) if expected else 0
         stats[vehicle] = CompletionStats(expected, executed, judged, percent)
     return stats

@@ -41,6 +41,7 @@ from .protocol import (
     ProtocolError,
     ScenarioGroup,
     load_protocol,
+    read_text,
 )
 from .report import EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table
 from .scoring import ScoringError, score_campaign
@@ -127,14 +128,14 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
 def _load_impact_config(path: Path | None) -> tuple[ImpactPowerModel, dict[str, float], float]:
     if path is None:
         return ImpactPowerModel(), {}, DEFAULT_VUT_MASS
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(read_text(path, "impact model"))
     if not isinstance(doc, Mapping):
         raise ImpactModelError("impact model config must be a JSON object")
     unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
     if unknown:
         raise ImpactModelError(f"unknown impact model field(s) {sorted(unknown)}")
     geometry_rule = doc.get("geometry_rule", "linear")
-    if geometry_rule not in GEOMETRY_RULES:
+    if not isinstance(geometry_rule, str) or geometry_rule not in GEOMETRY_RULES:
         raise ImpactModelError(
             f"unknown geometry rule {geometry_rule!r}; expected one of {sorted(GEOMETRY_RULES)}"
         )

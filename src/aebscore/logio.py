@@ -5,10 +5,14 @@ vut_speed, tg_speed, overlap, outcome, impact_speed, intervention, projected,
 pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
 
-Campaign logs repeat themselves: every vehicle runs the same configurations
-with few distinct outcomes. ``read_log`` therefore parses each distinct row
-once per call. Rows that differ only in their vehicle share one config,
-outcome and pre-test, and only the first of them goes through the checks.
+``read_log`` stores rows straight into the log's table (see
+``campaign.LogTable``): each row fills its vehicle's slot at the compiled
+position of its config, or joins the residual. Campaign logs repeat
+themselves: every vehicle runs the same configurations with few distinct
+outcomes. ``read_log`` therefore parses each distinct row once per call.
+Rows that differ only in their vehicle share one position, config, outcome
+and pre-test, and only the first of them goes through the checks; the rest
+cost a lookup and a slot store.
 A row is looked up by its text with the vehicle cut out, before it is
 decoded: a CSV row by its other cells, a JSON line by its text around the
 body of the first string after the first ``"vehicle"``, which json's own
@@ -18,11 +22,11 @@ backslash lies outside the string; then every other quote is a delimiter,
 and lines with the same key decode to the same row but for the vehicle.
 Other lines, and lines equal only once decoded (``1`` and ``1.0``, another
 key order), take the full parse. A vehicle is a non-empty string or an
-integer.
+integer. Only ``\n`` ends a JSON line.
 ``write_log`` works the other way round: it encodes each distinct row once
-and splices each record's vehicle cell into it. Both memos are locals of
-one call; nothing is cached between calls. CSV errors name the physical
-line a row starts on.
+and splices each vehicle's cell into it, putting each line at the row
+number the table keeps. Both memos are locals of one call; nothing is
+cached between calls. CSV errors name the physical line a row starts on.
 """
 
 from __future__ import annotations
@@ -36,8 +40,15 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping
 
-from .campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
-from .protocol import LIGHTS, ProtocolDefinition, TestConfig
+from .campaign import (
+    CampaignLog,
+    LogTable,
+    OutcomeKind,
+    TestOutcome,
+    TestRecord,
+    VehicleProfile,
+)
+from .protocol import LIGHTS, ProtocolDefinition, TestConfig, read_text
 
 LOG_COLUMNS = (
     "vehicle",
@@ -90,32 +101,32 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     as_csv = path.suffix.lower() == ".csv"
     # writerow returns what the file's write returns: here, the line itself.
     encode = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    lines = [encode(LOG_COLUMNS)] if as_csv else []
-    rows: dict[tuple, tuple[str, str]] = {}  # (config, outcome, pre_test) -> around the cell
-    cells: dict[str, str] = {}  # vehicle -> its encoded cell
-    for record in log.records:
-        key = (record.config, record.outcome, record.pre_test)
-        row = rows.get(key)
-        if row is None:
-            fields = record_to_row(record)
-            del fields["vehicle"]
-            if as_csv:  # the vehicle is column 0
-                row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])
-            else:  # "vehicle" sorts second to last, just before "vut_speed"
-                text = json.dumps(fields, sort_keys=True)
-                cut = text.rindex('"vut_speed": ')
-                row = text[:cut], text[cut:] + "\n"
-            rows[key] = row
-        vehicle = record.vehicle
-        cell = cells.get(vehicle)
-        if cell is None:
-            if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
-                cell = encode([_csv_cell(vehicle), ""])[:-2]
-            else:
-                cell = f'"vehicle": {json.dumps(vehicle)}, '
-            cells[vehicle] = cell
-        lines.append(row[0] + cell + row[1])
-    path.write_text("".join(lines), encoding="utf-8")
+    table = log.records
+    configs = table.compiled.configs
+    lines: list = [None] * len(table)
+    # (position, or config off the lattice, outcome, pre_test) -> text around the vehicle cell
+    rows: dict[tuple, tuple[str, str]] = {}
+    for vehicle, slots in table.vehicles.items():
+        if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
+            cell = encode([_csv_cell(vehicle), ""])[:-2]
+        else:
+            cell = f'"vehicle": {json.dumps(vehicle)}, '
+        for line, pos, config, outcome, pre_test in slots.entries(configs):
+            key = (config if pos is None else pos, outcome, pre_test)
+            row = rows.get(key)
+            if row is None:
+                fields = record_to_row(TestRecord(vehicle, config, outcome, pre_test))
+                del fields["vehicle"]
+                if as_csv:  # the vehicle is column 0
+                    row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])
+                else:  # "vehicle" sorts second to last, just before "vut_speed"
+                    text = json.dumps(fields, sort_keys=True)
+                    cut = text.rindex('"vut_speed": ')
+                    row = text[:cut], text[cut:] + "\n"
+                rows[key] = row
+            lines[line] = row[0] + cell + row[1]
+    header = encode(LOG_COLUMNS) if as_csv else ""
+    path.write_text(header + "".join(lines), encoding="utf-8")
 
 
 def _csv_cell(value) -> str:
@@ -136,39 +147,39 @@ def read_log(
     Rows naming a scenario the protocol does not know are rejected here;
     rows whose settings are not licensed parse fine and are reported by
     ``validate_log`` instead. A licensed row resolves to the protocol's
-    canonical ``TestConfig`` object, so records share their configs.
+    canonical ``TestConfig`` object and fills its slot in the log's table.
 
     Each distinct row is parsed once per call: rows that differ only in
-    their vehicle share the config, outcome and pre-test of the first such
-    row, which alone goes through the checks. The memo lives for this call.
+    their vehicle share the position, config, outcome and pre-test of the
+    first such row, which alone goes through the checks. The memo lives for
+    this call.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, "log")
     if path.suffix.lower() == ".csv":
         reader = csv.reader(io.StringIO(text))
         try:
-            records = _read_csv(reader, protocol)
+            entries = _read_csv(reader, protocol)
         except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
             raise LogFormatError(f"line {reader.line_num}: {exc}") from None
     else:
-        records = _read_jsonl(text, protocol)
+        entries = _read_jsonl(text, protocol)
 
+    table = LogTable(protocol.compiled, entries)
     profiles = {v.id: v for v in vehicles}
-    for vehicle in dict.fromkeys(r.vehicle for r in records):
+    for vehicle in table.vehicles:
         if vehicle not in profiles:
             profiles[vehicle] = VehicleProfile(id=vehicle)
-    return CampaignLog(
-        protocol=protocol,
-        vehicles=tuple(profiles.values()),
-        records=tuple(records),
-    )
+    return CampaignLog(protocol=protocol, vehicles=tuple(profiles.values()), records=table)
 
 
-def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
+def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[tuple]:
     decode = json.JSONDecoder().decode
     memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
-    records = []
-    for line, raw in enumerate(text.splitlines(), start=1):
+    entries = []
+    # Only "\n" ends a line: str.splitlines() would also split inside a
+    # string holding a raw U+2028, U+0085 or another such character.
+    for line, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         key = vehicle = None
@@ -183,7 +194,7 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
                 key = raw[: start + 1] + raw[end - 1 :]
                 shared = memo.get(key)
                 if shared is not None and vehicle:  # an empty vehicle takes the checks
-                    records.append(TestRecord(vehicle, *shared))
+                    entries.append((vehicle, shared))
                     continue
         try:
             row = decode(raw)
@@ -197,11 +208,11 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[TestRecord]:
             row.get("vehicle") != vehicle or raw.count('"vehicle"') != 1 or "\\" in key
         ):
             key = None
-        records.append(_parse_row(row, protocol, line, memo, key))
-    return records
+        entries.append(_parse_row(row, protocol, line, memo, key))
+    return entries
 
 
-def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
+def _read_csv(reader, protocol: ProtocolDefinition) -> list[tuple]:
     header = next(reader, None)
     if header is None:
         return []
@@ -211,7 +222,7 @@ def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
     width = len(header)
     at = {name: i for i, name in enumerate(header)}.get("vehicle")  # the last one wins
     memo: dict[tuple, tuple] = {}
-    records = []
+    entries = []
     for cells in reader:
         if not cells:
             continue
@@ -224,7 +235,7 @@ def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
             key = tuple(cells)
             shared = memo.get(key)
             if shared is not None:
-                records.append(TestRecord(vehicle, *shared))
+                entries.append((vehicle, shared))
                 continue
             cells[at] = vehicle
         # The physical line the row starts on: quoted cells may span lines.
@@ -234,24 +245,29 @@ def _read_csv(reader, protocol: ProtocolDefinition) -> list[TestRecord]:
                 f"line {line}: unknown field(s): {len(cells)} cells for {width} columns"
             )
         row = {k: v for k, v in dict(zip(header, cells)).items() if v}
-        records.append(_parse_row(row, protocol, line, memo, key))
-    return records
+        entries.append(_parse_row(row, protocol, line, memo, key))
+    return entries
 
 
 def _parse_row(
     row: Mapping, protocol: ProtocolDefinition, line: int, memo: dict, key: str | tuple | None
-) -> TestRecord:
-    """Parse one row in full and remember its vehicle-free part under ``key``."""
+) -> tuple:
+    """Parse one row in full and remember its vehicle-free part under ``key``.
+
+    Returns the row's table entry: ``(vehicle, (position, config, outcome,
+    pre_test))``, where the position is the config's in the compiled table.
+    """
     try:
-        record = _record_from_row(row, protocol)
+        vehicle, shared = _entry_from_row(row, protocol)
     except LogFormatError as exc:
         raise LogFormatError(f"line {line}: {exc}") from None
     if key is not None:
-        memo[key] = (record.config, record.outcome, record.pre_test)
-    return record
+        memo[key] = shared
+    return vehicle, shared
 
 
-def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
+def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
+    """Check one decoded row; ``(vehicle, (position, config, outcome, pre_test))``."""
     unknown = set(row) - set(LOG_COLUMNS)
     if unknown:
         raise LogFormatError(f"unknown field(s) {sorted(unknown)}")
@@ -283,8 +299,11 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
 
     if not protocol.has_scenario(code):
         raise LogFormatError(f"unknown scenario {code!r}")
-    config = protocol.compiled.canonical((code, light, overlap, vut_speed, tg_speed))
-    if config is None:
+    compiled = protocol.compiled
+    pos = compiled.index.get((code, light, overlap, vut_speed, tg_speed))
+    if pos is not None:
+        config = compiled.configs[pos]
+    else:
         config = TestConfig(
             scenario=protocol.scenario(code),
             vut_speed=vut_speed,
@@ -298,7 +317,7 @@ def _record_from_row(row: Mapping, protocol: ProtocolDefinition) -> TestRecord:
         intervention=_parse_bool(row.get("intervention"), "intervention"),
         projected=_parse_bool(row.get("projected"), "projected"),
     )
-    return TestRecord(vehicle=str(vehicle), config=config, outcome=outcome, pre_test=pre_test)
+    return str(vehicle), (pos, config, outcome, pre_test)
 
 
 def _parse_number(value, name: str) -> float:

@@ -86,11 +86,13 @@ class LightSettings:
 
     ``configs`` maps each lattice cell (overlap, VUT speed, TG speed) to its
     one ``TestConfig``: the compiled protocol and ``run_scenario`` share them.
+    ``pretest`` is the low-speed probe below the lattice, one per light.
     """
 
     overlaps: tuple[float, ...]
     variants: tuple[SeriesVariant, ...]
     configs: Mapping[tuple, TestConfig] = field(repr=False, compare=False)
+    pretest: TestConfig = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,10 @@ class ScenarioSpec:
                 for v in variants
                 for speed in v.speeds
             }
-            self._settings[light] = LightSettings(overlaps, variants, configs)
+            pretest = TestConfig(
+                self, self.pretest_speed(), variants[0].tg_speed, overlaps[0], light
+            )
+            self._settings[light] = LightSettings(overlaps, variants, configs, pretest)
         return self._settings[light]
 
     def _light_fields(
@@ -241,12 +246,21 @@ class CompiledProtocol:
     ``configs`` holds the canonical configs in enumeration order, ``index``
     maps a config key to its position, and ``instances`` maps each licensed
     (scenario, light) pair, in output order, to its ``InstanceSlice``.
+    ``series[i]`` numbers the escalation series of ``configs[i]`` across the
+    table and ``series_index`` maps a series key (scenario, light, overlap,
+    TG speed) to that number. ``night_pairs`` lists each night position in
+    order with its daylight counterpart: the position of the day config with
+    the same settings or, when the day lattice lacks it, that config's key.
     """
 
     def __init__(self, scenarios: Iterable[ScenarioSpec]):
         configs: list[TestConfig] = []
         index: dict[tuple, int] = {}  # config key -> position
         instances: dict[tuple[str, str], InstanceSlice] = {}
+        series_index: dict[tuple, int] = {}  # series key -> number across the table
+        table_series: list[int] = []
+        night_pairs = []
+        # A scenario's day configs are indexed before its night ones.
         for spec, light in ((s, lt) for s in scenarios for lt in LIGHTS if lt in s.lights):
             cells = spec.settings(light).configs
             start = len(configs)
@@ -254,15 +268,23 @@ class CompiledProtocol:
             series = []
             for cell in sorted(cells, key=lambda t: (t[0], t[1], _tg_key(t[2]))):
                 overlap, speed, tg = cell
+                if light == NIGHT:
+                    day = (spec.code, DAY, overlap, speed, tg)
+                    night_pairs.append((len(configs), index.get(day, day)))
                 index[(spec.code, light, overlap, speed, tg)] = len(configs)
                 configs.append(cells[cell])
                 series.append(ids.setdefault((overlap, tg), len(ids)))
+                key = (spec.code, light, overlap, tg)
+                table_series.append(series_index.setdefault(key, len(series_index)))
             instances[(spec.code, light)] = InstanceSlice(
                 start, len(configs), tuple(configs[start:]), tuple(series)
             )
         self.configs: tuple[TestConfig, ...] = tuple(configs)
         self.index = index
         self.instances = instances
+        self.series_index = series_index
+        self.series = tuple(table_series)
+        self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
         self._passive: dict[tuple, PassivePowers] = {}
 
     def canonical(self, key: tuple) -> TestConfig | None:
@@ -442,11 +464,20 @@ def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:
     return protocol
 
 
+def read_text(path: str | Path, kind: str) -> str:
+    """The text of a UTF-8 input file; bytes that do not decode are an error
+    naming the file and its kind."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} {path}: not UTF-8 text ({exc})") from None
+
+
 def _read_document(source: str | Path | Mapping) -> Mapping:
     if isinstance(source, Mapping):
         return source
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
-        text = Path(source).read_text(encoding="utf-8")
+        text = read_text(source, "protocol")
     else:
         text = source
     try:

@@ -18,9 +18,10 @@ deviation summarize the three evaluations.
 One kernel computes both scores and the envelope: it takes an instance's
 configs with their series ids, outcomes and passive powers as parallel
 sequences and makes one pass over them per shift. ``score_campaign`` feeds it
-slices of the protocol's compiled table (one outcome array per vehicle,
-indexed like the table); ``frequency_score`` and ``mitigation_power_score``
-feed it any config sequence with its outcome mapping.
+slices of each vehicle's outcome slots in the log's table, which are indexed
+like the protocol's compiled table; ``frequency_score`` and
+``mitigation_power_score`` feed it any config sequence with its outcome
+mapping.
 """
 
 from __future__ import annotations
@@ -246,27 +247,22 @@ def score_campaign(
             raise ScoringError(
                 f"log has {len(diagnostics)} validation finding(s); first: {diagnostics[0]}"
             )
-    compiled = log.protocol.compiled
-    index = compiled.index
+    table = log.records
+    compiled = table.compiled
     masses = {v.id: v.mass for v in log.vehicles}
-    # One outcome slot per protocol config and vehicle; instances are slices.
-    outcomes_of: dict[str, list[TestOutcome | None]] = {}
-    off_lattice: set[tuple[str, str, str]] = set()
-    for record in log.records:
-        outcomes = outcomes_of.get(record.vehicle)
-        if outcomes is None:
-            outcomes = outcomes_of[record.vehicle] = [None] * len(compiled.configs)
-        config = record.config
-        i = index.get(config.key())
-        if i is None:
-            off_lattice.add((record.vehicle, config.code, config.light))
-        else:
-            outcomes[i] = record.outcome
-
     scores: list[ScenarioScore] = []
     for vehicle in log.vehicle_ids():
         mass = masses.get(vehicle, 1500.0)
-        outcomes = outcomes_of.get(vehicle, ())
+        slots = table.vehicles.get(vehicle)
+        outcomes = () if slots is None else slots.outcomes
+        off_lattice = set()
+        if slots is not None and slots.residual:
+            outcomes = outcomes[:]
+            for _, pos, config, outcome, _ in slots.residual:
+                if pos is None:
+                    off_lattice.add((config.code, config.light))
+                else:  # a later duplicate replaces the earlier record
+                    outcomes[pos] = outcome
         passive = None
         for spec in log.protocol.scenarios:
             for light in LIGHTS:
@@ -277,7 +273,7 @@ def score_campaign(
                     )
                     continue
                 instance_outcomes = outcomes[part.start:part.stop]
-                if (vehicle, spec.code, light) not in off_lattice and all(
+                if (spec.code, light) not in off_lattice and all(
                     o is None for o in instance_outcomes
                 ):
                     scores.append(

@@ -30,7 +30,7 @@ from .campaign import (
     series_failure_speed,
     series_key,
 )
-from .protocol import DAY, LIGHTS, NIGHT, ProtocolDefinition, TestConfig
+from .protocol import DAY, LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_text
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
 
@@ -63,7 +63,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         doc = source
     else:
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+            doc = json.loads(read_text(source, "simulation spec"))
         except json.JSONDecodeError as exc:
             raise SimulationSpecError(f"simulation spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
@@ -142,7 +142,7 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     numbers = {}
     for name, (default, lo, hi) in _ORACLE_NUMBERS.items():
         value = doc.get(name, default)
-        if value is not None:
+        if value is not None or default is not None:  # null only where it is the default
             if not _within(value, lo, hi):
                 bounds = "" if hi == _FLOAT_MAX else f" in [{lo:g}, {hi:g}]"
                 raise SimulationSpecError(

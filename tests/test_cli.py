@@ -422,6 +422,10 @@ def test_non_finite_impact_masses_exit_2(fixture_log, tmp_path, capsys, doc, whe
         ),
         ({"type": "random", "impact_fraction_range": [0.9]}, ": 'impact_fraction_range' must be"),
         ({"type": "random", "never_prob": 7}, ": 'never_prob' must be a finite number in [0, 1]"),
+        (
+            {"type": "random", "pretest_fail_prob": None},
+            ": 'pretest_fail_prob' must be a finite number in [0, 1], got None",
+        ),
     ],
 )
 def test_bad_simulation_spec_exits_2_with_location(tmp_path, capsys, oracle, message):
@@ -452,3 +456,44 @@ def test_csv_cell_beyond_the_field_limit_exits_2_without_traceback(tmp_path):
     assert result.returncode == 2
     assert "line 2: field larger than field limit" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_geometry_rule_of_another_type_exits_2(fixture_log, tmp_path, capsys):
+    config = tmp_path / "impact.json"
+    config.write_text('{"geometry_rule": []}')
+    out = tmp_path / "reports"
+    args = ["score", *_protocol_args(), "--log", str(fixture_log), "--impact-model", str(config)]
+    weights = ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+    assert main([*args, *weights, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown geometry rule []" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["protocol", "log", "weight table", "impact model", "simulation spec"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file(fixture_log, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"x": "\xff"}')
+    inputs = {
+        "protocol": str(bundled_protocol_path()),
+        "log": str(fixture_log),
+        "weight table": str(DATA_DIR / "weights_eu_example.json"),
+        "impact model": None,
+        "simulation spec": str(FIXTURE_SIM),
+    }
+    inputs[kind] = str(bad)
+    out = tmp_path / "out"
+    if kind == "simulation spec":
+        args = ["simulate", "--protocol", inputs["protocol"], "--oracle", inputs[kind]]
+        args += ["--out", str(out)]
+    else:
+        args = ["score", "--protocol", inputs["protocol"], "--log", inputs["log"]]
+        args += ["--weights", inputs["weight table"], "--out", str(out)]
+        if inputs["impact model"] is not None:
+            args += ["--impact-model", inputs["impact model"]]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {kind} {bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,0 +1,442 @@
+"""The indexed campaign log against record-walking references.
+
+``validate_log``, ``completion_stats``, ``expand_night_judgements``,
+``score_campaign`` and ``write_log`` read a log's ``LogTable``: per vehicle,
+one slot per compiled configuration plus a residual of duplicates and rows
+off the lattice. The references below walk the records one at a time, with
+tuple-keyed dicts, as those stages did before the table; they are the
+oracles. Each seeded log mixes shuffled rows, interleaved vehicles,
+duplicates, off-lattice rows, invalid outcomes, executed-above-failure
+rows, existing night rows and partial instances, and is checked as built
+from records and as read back from JSONL and CSV.
+"""
+
+import csv
+import dataclasses
+import io
+import json
+import math
+import random
+
+import pytest
+
+from aebscore.campaign import (
+    EXECUTED_KINDS,
+    CampaignLog,
+    Diagnostic,
+    OutcomeKind,
+    TestOutcome,
+    TestRecord,
+    completion_stats,
+    expand_night_judgements,
+    outcome_problems,
+    series_failure_speed,
+    series_key,
+    validate_log,
+    vehicle_sort_key,
+)
+from aebscore.cli import main
+from aebscore.impact import ImpactPowerModel
+from aebscore.logio import LOG_COLUMNS, read_log, record_to_row, write_log
+from aebscore.protocol import (
+    DAY,
+    LIGHTS,
+    NIGHT,
+    TestConfig,
+    bundled_protocol_path,
+    enumerate_configs,
+)
+from aebscore.scoring import ScenarioScore, ScoreValue, ScoringError, _kernel, score_campaign
+from aebscore.simulate import load_simulation_spec, simulate_campaign
+
+DATA_DIR = bundled_protocol_path().parent
+
+
+# ---------------------------------------------------------------------------
+# References: the record-walking stages.
+
+
+def _vehicle_ids(log, records):
+    ids = {v.id for v in log.vehicles}
+    ids.update(r.vehicle for r in records)
+    return sorted(ids, key=vehicle_sort_key)
+
+
+def _locator(record):
+    c = record.config
+    tg = "-" if c.tg_speed is None else f"{c.tg_speed:g}"
+    return (
+        f"{record.vehicle}/{c.code}/{c.light}/overlap={c.overlap:g}"
+        f"/tg={tg}/vut={c.vut_speed:g}"
+    )
+
+
+def reference_validate(log, records):
+    diagnostics = []
+    licensed = {c.key() for c in enumerate_configs(log.protocol)}
+    seen = set()
+    series = {}
+    for record in records:
+        key = record.config.key()
+        if key not in licensed:
+            diagnostics.append(
+                Diagnostic(
+                    "unlicensed-config", _locator(record), "configuration is not in the protocol"
+                )
+            )
+        dup_key = (record.vehicle, key)
+        if dup_key in seen:
+            diagnostics.append(
+                Diagnostic(
+                    "duplicate-record", _locator(record), "duplicate record for this configuration"
+                )
+            )
+        seen.add(dup_key)
+        for problem in outcome_problems(record.outcome, record.config):
+            diagnostics.append(Diagnostic("invalid-outcome", _locator(record), problem))
+        series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
+    for members in series.values():
+        hard_failures = [
+            r.config.vut_speed
+            for r in members
+            if r.outcome.kind is OutcomeKind.JUDGED_FAILED
+            or (r.outcome.kind is OutcomeKind.IMPACTED and r.outcome.intervention is False)
+        ]
+        if not hard_failures:
+            continue
+        stop_speed = min(hard_failures)
+        for r in members:
+            if r.outcome.kind in EXECUTED_KINDS and r.config.vut_speed > stop_speed:
+                diagnostics.append(
+                    Diagnostic(
+                        "executed-above-failure",
+                        _locator(r),
+                        f"executed above a failure at {stop_speed:g} km/h in the same series",
+                    )
+                )
+    return diagnostics
+
+
+def reference_stats(log, records):
+    expected = len(enumerate_configs(log.protocol))
+    counts = {vehicle: [0, 0] for vehicle in _vehicle_ids(log, records)}
+    for record in records:
+        kind = record.outcome.kind
+        if kind is OutcomeKind.JUDGED_FAILED:
+            counts[record.vehicle][1] += 1
+        elif kind in EXECUTED_KINDS:
+            counts[record.vehicle][0] += 1
+    return {
+        vehicle: (expected, executed, judged, round(100.0 * (executed + judged) / expected))
+        for vehicle, (executed, judged) in counts.items()
+    }
+
+
+def reference_expand(log, records):
+    day_records = {}
+    day_series = {}
+    existing = set()
+    for record in records:
+        existing.add((record.vehicle, record.config.key()))
+        if record.config.light == DAY:
+            day_records[(record.vehicle, record.config.key())] = record
+            day_series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
+    boundaries = {key: series_failure_speed(recs) for key, recs in day_series.items()}
+    added = []
+    for vehicle in _vehicle_ids(log, records):
+        for config in enumerate_configs(log.protocol, light=NIGHT):
+            if (vehicle, config.key()) in existing:
+                continue
+            day_key = (config.code, DAY, config.overlap, config.vut_speed, config.tg_speed)
+            day_record = day_records.get((vehicle, day_key))
+            if day_record is None:
+                continue
+            kind = day_record.outcome.kind
+            if kind is OutcomeKind.JUDGED_FAILED:
+                triggered = True
+            elif kind is OutcomeKind.IMPACTED:
+                boundary = boundaries.get((vehicle,) + series_key(day_record.config))
+                triggered = boundary is not None and day_record.config.vut_speed == boundary[0]
+            else:
+                triggered = False
+            if triggered:
+                added.append(TestRecord(vehicle, config, TestOutcome.judged()))
+    return tuple(records) + tuple(added)
+
+
+def reference_score(log, records, model):
+    compiled = log.protocol.compiled
+    index = {c.key(): i for i, c in enumerate(enumerate_configs(log.protocol))}
+    masses = {v.id: v.mass for v in log.vehicles}
+    outcomes_of = {}
+    off_lattice = set()
+    for record in records:
+        outcomes = outcomes_of.setdefault(record.vehicle, [None] * len(index))
+        i = index.get(record.config.key())
+        if i is None:
+            off_lattice.add((record.vehicle, record.config.code, record.config.light))
+        else:
+            outcomes[i] = record.outcome
+    scores = []
+    for vehicle in _vehicle_ids(log, records):
+        mass = masses.get(vehicle, 1500.0)
+        outcomes = outcomes_of.get(vehicle, ())
+        for spec in log.protocol.scenarios:
+            for light in LIGHTS:
+                part = compiled.instances.get((spec.code, light))
+                if part is None:
+                    scores.append(ScenarioScore(vehicle, spec.code, light, None, None, 0, True))
+                    continue
+                instance_outcomes = outcomes[part.start:part.stop]
+                if (vehicle, spec.code, light) not in off_lattice and all(
+                    o is None for o in instance_outcomes
+                ):
+                    scores.append(
+                        ScenarioScore(
+                            vehicle, spec.code, light, ScoreValue.zero(), ScoreValue.zero(), 0
+                        )
+                    )
+                    continue
+                passive = compiled.passive_powers(model, mass).by_config
+                fs, mps = _kernel(
+                    part.configs,
+                    part.series,
+                    instance_outcomes,
+                    None,
+                    passive[part.start:part.stop],
+                    model,
+                    mass,
+                )
+                scores.append(ScenarioScore(vehicle, spec.code, light, fs, mps, len(part.configs)))
+    return scores
+
+
+def reference_write(records, csv_format):
+    """Every record encoded in full, one row at a time."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+    if csv_format:
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=LOG_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            row = record_to_row(record)
+            writer.writerow({k: cell(row.get(k)) for k in LOG_COLUMNS})
+        return buffer.getvalue().encode("utf-8")
+    return "".join(json.dumps(record_to_row(r), sort_keys=True) + "\n" for r in records).encode()
+
+
+# ---------------------------------------------------------------------------
+# Seeded messy logs.
+
+ORACLE = {"type": "random", "pretest_fail_prob": 0.2, "never_prob": 0.3, "respond_prob": 0.6}
+
+
+def messy_records(protocol, seed, shape, complete):
+    """A simulated campaign, damaged in seeded ways.
+
+    ``complete`` keeps every instance either whole or absent, so that the
+    scores are defined; otherwise single records go missing too.
+    """
+    rng = random.Random(seed)
+    spec = load_simulation_spec(
+        {"seed": seed, "vehicles": [{"id": f"V{i}", "oracle": ORACLE} for i in range(1, 6)]}
+    )
+    records = list(simulate_campaign(protocol, spec).records)
+
+    # Existing night rows: some night scenarios stay whole, the others go.
+    pairs = sorted({(r.vehicle, r.config.code) for r in records if r.config.light == NIGHT})
+    dropped = {pair for pair in pairs if rng.random() < 0.6}
+    records = [
+        r for r in records if r.config.light == DAY or (r.vehicle, r.config.code) not in dropped
+    ]
+    if not complete:  # partial instances
+        records = [r for r in records if rng.random() > 0.03]
+
+    def pick(predicate=lambda r: True):
+        return rng.choice([i for i, r in enumerate(records) if predicate(r)])
+
+    # Invalid outcomes.
+    for outcome in (
+        TestOutcome(OutcomeKind.JUDGED_FAILED, intervention=True),
+        TestOutcome(OutcomeKind.AVOIDED, impact_speed=3.0),
+        TestOutcome(OutcomeKind.NOT_EXECUTED, projected=False),
+    ):
+        i = pick()
+        records[i] = dataclasses.replace(records[i], outcome=outcome)
+    i = pick()
+    too_fast = TestOutcome.impacted(records[i].config.vut_speed + 10.0, intervention=True)
+    records[i] = dataclasses.replace(records[i], outcome=too_fast)
+
+    # Executed above a failure: a judged record turns into an avoided one.
+    for _ in range(3):
+        i = pick(lambda r: r.outcome.kind is OutcomeKind.JUDGED_FAILED)
+        records[i] = dataclasses.replace(records[i], outcome=TestOutcome.avoided())
+
+    # Rows off the lattice: shifted speeds, and day rows at the daylight
+    # counterparts of night configs that the day lattice lacks.
+    for _ in range(4):
+        r = records[pick(lambda r: r.config.light == DAY)]
+        shifted = dataclasses.replace(r.config, vut_speed=r.config.vut_speed + 2.5)
+        records.insert(rng.randrange(len(records) + 1), dataclasses.replace(r, config=shifted))
+    compiled = protocol.compiled
+    orphans = [key for _, key in compiled.night_pairs if not isinstance(key, int)]
+    for vehicle in ("V1", "V2", "V3"):
+        for key in rng.sample(orphans, 3):
+            code, light, overlap, speed, tg = key
+            config = TestConfig(protocol.scenario(code), speed, tg, overlap, light)
+            outcome = rng.choice(
+                [TestOutcome.judged(), TestOutcome.impacted(speed / 2), TestOutcome.avoided()]
+            )
+            records.insert(rng.randrange(len(records) + 1), TestRecord(vehicle, config, outcome))
+
+    # Duplicates, some with another outcome, later in the log.
+    for _ in range(12):
+        i = pick()
+        copy = records[i]
+        if rng.random() < 0.5:
+            copy = dataclasses.replace(copy, outcome=TestOutcome.judged())
+        records.insert(rng.randrange(i + 1, len(records) + 1), copy)
+
+    if shape == "shuffled":
+        rng.shuffle(records)
+    elif shape == "interleaved":
+        by_vehicle = {}
+        for r in records:
+            by_vehicle.setdefault(r.vehicle, []).append(r)
+        queues = list(by_vehicle.values())
+        records = []
+        while queues:
+            queue = queues.pop(0)
+            records.append(queue.pop(0))
+            if queue:
+                queues.append(queue)
+    return records
+
+
+CASES = [(seed, shape) for seed in (1, 2) for shape in ("grouped", "shuffled", "interleaved")]
+
+
+def _forms(protocol, records, tmp_path):
+    """The log built from records, then read back from JSONL and from CSV."""
+    log = CampaignLog(protocol=protocol, records=tuple(records))
+    forms = [("records", log)]
+    for suffix in (".jsonl", ".csv"):
+        path = tmp_path / f"log{suffix}"
+        write_log(log, path)
+        assert path.read_bytes() == reference_write(records, suffix == ".csv")
+        read = read_log(path, protocol)
+        assert read.records == tuple(records)
+        forms.append((suffix, read))
+    return forms
+
+
+@pytest.mark.parametrize("seed, shape", CASES)
+def test_stages_match_the_record_walking_references(protocol, tmp_path, seed, shape):
+    records = messy_records(protocol, seed, shape, complete=False)
+    for name, log in _forms(protocol, records, tmp_path):
+        diagnostics = validate_log(log)
+        expected = reference_validate(log, records)
+        assert [str(d) for d in diagnostics] == [str(d) for d in expected], name
+        assert diagnostics == expected
+        codes = {d.code for d in diagnostics}
+        assert codes == {
+            "unlicensed-config", "duplicate-record", "invalid-outcome", "executed-above-failure"
+        }
+
+        stats = completion_stats(log)
+        got = {
+            v: (s.expected, s.executed, s.judged, s.completion_percent)
+            for v, s in stats.items()
+        }
+        assert got == reference_stats(log, records)
+        assert list(got) == list(reference_stats(log, records))
+
+        expanded = expand_night_judgements(log)
+        expected_records = reference_expand(log, records)
+        assert len(expected_records) > len(records)
+        assert len(expanded.records) == len(expected_records)
+        assert expanded.records == expected_records
+        assert expand_night_judgements(expanded) is expanded
+        for suffix in (".jsonl", ".csv"):
+            path = tmp_path / f"expanded{suffix}"
+            write_log(expanded, path)
+            assert path.read_bytes() == reference_write(expected_records, suffix == ".csv")
+
+
+def _assert_scores_agree(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.vehicle, a.scenario, a.light, a.configs_used, a.not_applicable) == (
+            b.vehicle, b.scenario, b.light, b.configs_used, b.not_applicable
+        )
+        for x, y in ((a.fs, b.fs), (a.mps, b.mps)):
+            assert (x is None) == (y is None)
+            if x is not None:
+                for field in ("nominal", "lower", "upper"):
+                    assert math.isclose(
+                        getattr(x, field), getattr(y, field), rel_tol=0, abs_tol=1e-12
+                    )
+
+
+@pytest.mark.parametrize("seed, shape", CASES)
+def test_scores_match_the_record_walking_reference(protocol, tmp_path, seed, shape):
+    model = ImpactPowerModel()
+    records = messy_records(protocol, seed, shape, complete=True)
+    for _, log in _forms(protocol, records, tmp_path):
+        expected = reference_score(log, records, model)
+        _assert_scores_agree(score_campaign(log, model, validate=False), expected)
+
+
+def test_partial_instances_fail_scoring_as_in_the_reference(protocol, tmp_path):
+    model = ImpactPowerModel()
+    records = messy_records(protocol, 1, "shuffled", complete=False)
+    log = CampaignLog(protocol=protocol, records=tuple(records))
+    with pytest.raises(ScoringError) as expected:
+        reference_score(log, records, model)
+    with pytest.raises(ScoringError) as got:
+        score_campaign(log, model, validate=False)
+    assert str(got.value) == str(expected.value)
+
+
+def test_stages_of_a_read_log_build_no_records(protocol, tmp_path, monkeypatch):
+    records = messy_records(protocol, 3, "grouped", complete=True)
+    vehicles = [{"id": f"V{i}", "oracle": ORACLE} for i in range(3)]
+    clean = simulate_campaign(protocol, load_simulation_spec({"seed": 4, "vehicles": vehicles}))
+    calls = []
+    original = TestRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    for suffix in (".jsonl", ".csv"):
+        messy = tmp_path / f"messy{suffix}"
+        write_log(CampaignLog(protocol=protocol, records=tuple(records)), messy)
+        path = tmp_path / f"clean{suffix}"
+        write_log(clean, path)
+        monkeypatch.setattr(TestRecord, "__init__", counting)
+        common = ["--protocol", str(bundled_protocol_path())]
+        weights = ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+        assert main(["validate", *common, "--log", str(messy)]) == 1
+        assert main(["validate", *common, "--log", str(path)]) == 0
+        assert main(["stats", *common, "--log", str(messy)]) == 0
+        out = tmp_path / f"out{suffix}"
+        assert main(["score", *common, "--log", str(path), *weights, "--out", str(out)]) == 0
+        assert main(["compare", *common, "--log", str(path), *weights, "--out", str(out)]) == 0
+        log = read_log(messy, protocol)
+        assert len(log.records) == len(records)
+        validate_log(log)
+        completion_stats(log)
+        expanded = expand_night_judgements(log)
+        assert len(expanded.records) > len(log.records)
+        kept = dataclasses.replace(log, vehicles=log.vehicles[:1])
+        assert kept.records is log.records
+        assert calls == []
+        monkeypatch.setattr(TestRecord, "__init__", original)
+        assert log.records == tuple(records)  # the view, built on first access
+        assert calls == []

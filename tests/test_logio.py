@@ -391,3 +391,30 @@ def test_write_log_matches_a_row_by_row_writer(protocol, tmp_path, suffix):
     for chosen in (records, records[:1], []):
         write_log(CampaignLog(protocol=protocol, records=tuple(chosen)), path)
         assert path.read_bytes() == _reference_write(chosen, path)
+
+
+def test_jsonl_vehicle_holding_a_raw_line_separator_reads_back(protocol, tmp_path):
+    # Valid JSON may hold these raw inside a string; only "\n" ends a line.
+    config = enumerate_configs(protocol, scenario="CCRs")[0]
+    vehicles = ["A\u2028B", "C\u2029D", "E\u0085F", "G\x1cH", "plain"]
+    rows = [record_to_row(TestRecord(v, config, TestOutcome.avoided())) for v in vehicles]
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+    )
+    assert [r.vehicle for r in read_log(path, protocol).records] == vehicles
+
+
+def test_jsonl_with_crlf_line_ends_reads_with_the_same_line_numbers(protocol, tmp_path):
+    row = '{"vehicle":"%s","scenario":"CCRs","light":"day","vut_speed":55,"overlap":100,"outcome":"%s"}'
+    good = [row % ("V1", "avoided"), "", row % ("V2", "avoided"), row % ("V3", "avoided")]
+    bad = good[:3] + [row % ("V3", "meh")]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes("\n".join(good).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(good).encode() + b"\r\n")
+    assert read_log(crlf, protocol).records == read_log(lf, protocol).records
+    assert len(read_log(crlf, protocol).records) == 3
+    for path, sep in ((lf, "\n"), (crlf, "\r\n")):
+        path.write_bytes(sep.join(bad).encode() + sep.encode())
+        with pytest.raises(LogFormatError, match=r"^line 4: unknown outcome 'meh'$"):
+            read_log(path, protocol)

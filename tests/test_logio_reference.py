@@ -21,11 +21,18 @@ from pathlib import Path
 import pytest
 
 import aebscore
+from aebscore.campaign import TestRecord
 from aebscore.cli import main
-from aebscore.logio import LOG_COLUMNS, LogFormatError, _record_from_row, read_log, write_log
+from aebscore.logio import LOG_COLUMNS, LogFormatError, _entry_from_row, read_log, write_log
 from aebscore.protocol import bundled_protocol_path
 
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden" / "fixture_campaign.jsonl"
+
+
+def _record_from_row(row, protocol):
+    """The record of one decoded row, checked on its own."""
+    vehicle, (_, config, outcome, pre_test) = _entry_from_row(row, protocol)
+    return TestRecord(vehicle, config, outcome, pre_test)
 
 
 def _jsonl_reference(text, protocol):

@@ -203,3 +203,30 @@ def test_simulated_campaign_matches_one_driven_by_the_reference_oracle(protocol,
     assert log.records == expected.records
     kinds = {r.outcome.kind for r in log.records}
     assert {OutcomeKind.AVOIDED, OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED} <= kinds
+
+
+def test_pretest_probe_is_one_object_per_light_for_every_vehicle(protocol, monkeypatch):
+    probes = {}  # (vehicle, scenario, light) -> probe config the oracle was asked
+    lattice = set(map(id, protocol.compiled.configs))
+    build = simulate.build_oracle
+
+    def recording(spec, seed, vehicle):
+        oracle = build(spec, seed, vehicle)
+
+        def ask(config):
+            if id(config) not in lattice:
+                probes[(vehicle, config.code, config.light)] = config
+            return oracle(config)
+
+        return ask
+
+    monkeypatch.setattr(simulate, "build_oracle", recording)
+    vehicles = [{"id": v, "oracle": {"type": "random"}} for v in ("V1", "V2")]
+    simulate_campaign(protocol, load_simulation_spec({"seed": 2, "vehicles": vehicles}))
+    pairs = [p for p in protocol.licensed_pairs() if protocol.scenario(p[0]).requires_pretest]
+    assert pairs
+    for code, light in pairs:
+        probe = probes[("V1", code, light)]
+        assert probes[("V2", code, light)] is probe
+        assert pretest_config(protocol.scenario(code), light) is probe
+        assert probe.vut_speed == protocol.scenario(code).pretest_speed()
