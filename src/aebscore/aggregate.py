@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .campaign import vehicle_sort_key
-from .protocol import LIGHTS, ProtocolDefinition, ScenarioGroup, read_text
+from .protocol import LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_text
 from .scoring import ScenarioScore, ScoreValue
 
 METRIC_FREQ = "freq"
@@ -69,8 +69,10 @@ def load_weight_table(source: str | Path | Mapping) -> WeightTable:
             raise WeightTableError(f"{where}: expected an object")
         instance = _instance(entry, where)
         w = entry.get("w")
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
-            raise WeightTableError(f"{where}: 'w' must be a finite number >= 0, got {w!r}")
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w <= MAX_MAGNITUDE:
+            raise WeightTableError(
+                f"{where}: 'w' must be a finite number in [0, {MAX_MAGNITUDE:g}], got {w!r}"
+            )
         if instance in weights:
             raise WeightTableError(f"{where}: duplicate instance {instance}")
         weights[instance] = float(w)

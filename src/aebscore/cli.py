@@ -37,6 +37,7 @@ from .impact import (
 from .logio import LogFormatError, read_log, write_log
 from .protocol import (
     LIGHTS,
+    MAX_MAGNITUDE,
     ProtocolDefinition,
     ProtocolError,
     ScenarioGroup,
@@ -175,8 +176,10 @@ def _mass(value, where: str, positive: bool = False) -> float:
         raise ImpactModelError(f"impact model {where}: expected a number, got {value!r}") from None
     except OverflowError:  # an integer beyond float range
         mass = math.inf
-    if not math.isfinite(mass):
-        raise ImpactModelError(f"impact model {where}: expected a finite number, got {value!r}")
+    if not abs(mass) <= MAX_MAGNITUDE:  # also NaN
+        raise ImpactModelError(
+            f"impact model {where}: expected a finite number up to {MAX_MAGNITUDE:g}, got {value!r}"
+        )
     if positive and mass <= 0:
         raise ImpactModelError(f"impact model {where}: vehicle masses must be > 0")
     return mass

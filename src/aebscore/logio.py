@@ -5,27 +5,35 @@ vut_speed, tg_speed, overlap, outcome, impact_speed, intervention, projected,
 pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
 
-``read_log`` stores rows straight into the log's table (see
+``read_log`` streams rows straight into the log's table (see
 ``campaign.LogTable``): each row fills its vehicle's slot at the compiled
 position of its config, or joins the residual. Campaign logs repeat
 themselves: every vehicle runs the same configurations with few distinct
-outcomes. ``read_log`` therefore parses each distinct row once per call.
+outcomes. ``read_log`` therefore checks each distinct row once per call.
 Rows that differ only in their vehicle share one position, config, outcome
 and pre-test, and only the first of them goes through the checks; the rest
 cost a lookup and a slot store.
 A row is looked up by its text with the vehicle cut out, before it is
-decoded: a CSV row by its other cells, a JSON line by its text around the
-body of the first string after the first ``"vehicle"``, which json's own
-string scanner reads, escapes included. A JSON line becomes a key only when
-that string is the decoded vehicle, ``"vehicle"`` occurs once and no
-backslash lies outside the string; then every other quote is a delimiter,
-and lines with the same key decode to the same row but for the vehicle.
-Other lines, and lines equal only once decoded (``1`` and ``1.0``, another
-key order), take the full parse. A vehicle is a non-empty string or an
-integer. Only ``\n`` ends a JSON line.
+split or decoded. A CSV file whose only ``vehicle`` column is its first,
+with no quote, carriage return or NUL and no line beyond
+``csv.field_size_limit()``, is one ``csv.reader`` would split on commas
+alone: each line is keyed on its text after the first comma. Other CSV
+files go through ``csv.reader``, keyed on the cells. A CSV row that misses
+looks its config cells and its outcome cells up in two memos of parts of
+rows that passed the checks. No check spans both parts, so a row of two
+known parts is not checked again; any other row takes the full check.
+A JSON line is keyed on its text around the body of the first string after
+the first ``"vehicle"``, which json's own string scanner reads, escapes
+included. The line becomes a key only when that string is the decoded
+vehicle, ``"vehicle"`` occurs once and no backslash lies outside the
+string; then every other quote is a delimiter, and lines with the same key
+decode to the same row but for the vehicle. Other lines, and lines equal
+only once decoded (``1`` and ``1.0``, another key order), take the full
+parse. A vehicle is a non-empty string or an integer. Only ``\n`` ends a
+JSON line.
 ``write_log`` works the other way round: it encodes each distinct row once
 and splices each vehicle's cell into it, putting each line at the row
-number the table keeps. Both memos are locals of one call; nothing is
+number the table keeps. The memos are locals of one call; nothing is
 cached between calls. CSV errors name the physical line a row starts on.
 """
 
@@ -36,9 +44,10 @@ import io
 import json
 import math
 from json.decoder import scanstring
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .campaign import (
     CampaignLog,
@@ -48,7 +57,7 @@ from .campaign import (
     TestRecord,
     VehicleProfile,
 )
-from .protocol import LIGHTS, ProtocolDefinition, TestConfig, read_text
+from .protocol import LIGHTS, ProtocolDefinition, TestConfig, _plain, read_text
 
 LOG_COLUMNS = (
     "vehicle",
@@ -63,6 +72,12 @@ LOG_COLUMNS = (
     "projected",
     "pre_test",
 )
+_COLUMNS = frozenset(LOG_COLUMNS)
+# A CSV row's config cells and its outcome cells: no check spans both.
+_CONFIG_CELLS = ("scenario", "light", "vut_speed", "tg_speed", "overlap")
+_OUTCOME_CELLS = ("outcome", "impact_speed", "intervention", "projected", "pre_test")
+_KINDS = {kind.value: kind for kind in OutcomeKind}
+_PRE_TESTS = ("passed", "failed")
 
 
 class LogFormatError(ValueError):
@@ -148,23 +163,14 @@ def read_log(
     rows whose settings are not licensed parse fine and are reported by
     ``validate_log`` instead. A licensed row resolves to the protocol's
     canonical ``TestConfig`` object and fills its slot in the log's table.
-
-    Each distinct row is parsed once per call: rows that differ only in
-    their vehicle share the position, config, outcome and pre-test of the
-    first such row, which alone goes through the checks. The memo lives for
-    this call.
+    Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)
     text = read_text(path, "log")
     if path.suffix.lower() == ".csv":
-        reader = csv.reader(io.StringIO(text))
-        try:
-            entries = _read_csv(reader, protocol)
-        except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
-            raise LogFormatError(f"line {reader.line_num}: {exc}") from None
+        entries = _read_csv(text, protocol)
     else:
         entries = _read_jsonl(text, protocol)
-
     table = LogTable(protocol.compiled, entries)
     profiles = {v.id: v for v in vehicles}
     for vehicle in table.vehicles:
@@ -173,10 +179,9 @@ def read_log(
     return CampaignLog(protocol=protocol, vehicles=tuple(profiles.values()), records=table)
 
 
-def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[tuple]:
+def _read_jsonl(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
     decode = json.JSONDecoder().decode
     memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
-    entries = []
     # Only "\n" ends a line: str.splitlines() would also split inside a
     # string holding a raw U+2028, U+0085 or another such character.
     for line, raw in enumerate(text.split("\n"), start=1):
@@ -194,7 +199,7 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[tuple]:
                 key = raw[: start + 1] + raw[end - 1 :]
                 shared = memo.get(key)
                 if shared is not None and vehicle:  # an empty vehicle takes the checks
-                    entries.append((vehicle, shared))
+                    yield vehicle, shared
                     continue
         try:
             row = decode(raw)
@@ -208,67 +213,133 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> list[tuple]:
             row.get("vehicle") != vehicle or raw.count('"vehicle"') != 1 or "\\" in key
         ):
             key = None
-        entries.append(_parse_row(row, protocol, line, memo, key))
-    return entries
+        try:
+            vehicle, shared = _entry_from_row(row, protocol)
+        except LogFormatError as exc:
+            raise LogFormatError(f"line {line}: {exc}") from None
+        if key is not None:
+            memo[key] = shared
+        yield vehicle, shared
 
 
-def _read_csv(reader, protocol: ProtocolDefinition) -> list[tuple]:
-    header = next(reader, None)
-    if header is None:
-        return []
-    unknown = set(header) - set(LOG_COLUMNS)
-    if unknown:
-        raise LogFormatError(f"unknown column(s) {sorted(unknown)}")
-    width = len(header)
-    at = {name: i for i, name in enumerate(header)}.get("vehicle")  # the last one wins
-    memo: dict[tuple, tuple] = {}
-    entries = []
-    for cells in reader:
-        if not cells:
+def _read_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
+    # csv.reader splits each line of a file with no quote, carriage return or
+    # NUL and no line beyond its field limit on the commas alone. read_log's
+    # text never holds "\r" (universal newlines); the test guards other callers.
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        header = lines[0].split(",")
+        # The plain loop takes the vehicle from before a line's first comma.
+        if header[0] == "vehicle" and header.count("vehicle") == 1:
+            if max(map(len, lines)) <= csv.field_size_limit():
+                return _read_plain_csv(lines, _CsvRows(header, protocol))
+    return _read_quoted_csv(text, protocol)
+
+
+def _read_plain_csv(lines: list[str], rows: _CsvRows) -> Iterator[tuple]:
+    memo = rows.memo
+    for line, raw in enumerate(lines[1:], start=2):
+        if not raw:
             continue
-        key = None
-        # Only full-width rows with a vehicle can share a parse; the others
-        # take the checks below and fail or parse on their own.
-        if at is not None and len(cells) == width and cells[at]:
-            vehicle = cells[at]
-            cells[at] = ""
-            key = tuple(cells)
-            shared = memo.get(key)
-            if shared is not None:
-                entries.append((vehicle, shared))
-                continue
-            cells[at] = vehicle
-        # The physical line the row starts on: quoted cells may span lines.
-        line = reader.line_num - sum(cell.count("\n") for cell in cells)
-        if len(cells) > width:
-            raise LogFormatError(
-                f"line {line}: unknown field(s): {len(cells)} cells for {width} columns"
-            )
-        row = {k: v for k, v in dict(zip(header, cells)).items() if v}
-        entries.append(_parse_row(row, protocol, line, memo, key))
-    return entries
+        vehicle, _, key = raw.partition(",")  # the key is the line without its vehicle cell
+        shared = memo.get(key)
+        if shared is not None and vehicle:  # an empty vehicle takes the checks
+            yield vehicle, shared
+            continue
+        try:
+            entry = rows.entry(raw.split(","), key)
+        except LogFormatError as exc:
+            raise LogFormatError(f"line {line}: {exc}") from None
+        yield entry
 
 
-def _parse_row(
-    row: Mapping, protocol: ProtocolDefinition, line: int, memo: dict, key: str | tuple | None
-) -> tuple:
-    """Parse one row in full and remember its vehicle-free part under ``key``.
-
-    Returns the row's table entry: ``(vehicle, (position, config, outcome,
-    pre_test))``, where the position is the config's in the compiled table.
-    """
+def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
+    reader = csv.reader(io.StringIO(text))
     try:
-        vehicle, shared = _entry_from_row(row, protocol)
-    except LogFormatError as exc:
-        raise LogFormatError(f"line {line}: {exc}") from None
-    if key is not None:
-        memo[key] = shared
-    return vehicle, shared
+        rows = _CsvRows(next(reader, []), protocol)
+        memo, at = rows.memo, rows.vehicle
+        for cells in reader:
+            if not cells:
+                continue
+            key = None
+            if len(cells) > at and cells[at]:  # the key is the row with its vehicle emptied
+                vehicle, cells[at] = cells[at], ""
+                key = tuple(cells)
+                shared = memo.get(key)
+                if shared is not None:
+                    yield vehicle, shared
+                    continue
+                cells[at] = vehicle
+            try:
+                entry = rows.entry(cells, key)
+            except LogFormatError as exc:
+                # The physical line the row starts on: quoted cells may span lines.
+                line = reader.line_num - sum(cell.count("\n") for cell in cells)
+                raise LogFormatError(f"line {line}: {exc}") from None
+            yield entry
+    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+        raise LogFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+class _CsvRows:
+    """A CSV log's header and the memos of one read (see the module docstring)."""
+
+    def __init__(self, header: list[str], protocol: ProtocolDefinition):
+        unknown = set(header) - _COLUMNS
+        if unknown:
+            raise LogFormatError(f"unknown column(s) {sorted(unknown)}")
+        self.header, self.protocol, self.width = header, protocol, len(header)
+        columns = dict(zip(header, range(len(header))))  # the last of equal names wins
+        # A missing column reads the empty cell that entry() appends to a row.
+        self.vehicle = columns.get("vehicle", len(header))
+        self.config_cells = itemgetter(*(columns.get(n, len(header)) for n in _CONFIG_CELLS))
+        self.outcome_cells = itemgetter(*(columns.get(n, len(header)) for n in _OUTCOME_CELLS))
+        self.memo: dict = {}  # row key -> (position, config, outcome, pre_test)
+        self.configs: dict[tuple, tuple] = {}  # config cells -> (position, config)
+        self.outcomes: dict[tuple, tuple] = {}  # outcome cells -> (outcome, pre_test)
+
+    def entry(self, cells: list[str], key) -> tuple:
+        """Check one non-blank row; its table entry, kept under ``key`` unless None."""
+        if len(cells) > self.width:
+            raise LogFormatError(f"unknown field(s): {len(cells)} cells for {self.width} columns")
+        cells += [""] * (self.width + 1 - len(cells))  # an empty cell is a missing value
+        config_cells, outcome_cells = self.config_cells(cells), self.outcome_cells(cells)
+        config = self.configs.get(config_cells)
+        outcome = self.outcomes.get(outcome_cells)
+        if config is not None and outcome is None:
+            outcome = _outcome_part(*outcome_cells)
+        vehicle = cells[self.vehicle]
+        if config is None or outcome is None or not vehicle:
+            row = {k: v for k, v in dict(zip(self.header, cells)).items() if v}
+            vehicle, shared = _entry_from_row(row, self.protocol)
+            config = self.configs[config_cells] = shared[:2]
+            outcome = shared[2:]
+        self.outcomes[outcome_cells] = outcome
+        shared = config + outcome
+        if key is not None:
+            self.memo[key] = shared
+        return vehicle, shared
+
+
+def _outcome_part(outcome, impact_speed, intervention, projected, pre_test) -> tuple | None:
+    """``(outcome, pre_test)`` from a CSV row's outcome cells; None if a check fails."""
+    kind = _KINDS.get(outcome)
+    if kind is None or (pre_test and pre_test not in _PRE_TESTS):
+        return None
+    try:
+        impact_speed = _parse_number(impact_speed, "impact_speed") if impact_speed else None
+        flags = _parse_bool(intervention or None, ""), _parse_bool(projected or None, "")
+    except LogFormatError:
+        return None
+    return TestOutcome(kind, impact_speed, *flags), pre_test or None
 
 
 def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
-    """Check one decoded row; ``(vehicle, (position, config, outcome, pre_test))``."""
-    unknown = set(row) - set(LOG_COLUMNS)
+    """Check one decoded row; ``(vehicle, (position, config, outcome, pre_test))``.
+
+    A rule on the outcome fields must also go into ``_outcome_part``.
+    """
+    unknown = row.keys() - _COLUMNS
     if unknown:
         raise LogFormatError(f"unknown field(s) {sorted(unknown)}")
     try:
@@ -284,17 +355,16 @@ def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
         raise LogFormatError(f"vehicle must be a non-empty string or an integer, got {vehicle!r}")
     if light not in LIGHTS:
         raise LogFormatError(f"unknown light {light!r}")
-    try:
-        kind = OutcomeKind(outcome_name)
-    except ValueError:
-        raise LogFormatError(f"unknown outcome {outcome_name!r}") from None
+    kind = _KINDS.get(outcome_name)
+    if kind is None:
+        raise LogFormatError(f"unknown outcome {outcome_name!r}")
 
     tg_speed = row.get("tg_speed")
     tg_speed = None if tg_speed is None else _parse_number(tg_speed, "tg_speed")
     impact_speed = row.get("impact_speed")
     impact_speed = None if impact_speed is None else _parse_number(impact_speed, "impact_speed")
     pre_test = row.get("pre_test")
-    if pre_test is not None and pre_test not in ("passed", "failed"):
+    if pre_test is not None and pre_test not in _PRE_TESTS:
         raise LogFormatError("pre_test must be 'passed' or 'failed'")
 
     if not protocol.has_scenario(code):
@@ -347,7 +417,3 @@ def _parse_bool(value, name: str) -> bool | None:
     if text in ("false", "0", "no"):
         return False
     raise LogFormatError(f"{name} must be a boolean, got {value!r}")
-
-
-def _plain(x: float):
-    return int(x) if float(x).is_integer() else float(x)

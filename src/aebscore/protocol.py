@@ -39,6 +39,9 @@ LIGHTS = (DAY, NIGHT)
 # builds every configuration, so a range/step that implies more is refused
 # before any lattice is built.
 MAX_CONFIGS = 100_000
+# Weights and masses must not exceed this: beyond it their products with
+# passive powers can overflow, and an inf over an inf makes a nan score.
+MAX_MAGNITUDE = 1e100
 
 
 class ScenarioGroup(str, Enum):

@@ -497,3 +497,40 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(fixture_log, tmp_path, c
     assert f"error: {kind} {bad}: not UTF-8 text" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+GOLDEN_LOG = Path(__file__).parent / "data" / "golden" / "fixture_campaign.jsonl"
+
+
+@pytest.mark.parametrize(
+    "weight, impact, message",
+    [
+        (10**400, None, "weights[0]: 'w' must be a finite number in [0, 1e+100], got 1000"),
+        (1e308, None, "weights[0]: 'w' must be a finite number in [0, 1e+100], got 1e+308"),
+        (
+            None,
+            '{"default_vut_mass": 1e308}',
+            "impact model default_vut_mass: expected a finite number up to 1e+100, got 1e+308",
+        ),
+    ],
+    ids=["400-digit-weight", "weight-1e308", "vut-mass-1e308"],
+)
+def test_weight_or_mass_too_large_for_the_products_exits_2(
+    tmp_path, capsys, weight, impact, message
+):
+    doc = json.loads((DATA_DIR / "weights_eu_example.json").read_text(encoding="utf-8"))
+    if weight is not None:
+        doc["weights"][0]["w"] = weight
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    args = ["compare", *_protocol_args(), "--log", str(GOLDEN_LOG), "--weights", str(weights)]
+    if impact is not None:
+        config = tmp_path / "impact.json"
+        config.write_text(impact)
+        args += ["--impact-model", str(config)]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import aebscore
+from aebscore import logio
 from aebscore.campaign import TestRecord
 from aebscore.cli import main
 from aebscore.logio import LOG_COLUMNS, LogFormatError, _entry_from_row, read_log, write_log
@@ -55,16 +56,29 @@ def _jsonl_reference(text, protocol):
 def _csv_reference(text, protocol):
     """Records of a CSV log, each row checked on its own.
 
-    The last of two equal column names wins, and an empty cell is a missing
-    value.
+    The last of two equal column names wins, an empty cell is a missing
+    value, and a row may not have more cells than the header has columns.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        return ()
+    unknown = set(header) - set(LOG_COLUMNS)
+    if unknown:
+        return f"unknown column(s) {sorted(unknown)}"
     records = []
-    for cells in reader:
+    while True:
+        try:
+            cells = next(reader, None)
+        except csv.Error as exc:
+            return f"line {reader.line_num}: {exc}"
+        if cells is None:
+            break
         if not cells:
             continue
         line = reader.line_num - sum(cell.count("\n") for cell in cells)
+        if len(cells) > len(header):
+            return f"line {line}: unknown field(s): {len(cells)} cells for {len(header)} columns"
         row = {k: v for k, v in dict(zip(header, cells)).items() if v}
         try:
             records.append(_record_from_row(row, protocol))
@@ -211,6 +225,249 @@ def test_lines_that_differ_only_in_an_escaped_vehicle_share_one_parse(protocol, 
     first, second = read_log(path, protocol).records
     assert second.vehicle == "Ü"
     assert second.outcome is first.outcome and second.config is first.config
+
+
+# ---------------------------------------------------------------------------
+# Quote-free CSV files, read by their line text
+
+
+def _csv_line(vehicle="A", columns=LOG_COLUMNS, **cells):
+    """One CSV line of the CCRm row above; ``cells`` replace its values."""
+    values = {k: "true" if v is True else str(v) for k, v in ROW_FIELDS.items()}
+    values.update({k: str(v) for k, v in cells.items()}, vehicle=vehicle)
+    return ",".join(values.get(k, "") for k in columns)
+
+
+HEADER = ",".join(LOG_COLUMNS)
+REORDERED = ("scenario", "outcome", "vut_speed", "vehicle", "light", "overlap", "tg_speed",
+             "impact_speed", "intervention")
+NO_OPTIONAL = ("vehicle", "scenario", "light", "vut_speed", "overlap", "outcome")
+# Each file holds no quote, no carriage return, no NUL and no long line, and
+# its first column is its only vehicle column.
+PLAIN_CASES = {
+    "short-rows": [
+        HEADER,
+        *(_csv_line(v).rsplit(",", 2)[0] for v in "BAB"),  # no projected, no pre_test cell
+        "A,CCRm,day,55",
+    ],
+    "long-row": [HEADER, _csv_line("B"), _csv_line("A") + ",x"],
+    "empty-vehicle": [HEADER, _csv_line("B"), _csv_line("")],
+    "whitespace-only-line": [HEADER, _csv_line("B"), "   "],
+    "blank-lines": [
+        HEADER, "", _csv_line("B"), "", "", _csv_line("A"), _csv_line("C", outcome="meh")
+    ],
+    "header-only": [HEADER],
+    "unknown-column": [HEADER + ",colour", _csv_line("B") + ",red"],
+    "missing-optional-columns": [
+        ",".join(NO_OPTIONAL),
+        *(_csv_line(v, NO_OPTIONAL, outcome="avoided") for v in "BAB"),
+        _csv_line("C", NO_OPTIONAL, outcome="impacted"),
+    ],
+    "odd-characters": [
+        HEADER,
+        _csv_line("B"),
+        _csv_line("A\u2028B"),
+        _csv_line("A\x0bB\x1cC\x85"),
+        _csv_line(" A\t"),
+        _csv_line("A\u2028B", light="day\u2028"),
+    ],
+}
+
+
+def _write(tmp_path, lines, end="\n"):
+    path = tmp_path / "log.csv"
+    text = "".join(line + end for line in lines)
+    path.write_bytes(text.encode("utf-8"))
+    return path, text
+
+
+@pytest.mark.parametrize("lines", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
+def test_plain_csv_reads_like_the_reference_without_csv_reader(
+    protocol, tmp_path, monkeypatch, lines
+):
+    monkeypatch.setattr(logio, "_read_quoted_csv", None)  # would fail if called
+    path, text = _write(tmp_path, lines)
+    assert _read(path, protocol) == _csv_reference(text, protocol)
+
+
+def test_empty_csv_file_reads_as_an_empty_log(protocol, tmp_path):
+    path, text = _write(tmp_path, [], end="")
+    assert _read(path, protocol) == _csv_reference(text, protocol) == ()
+
+
+def test_csv_line_numbers_count_blank_lines(protocol, tmp_path):
+    path, _ = _write(tmp_path, PLAIN_CASES["blank-lines"])
+    assert _read(path, protocol) == "line 7: unknown outcome 'meh'"
+
+
+# One trigger each: the text takes the csv.reader loop. read_log reads its
+# text with universal newlines, so only a direct call meets a "\r".
+LONG = "0" * 70_000 + "30"  # a line beyond the field limit, each cell within it
+FALLBACK_CASES = {
+    "quote-in-a-cell": [HEADER, _csv_line("B"), _csv_line('"A"'), _csv_line("C")],
+    "quote-only-in-a-late-row": [HEADER, _csv_line("B"), _csv_line('x"y', outcome="meh")],
+    "quoted-then-empty-vehicle": [
+        HEADER, _csv_line("B", scenario='"CCRm"'), _csv_line("", scenario='"CCRm"')
+    ],
+    "crlf": [HEADER + "\r", _csv_line("B") + "\r", "\r", _csv_line("A", outcome="meh") + "\r"],
+    "lone-cr": [HEADER, _csv_line("B") + "\r" + _csv_line("A"), _csv_line("A")],
+    "nul": [HEADER, _csv_line("B"), _csv_line("A\0")],
+    "line-beyond-the-field-limit": [
+        HEADER, _csv_line("B"), _csv_line("A" * 70_000, impact_speed=LONG), _csv_line("C")
+    ],
+    # Headers whose first column is not their only vehicle column.
+    "blank-first-line": ["", HEADER, _csv_line("B")],
+    "vehicle-not-first": [
+        ",".join(REORDERED),
+        *(_csv_line(v, REORDERED) for v in "BAB"),
+        _csv_line("", REORDERED),
+    ],
+    "vehicle-last-and-short-rows": [
+        ",".join(LOG_COLUMNS[1:] + ("vehicle",)),
+        _csv_line("B", LOG_COLUMNS[1:] + ("vehicle",)),
+        _csv_line("A", LOG_COLUMNS[1:] + ("vehicle",)),
+        "CCRm,day",
+    ],
+    "duplicate-columns": [
+        HEADER + ",vehicle,outcome",
+        _csv_line("B") + ",C,impacted",
+        _csv_line("A") + ",D,avoided",
+        _csv_line("A", outcome="meh") + ",D,avoided",
+        _csv_line("A") + ",D,",
+    ],
+    "no-vehicle-column": [",".join(NO_OPTIONAL[1:]), "CCRm,day,55,100,avoided"],
+}
+
+
+@pytest.mark.parametrize("lines", FALLBACK_CASES.values(), ids=FALLBACK_CASES.keys())
+def test_csv_text_with_a_trigger_takes_the_csv_reader_loop(protocol, monkeypatch, lines):
+    calls = []
+    quoted = logio._read_quoted_csv
+    monkeypatch.setattr(logio, "_read_quoted_csv", lambda *a: calls.append(1) or quoted(*a))
+    monkeypatch.setattr(logio, "_read_plain_csv", None)  # would fail if called
+    text = "".join(line + "\n" for line in lines)
+    try:
+        got = tuple(TestRecord(v, *shared[1:]) for v, shared in logio._read_csv(text, protocol))
+    except LogFormatError as exc:
+        got = str(exc)
+    assert got == _csv_reference(text, protocol)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_csv_file_with_carriage_returns_reads_like_its_newline_copy(protocol, tmp_path, end):
+    lines = [HEADER, _csv_line("B"), "", _csv_line("A"), _csv_line("C", outcome="meh")]
+    path, _ = _write(tmp_path, lines, end)
+    assert _read(path, protocol) == _csv_reference(path.read_text(encoding="utf-8"), protocol)
+    assert _read(path, protocol) == "line 5: unknown outcome 'meh'"
+
+
+def _count_checks(monkeypatch):
+    calls = []
+    check = logio._entry_from_row
+
+    def counted(row, protocol):
+        calls.append(row.get("vehicle"))
+        return check(row, protocol)
+
+    monkeypatch.setattr(logio, "_entry_from_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_row_of_parts_seen_in_two_rows_shares_them_without_a_check(
+    protocol, tmp_path, monkeypatch, quoted
+):
+    calls = _count_checks(monkeypatch)
+    lines = [
+        HEADER,
+        _csv_line("A", vut_speed=65),
+        _csv_line("B", impact_speed=41, pre_test="passed"),
+        _csv_line("C", vut_speed=65, impact_speed=41, pre_test="passed"),
+        _csv_line("D", vut_speed=65, impact_speed=41, pre_test="passed"),
+        _csv_line("E", vut_speed=65, impact_speed=12.5),  # a new outcome: helpers only
+        _csv_line("F", impact_speed=12.5),
+    ]
+    if quoted:
+        lines[1] = lines[1].replace("CCRm", '"CCRm"')
+    path, text = _write(tmp_path, lines)
+    records = read_log(path, protocol).records
+    assert records == _csv_reference(text, protocol)
+    assert calls == ["A", "B"]
+    a, b, c, d, e, f = records
+    assert c.config is a.config and c.outcome is b.outcome and c.pre_test == "passed"
+    assert d.config is a.config and d.outcome is b.outcome
+    assert f.config is b.config and f.outcome is e.outcome
+
+
+# A good row, then a row with bad cells; it keeps the first error of a full check.
+BAD_PARTS = {
+    "outcome": ({"outcome": "meh"}, "line 3: unknown outcome 'meh'"),
+    "impact-speed": ({"impact_speed": "x"}, "line 3: impact_speed must be a number, got 'x'"),
+    "impact-speed-inf": (
+        {"impact_speed": "inf"}, "line 3: impact_speed must be a finite number, got 'inf'"
+    ),
+    "intervention": (
+        {"intervention": "maybe"}, "line 3: intervention must be a boolean, got 'maybe'"
+    ),
+    "projected": ({"projected": "2"}, "line 3: projected must be a boolean, got '2'"),
+    "pre-test": ({"pre_test": "skipped"}, "line 3: pre_test must be 'passed' or 'failed'"),
+    "missing-outcome": ({"outcome": ""}, "line 3: missing field 'outcome'"),
+    "outcome-before-tg-speed": (
+        {"outcome": "meh", "tg_speed": "x"}, "line 3: unknown outcome 'meh'"
+    ),
+    "scenario-before-intervention": (
+        {"scenario": "CCRx", "intervention": "maybe"}, "line 3: unknown scenario 'CCRx'"
+    ),
+    "light-before-pre-test": (
+        {"light": "dusk", "pre_test": "x"}, "line 3: unknown light 'dusk'"
+    ),
+    "pre-test-before-scenario": (
+        {"scenario": "CCRx", "pre_test": "x"}, "line 3: pre_test must be 'passed' or 'failed'"
+    ),
+}
+
+
+@pytest.mark.parametrize("cells, expected", BAD_PARTS.values(), ids=BAD_PARTS.keys())
+def test_bad_cells_after_a_good_row_keep_their_first_error(protocol, tmp_path, cells, expected):
+    path, text = _write(tmp_path, [HEADER, _csv_line("B"), _csv_line("A", **cells)])
+    assert _read(path, protocol) == _csv_reference(text, protocol) == expected
+
+
+def test_rows_of_seen_parts_never_reach_the_row_check(protocol, golden, tmp_path, monkeypatch):
+    _, cells = golden
+    configs = sorted({tuple(row[1:6]) for row in cells})
+    outcomes = sorted({tuple(row[6:]) for row in cells})
+    lines = [HEADER, *(",".join(row) for row in cells)]
+    # Every seen config with every seen outcome, under new vehicles: each
+    # part passed in some row above, so none of these takes the check.
+    lines += [
+        ",".join((f"N{i}", *configs[i % len(configs)], *outcome))
+        for i, outcome in enumerate(outcomes * 3)
+    ]
+    calls = _count_checks(monkeypatch)
+    path, text = _write(tmp_path, lines)
+    records = read_log(path, protocol).records
+    assert records == _csv_reference(text, protocol)
+    assert not any(str(v).startswith("N") for v in calls)
+    assert len(calls) < len(cells)
+
+
+def test_random_plain_csv_files_read_like_the_reference(protocol, golden, tmp_path):
+    """Seeded edits of a quote-free export: cells swapped, emptied or doubled, odd characters."""
+    rng = random.Random("plain-csv")
+    _, cells = golden
+    junk = ["", " ", "x", "\x0b", "\x1c", "\u2028", "\x85", "\t", "1e400", "-0", "NaN", "yes"]
+    for _ in range(40):
+        rows = [list(cells[i]) for i in rng.sample(range(len(cells)), 12)]
+        rows += [["V9"] + rows[rng.randrange(12)][1:] for _ in range(4)]
+        for row in rng.sample(rows, 3):
+            row[rng.randrange(len(row))] = rng.choice(junk + row)
+        lines = [HEADER] + [",".join(row) for row in rows]
+        for _ in range(rng.randrange(3)):
+            lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(["", " ", ",", "V1"]))
+        path, text = _write(tmp_path, lines)
+        assert _read(path, protocol) == _csv_reference(text, protocol), text
 
 
 # ---------------------------------------------------------------------------
