@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .campaign import vehicle_sort_key
 from .protocol import LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_text
@@ -113,9 +113,8 @@ def _instance(entry: Mapping, where: str) -> Instance:
 def _read(source: str | Path | Mapping) -> Mapping:
     if isinstance(source, Mapping):
         return source
-    text = read_text(source, "weight table")
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(source, "weight table"))
     except json.JSONDecodeError as exc:
         raise WeightTableError(f"weight table is not valid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
@@ -126,10 +125,10 @@ def _read(source: str | Path | Mapping) -> Mapping:
 def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list[str]:
     """Instances referenced by the table that the protocol does not license."""
     licensed = set(protocol.licensed_pairs())
-    problems = []
-    for instance in table.weights:
-        if instance not in licensed:
-            problems.append(f"weighted instance {instance} is not licensed by the protocol")
+    problems = [
+        f"weighted instance {i} is not licensed by the protocol"
+        for i in table.weights if i not in licensed
+    ]
     for group, instances in table.groups.items():
         for instance in instances:
             if instance not in licensed:
@@ -152,14 +151,21 @@ class GroupScore:
     mps: ScoreValue
 
 
-def _indexed(scores: Iterable[ScenarioScore]) -> dict[Instance, ScenarioScore]:
-    return {(s.scenario, s.light): s for s in scores}
+def _applicable(
+    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup
+) -> Iterator[tuple[Instance, ScenarioScore]]:
+    """The group's instances with their scores, not-applicable ones left out."""
+    by_instance = {(s.scenario, s.light): s for s in scores}
+    for instance in table.groups.get(group, ()):
+        score = by_instance.get(instance)
+        if score is None:
+            raise AggregationError(f"no scenario score for instance {instance}")
+        if not score.not_applicable:
+            yield instance, score
 
 
 def aggregate_fs(
-    scores: Iterable[ScenarioScore],
-    table: WeightTable,
-    group: ScenarioGroup,
+    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup
 ) -> ScoreValue:
     """Weighted average of scenario frequency scores over a group.
 
@@ -167,22 +173,12 @@ def aggregate_fs(
     normalization, so the result stays a convex combination of what was
     actually testable.
     """
-    by_instance = _indexed(scores)
-    terms: list[tuple[float, ScoreValue]] = []
-    for instance in table.groups.get(group, ()):
-        score = by_instance.get(instance)
-        if score is None:
-            raise AggregationError(f"no scenario score for instance {instance}")
-        if score.not_applicable:
-            continue
-        terms.append((table.weight(instance), score.fs))
+    terms = [(table.weight(i), s.fs) for i, s in _applicable(scores, table, group)]
     return _weighted_mean(terms, "applicable", group, table)
 
 
 def aggregate_mps(
-    scores: Iterable[ScenarioScore],
-    table: WeightTable,
-    group: ScenarioGroup,
+    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup,
     passive_powers: Mapping[Instance, float],
 ) -> ScoreValue:
     """Passive-power-weighted average of scenario mitigation scores.
@@ -190,14 +186,8 @@ def aggregate_mps(
     Each instance's statistical weight is multiplied by its passive impact
     power, so mitigation in high-energy scenarios dominates the group score.
     """
-    by_instance = _indexed(scores)
     terms: list[tuple[float, ScoreValue]] = []
-    for instance in table.groups.get(group, ()):
-        score = by_instance.get(instance)
-        if score is None:
-            raise AggregationError(f"no scenario score for instance {instance}")
-        if score.not_applicable:
-            continue
+    for instance, score in _applicable(scores, table, group):
         power = passive_powers.get(instance)
         if power is None or power <= 0:
             raise AggregationError(f"passive power must be > 0 for instance {instance}")
@@ -245,6 +235,22 @@ def relativity(score_x: float, score_y: float) -> float:
     return score_x / score_y - 1.0
 
 
+class _Cells(Mapping):
+    """Read-only (x, y) -> relativity view over a matrix's ranked rows."""
+
+    def __init__(self, matrix: RelativityMatrix):
+        self._matrix = matrix
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        return self._matrix.cell(*key)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return ((x, y) for x in self._matrix.order for y in self._matrix.order)
+
+    def __len__(self) -> int:
+        return len(self._matrix.order) ** 2
+
+
 @dataclass(frozen=True)
 class RelativityMatrix:
     """Ranked pairwise relative-score matrix for one metric, group, region."""
@@ -254,14 +260,20 @@ class RelativityMatrix:
     region: str
     order: tuple[str, ...]  # vehicles, best performer first
     scores: Mapping[str, float]
-    cells: Mapping[tuple[str, str], float]
+    rows: tuple[tuple[float, ...], ...]  # rows[i][j]: order[i] relative to order[j]
+
+    @property
+    def cells(self) -> Mapping[tuple[str, str], float]:
+        return _Cells(self)
 
     def cell(self, x: str, y: str) -> float:
-        return self.cells[(x, y)]
+        if x not in self.scores or y not in self.scores:
+            raise KeyError((x, y))
+        return self.rows[self.order.index(x)][self.order.index(y)]
 
 
 def build_matrix(group_scores: Sequence[GroupScore], metric: str) -> RelativityMatrix:
-    """Rank vehicles by nominal score and fill the pairwise relativity cells."""
+    """Rank vehicles by nominal score and compute one row of relativities per vehicle."""
     if metric not in METRICS:
         raise AggregationError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if not group_scores:
@@ -270,23 +282,11 @@ def build_matrix(group_scores: Sequence[GroupScore], metric: str) -> RelativityM
     regions = {gs.region for gs in group_scores}
     if len(groups) != 1 or len(regions) != 1:
         raise AggregationError("group scores must share one group and one region")
-
-    nominal = {
-        gs.vehicle: (gs.fs if metric == METRIC_FREQ else gs.mps).nominal
-        for gs in group_scores
-    }
-    order = tuple(
-        sorted(nominal, key=lambda v: (-nominal[v], vehicle_sort_key(v)))
+    field = "fs" if metric == METRIC_FREQ else "mps"
+    nominal = {gs.vehicle: getattr(gs, field).nominal for gs in group_scores}
+    order = tuple(sorted(nominal, key=lambda v: (-nominal[v], vehicle_sort_key(v))))
+    rows = tuple(
+        tuple(0.0 if x == y else relativity(nominal[x], nominal[y]) for y in order)
+        for x in order
     )
-    cells: dict[tuple[str, str], float] = {}
-    for x in order:
-        for y in order:
-            cells[(x, y)] = 0.0 if x == y else relativity(nominal[x], nominal[y])
-    return RelativityMatrix(
-        metric=metric,
-        group=groups.pop(),
-        region=regions.pop(),
-        order=order,
-        scores=nominal,
-        cells=cells,
-    )
+    return RelativityMatrix(metric, groups.pop(), regions.pop(), order, nominal, rows)

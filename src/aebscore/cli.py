@@ -44,7 +44,9 @@ from .protocol import (
     load_protocol,
     read_text,
 )
-from .report import EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table
+from .report import (
+    EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table, score_title
+)
 from .scoring import ScoringError, score_campaign
 from .simulate import SimulationSpecError, load_simulation_spec, simulate_campaign
 
@@ -147,7 +149,9 @@ def _load_impact_config(path: Path | None) -> tuple[ImpactPowerModel, dict[str, 
         except ValueError:
             raise ImpactModelError(f"unknown scenario group {name!r} in tg_masses") from None
         tg_masses[group] = _mass(mass, f"tg_masses[{name!r}]")
-    name = str(doc.get("name", "kinetic-energy-proxy"))
+    name = doc.get("name", "kinetic-energy-proxy")
+    if not isinstance(name, str):
+        raise ImpactModelError(f"impact model name: expected a string, got {name!r}")
     if tg_masses:
         model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
     else:
@@ -264,12 +268,15 @@ def cmd_score(args) -> int:
         return EXIT_FINDINGS
     protocol, log, model, weight_tables = inputs
     scores = score_campaign(log, model, validate=False)
-    tables = [
-        score_table(scores, protocol, metric, light, table.region)
+    # The grids of all regions are the same; each is built once and titled per region.
+    first = weight_tables[0].region
+    grids = {(li, m): score_table(scores, protocol, m, li, first) for li in LIGHTS for m in METRICS}
+    tables = (
+        replace(grids[light, metric], title=score_title(metric, light, table.region))
         for table in weight_tables
         for light in LIGHTS
         for metric in METRICS
-    ]
+    )
     _write_tables(tables, args.out, formats, lambda t: t.title.lower())
     return EXIT_OK
 
@@ -292,24 +299,23 @@ def cmd_compare(args) -> int:
         for vehicle in by_vehicle
     }
 
-    matrices = []
-    for table in weight_tables:
-        for group in table.groups:
-            group_scores = []
-            for vehicle in sorted(by_vehicle, key=vehicle_sort_key):
-                group_scores.append(
-                    GroupScore(
-                        vehicle=vehicle,
-                        group=group,
-                        region=table.region,
-                        fs=aggregate_fs(by_vehicle[vehicle], table, group),
-                        mps=aggregate_mps(
-                            by_vehicle[vehicle], table, group, passive_powers[vehicle]
-                        ),
-                    )
-                )
-            for metric in METRICS:
-                matrices.append(matrix_table(build_matrix(group_scores, metric)))
+    vehicles = sorted(by_vehicle, key=vehicle_sort_key)
+    group_scores = [
+        [
+            GroupScore(
+                vehicle=vehicle,
+                group=group,
+                region=table.region,
+                fs=aggregate_fs(by_vehicle[vehicle], table, group),
+                mps=aggregate_mps(by_vehicle[vehicle], table, group, passive_powers[vehicle]),
+            )
+            for vehicle in vehicles
+        ]
+        for table in weight_tables
+        for group in table.groups
+    ]
+    # One matrix at a time: each is built, rendered, written and released in turn.
+    matrices = (matrix_table(build_matrix(gs, m)) for gs in group_scores for m in METRICS)
     _write_tables(matrices, args.out, formats, lambda t: t.title.lower())
     return EXIT_OK
 

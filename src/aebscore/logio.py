@@ -114,8 +114,9 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     """
     path = Path(path)
     as_csv = path.suffix.lower() == ".csv"
-    # writerow returns what the file's write returns: here, the line itself.
-    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    # writerow returns what the file's write returns: here, the line itself. The
+    # "\r" in its terminator makes it quote a cell holding one; lines end in "\n".
+    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     table = log.records
     configs = table.compiled.configs
     lines: list = [None] * len(table)
@@ -123,7 +124,7 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     rows: dict[tuple, tuple[str, str]] = {}
     for vehicle, slots in table.vehicles.items():
         if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
-            cell = encode([_csv_cell(vehicle), ""])[:-2]
+            cell = encode([_csv_cell(vehicle), ""])[:-3]
         else:
             cell = f'"vehicle": {json.dumps(vehicle)}, '
         for line, pos, config, outcome, pre_test in slots.entries(configs):
@@ -133,14 +134,14 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
                 fields = record_to_row(TestRecord(vehicle, config, outcome, pre_test))
                 del fields["vehicle"]
                 if as_csv:  # the vehicle is column 0
-                    row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])
+                    row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
                 else:  # "vehicle" sorts second to last, just before "vut_speed"
                     text = json.dumps(fields, sort_keys=True)
                     cut = text.rindex('"vut_speed": ')
                     row = text[:cut], text[cut:] + "\n"
                 rows[key] = row
             lines[line] = row[0] + cell + row[1]
-    header = encode(LOG_COLUMNS) if as_csv else ""
+    header = encode(LOG_COLUMNS)[:-2] + "\n" if as_csv else ""
     path.write_text(header + "".join(lines), encoding="utf-8")
 
 
@@ -166,12 +167,10 @@ def read_log(
     Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)
-    text = read_text(path, "log")
-    if path.suffix.lower() == ".csv":
-        entries = _read_csv(text, protocol)
-    else:
-        entries = _read_jsonl(text, protocol)
-    table = LogTable(protocol.compiled, entries)
+    as_csv = path.suffix.lower() == ".csv"
+    # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
+    text = read_text(path, "log", newline="" if as_csv else None)
+    table = LogTable(protocol.compiled, (_read_csv if as_csv else _read_jsonl)(text, protocol))
     profiles = {v.id: v for v in vehicles}
     for vehicle in table.vehicles:
         if vehicle not in profiles:
@@ -224,8 +223,7 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
 
 def _read_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
     # csv.reader splits each line of a file with no quote, carriage return or
-    # NUL and no line beyond its field limit on the commas alone. read_log's
-    # text never holds "\r" (universal newlines); the test guards other callers.
+    # NUL and no line beyond its field limit on the commas alone.
     if '"' not in text and "\r" not in text and "\0" not in text:
         lines = text.split("\n")
         header = lines[0].split(",")
@@ -254,7 +252,7 @@ def _read_plain_csv(lines: list[str], rows: _CsvRows) -> Iterator[tuple]:
 
 
 def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))  # "\r\n", "\r" and "\n" end a line
     try:
         rows = _CsvRows(next(reader, []), protocol)
         memo, at = rows.memo, rows.vehicle
@@ -274,8 +272,8 @@ def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]
                 entry = rows.entry(cells, key)
             except LogFormatError as exc:
                 # The physical line the row starts on: quoted cells may span lines.
-                line = reader.line_num - sum(cell.count("\n") for cell in cells)
-                raise LogFormatError(f"line {line}: {exc}") from None
+                breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells)
+                raise LogFormatError(f"line {reader.line_num - breaks}: {exc}") from None
             yield entry
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
         raise LogFormatError(f"line {reader.line_num}: {exc}") from None

@@ -18,6 +18,7 @@ import html
 import io
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Mapping
 
 from .aggregate import METRIC_FREQ, RelativityMatrix
@@ -76,8 +77,8 @@ class Table:
     corner: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, tuple[str, ...]], ...]
-    # (row, col) -> value the HTML rendering shades; colours are computed there
-    shading: Mapping[tuple[str, str], float] | None = None
+    # values the HTML rendering shades, one tuple per row; colours are computed there
+    shading: tuple[tuple[float, ...], ...] | None = None
 
 
 def score_table(
@@ -101,25 +102,24 @@ def score_table(
                 value = score.fs if metric == METRIC_FREQ else score.mps
             cells.append(format_score_cell(value))
         rows.append((spec.code, tuple(cells)))
-    name = "FREQ_SCORE_MEAN" if metric == METRIC_FREQ else "MIT_POW"
-    title = f"{name}_{light.upper()}_{region.upper()}"
+    title = score_title(metric, light, region)
     return Table(title=title, corner="MODEL", columns=tuple(vehicles), rows=tuple(rows))
 
 
+def score_title(metric: str, light: str, region: str) -> str:
+    """The title of a score table; only this differs between regions."""
+    name = "FREQ_SCORE_MEAN" if metric == METRIC_FREQ else "MIT_POW"
+    return f"{name}_{light.upper()}_{region.upper()}"
+
+
 def matrix_table(matrix: RelativityMatrix) -> Table:
-    """Ranked pairwise relativity grid; HTML shades it from the matrix cells."""
-    rows = []
-    for x in matrix.order:
-        rows.append((x, tuple(format_percent_cell(matrix.cells[(x, y)]) for y in matrix.order)))
+    """Ranked pairwise relativity grid; HTML shades it from the matrix rows."""
+    rows = tuple(
+        (x, tuple(map(format_percent_cell, values))) for x, values in zip(matrix.order, matrix.rows)
+    )
     metric_name = "FREQ" if matrix.metric == METRIC_FREQ else "MP"
     title = f"REL_{metric_name}_{matrix.group.value}_{matrix.region.upper()}"
-    return Table(
-        title=title,
-        corner="",
-        columns=matrix.order,
-        rows=tuple(rows),
-        shading=matrix.cells,
-    )
+    return Table(title=title, corner="", columns=matrix.order, rows=rows, shading=matrix.rows)
 
 
 def completion_table(stats: Mapping[str, CompletionStats]) -> Table:
@@ -203,14 +203,10 @@ def to_html(table: Table) -> str:
         + "".join(f"<th>{html.escape(h)}</th>" for h in (table.corner, *table.columns))
         + "</tr>",
     ]
-    for label, cells in table.rows:
+    for (label, cells), values in zip(table.rows, table.shading or ((),) * len(table.rows)):
         cols = [f"<th>{html.escape(label)}</th>"]
-        for header, cell in zip(table.columns, cells):
-            style = ""
-            if table.shading is not None:
-                value = table.shading.get((label, header))
-                if value is not None:
-                    style = f" style=\"background-color:{_diverging_color(value)}\""
+        for cell, value in zip_longest(cells, values):
+            style = "" if value is None else f' style="background-color:{_diverging_color(value)}"'
             cols.append(f"<td{style}>{html.escape(cell)}</td>")
         parts.append("<tr>" + "".join(cols) + "</tr>")
     parts.append("</table></body></html>")

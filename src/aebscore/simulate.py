@@ -94,13 +94,12 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         sensors = entry.get("sensors", [])
         if not isinstance(sensors, list) or any(s not in KNOWN_SENSORS for s in sensors):
             raise SimulationSpecError(f"{where}: 'sensors' must be a subset of {KNOWN_SENSORS}")
-        profile = VehicleProfile(
-            id=vid,
-            mass=float(mass),
-            model_year=entry.get("model_year"),
-            sensors=frozenset(sensors),
-            is_prototype=bool(entry.get("is_prototype", False)),
-        )
+        model_year, is_prototype = entry.get("model_year"), entry.get("is_prototype", False)
+        if isinstance(model_year, bool) or not isinstance(model_year, (int, type(None))):
+            raise SimulationSpecError(f"{where}: 'model_year' must be an integer or null")
+        if not isinstance(is_prototype, bool):
+            raise SimulationSpecError(f"{where}: 'is_prototype' must be a boolean")
+        profile = VehicleProfile(vid, float(mass), model_year, frozenset(sensors), is_prototype)
         oracle_doc = entry.get("oracle", default_oracle)
         if oracle_doc is None:
             raise SimulationSpecError(f"{where}: no oracle and no default_oracle")

@@ -139,3 +139,61 @@ def mitigation_triple(configs, outcomes, vut_mass, weights=None):
                 num += w * energy(c, vut_mass, c.vut_speed)
         values.append(1.0 - num / den)
     return tuple(values)
+
+
+def natural_key(vehicle):
+    """Vehicles with a numeric prefix first, by number then suffix; others by name."""
+    digits = ""
+    for ch in vehicle:
+        if not ch.isdecimal():
+            break
+        digits += ch
+    if digits:
+        return (0, int(digits), vehicle[len(digits):])
+    return (1, 0, vehicle)
+
+
+def relativity_cell(score_x, score_y):
+    """Relative score of x against y: ratio minus one, with the zero rules."""
+    if score_x < 0 or score_y < 0:
+        raise ValueError("negative score")
+    if score_x == 0 and score_y == 0:
+        return 0.0
+    if score_y == 0:
+        return float("inf")
+    if score_x == 0:
+        return -1.0
+    return score_x / score_y - 1.0
+
+
+def percent_text(value):
+    """A relativity as printed: two decimals of a percent, or a literal inf."""
+    if value == float("inf"):
+        return "inf"
+    return "%.2f%%" % (value * 100.0)
+
+
+def shade_color(value):
+    """HTML shade of a relativity: white at 0, green at +100% or more, red at -100%."""
+    t = 1.0 if value == float("inf") else max(-1.0, min(1.0, value))
+    if t >= 0:
+        red, green, blue = int(255 - 155 * t), 255, int(255 - 155 * t)
+    else:
+        red, green, blue = 255, int(255 + 155 * t), int(255 + 155 * t)
+    return "#%02x%02x%02x" % (red, green, blue)
+
+
+def matrix_reference(nominal):
+    """Ranked order and, per (x, y), the (value, text, colour) of each matrix cell.
+
+    ``nominal`` maps vehicle -> nominal score. Each cell is worked out on
+    its own; the diagonal is 0 without a ratio, so one vehicle with any
+    score is a one-cell matrix.
+    """
+    order = sorted(nominal, key=lambda v: (-nominal[v], natural_key(v)))
+    cells = {}
+    for x in order:
+        for y in order:
+            value = 0.0 if x == y else relativity_cell(nominal[x], nominal[y])
+            cells[(x, y)] = (value, percent_text(value), shade_color(value))
+    return order, cells

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import aebscore
+from aebscore import cli
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path
+from aebscore.simulate import load_simulation_spec
 
 DATA_DIR = bundled_protocol_path().parent
 FIXTURE_SIM = Path(__file__).parent / "data" / "fixture_sim.json"
@@ -127,6 +129,26 @@ def test_score_writes_eight_tables_per_two_regions(fixture_log, tmp_path, capsys
     assert "CPLAs,NA,NA,NA,NA" in day_eu
     night_eu = (out / "freq_score_mean_night_eu.csv").read_text()
     assert "CBNA,NA,NA,NA,NA" in night_eu
+
+
+def test_score_builds_each_grid_once_and_titles_it_per_region(
+    fixture_log, tmp_path, monkeypatch
+):
+    calls = []
+    build = cli.score_table
+    monkeypatch.setattr(cli, "score_table", lambda *a: calls.append(a[2:4]) or build(*a))
+    out = tmp_path / "reports"
+    args = ["score", *_protocol_args(), "--log", str(fixture_log), "--out", str(out)]
+    for region in ("eu", "us"):
+        args += ["--weights", str(DATA_DIR / f"weights_{region}_example.json")]
+    assert main([*args, "--format", "csv,markdown,html"]) == 0
+    assert sorted(calls) == [("MP", "day"), ("MP", "night"), ("freq", "day"), ("freq", "night")]
+    assert len(list(out.iterdir())) == 24
+    for eu in out.glob("*_eu.*"):
+        us = eu.with_name(eu.name.replace("_eu.", "_us."))
+        title = eu.stem.upper()
+        assert title in eu.read_text()
+        assert us.read_text() == eu.read_text().replace(title, us.stem.upper())
 
 
 def test_compare_writes_matrices(fixture_log, tmp_path):
@@ -534,3 +556,53 @@ def test_weight_or_mass_too_large_for_the_products_exits_2(
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("score", "name", {"a": 1}, "impact model name: expected a string, got {'a': 1}"),
+        ("simulate", "model_year", {"x": [1]}, "'model_year' must be an integer or null"),
+        ("simulate", "model_year", 2024.5, "'model_year' must be an integer or null"),
+        ("simulate", "model_year", True, "'model_year' must be an integer or null"),
+        ("simulate", "is_prototype", "no", "'is_prototype' must be a boolean"),
+        ("simulate", "is_prototype", 0, "'is_prototype' must be a boolean"),
+    ],
+    ids=[
+        "impact-name-object",
+        "spec-model-year-object",
+        "spec-model-year-float",
+        "spec-model-year-bool",
+        "spec-is-prototype-string",
+        "spec-is-prototype-int",
+    ],
+)
+def test_input_once_accepted_silently_exits_2_with_location(
+    tmp_path, capsys, command, field, value, message
+):
+    out = tmp_path / "out"
+    doc = tmp_path / "input.json"
+    if command == "score":
+        doc.write_text(json.dumps({field: value}))
+        args = ["score", *_protocol_args(), "--log", str(GOLDEN_LOG), "--impact-model", str(doc)]
+        args += ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+        where = ""
+    else:
+        vehicle = {"id": "V", "oracle": {"type": "always_avoid"}, field: value}
+        doc.write_text(json.dumps({"seed": 1, "vehicles": [vehicle]}))
+        args = ["simulate", *_protocol_args(), "--oracle", str(doc)]
+        where = "vehicles[0]: "
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {where}{message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_spec_model_year_and_is_prototype_accept_their_types():
+    for extra in ({"model_year": 2024, "is_prototype": True}, {"model_year": None}, {}):
+        vehicle = {"id": "V", "oracle": {"type": "always_avoid"}, **extra}
+        spec = load_simulation_spec({"vehicles": [vehicle]})
+        profile = spec.vehicles[0][0]
+        assert profile.model_year == extra.get("model_year")
+        assert profile.is_prototype is extra.get("is_prototype", False)

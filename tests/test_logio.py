@@ -8,7 +8,8 @@ import pytest
 
 from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
 from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, record_to_row, write_log
-from aebscore.protocol import enumerate_configs
+from aebscore.cli import main
+from aebscore.protocol import bundled_protocol_path, enumerate_configs
 from aebscore.simulate import load_simulation_spec, simulate_campaign
 
 
@@ -345,16 +346,18 @@ def _reference_write(records, path):
     def cell(value):
         if value is None:
             return ""
-        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+        text = ("true" if value else "false") if isinstance(value, bool) else str(value)
+        # quoted when it holds a delimiter, a quote or either line-end character
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
 
     if path.suffix == ".csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=LOG_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        lines = [",".join(LOG_COLUMNS) + "\n"]
         for record in records:
             row = record_to_row(record)
-            writer.writerow({k: cell(row.get(k)) for k in LOG_COLUMNS})
-        return buffer.getvalue().encode("utf-8")
+            lines.append(",".join(cell(row.get(k)) for k in LOG_COLUMNS) + "\n")
+        return "".join(lines).encode("utf-8")
     lines = [json.dumps(record_to_row(r), sort_keys=True) + "\n" for r in records]
     return "".join(lines).encode("utf-8")
 
@@ -403,6 +406,38 @@ def test_jsonl_vehicle_holding_a_raw_line_separator_reads_back(protocol, tmp_pat
         "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
     )
     assert [r.vehicle for r in read_log(path, protocol).records] == vehicles
+
+
+def test_csv_vehicle_holding_a_carriage_return_round_trips(protocol, tmp_path, capsys):
+    # write_log quotes a cell holding "\r"; read_log reads CSV without newline translation.
+    configs = enumerate_configs(protocol, scenario="CCRs", light="day")
+    vehicles = ["A\rB", "A\r\nB", "C\nD", "plain"]
+    # an impact below an avoided speed of the same series: one finding per vehicle
+    impact = TestOutcome.impacted(10.0, intervention=False)
+    records = tuple(
+        r for v in vehicles
+        for r in (TestRecord(v, configs[0], impact), TestRecord(v, configs[1], TestOutcome.avoided()))
+    )
+    log = CampaignLog(protocol=protocol, records=records)
+    csv_path, jsonl_path = tmp_path / "log.csv", tmp_path / "log.jsonl"
+    write_log(log, csv_path)
+    write_log(log, jsonl_path)
+    assert b'"A\rB"' in csv_path.read_bytes() and b'"A\r\nB"' in csv_path.read_bytes()
+    assert read_log(csv_path, protocol).records == records
+    assert [v.id for v in read_log(csv_path, protocol).vehicles] == vehicles
+    # validate reads both files alike: same findings, same exit code, no input error
+    outputs = []
+    for path in (csv_path, jsonl_path):
+        code = main(["validate", "--protocol", str(bundled_protocol_path()), "--log", str(path)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and "A\r\nB" in outputs[0][1].out and not outputs[0][1].err
+    # the same file with CRLF line ends still reads; the "\n" inside "C\nD" becomes "\r\n" too
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n").replace(b"\r\r\n", b"\r\n"))
+    again = read_log(crlf, protocol).records
+    assert [r.vehicle for r in again] == [r.vehicle.replace("C\nD", "C\r\nD") for r in records]
+    assert [(r.config, r.outcome) for r in again] == [(r.config, r.outcome) for r in records]
 
 
 def test_jsonl_with_crlf_line_ends_reads_with_the_same_line_numbers(protocol, tmp_path):

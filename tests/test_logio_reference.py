@@ -59,7 +59,7 @@ def _csv_reference(text, protocol):
     The last of two equal column names wins, an empty cell is a missing
     value, and a row may not have more cells than the header has columns.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         return ()
@@ -76,7 +76,9 @@ def _csv_reference(text, protocol):
             break
         if not cells:
             continue
-        line = reader.line_num - sum(cell.count("\n") for cell in cells)
+        # "\r\n", "\r" and "\n" each end a line, in a quoted cell too
+        ends = [cell.replace("\r\n", "\n").replace("\r", "\n").count("\n") for cell in cells]
+        line = reader.line_num - sum(ends)
         if len(cells) > len(header):
             return f"line {line}: unknown field(s): {len(cells)} cells for {len(header)} columns"
         row = {k: v for k, v in dict(zip(header, cells)).items() if v}
@@ -300,8 +302,7 @@ def test_csv_line_numbers_count_blank_lines(protocol, tmp_path):
     assert _read(path, protocol) == "line 7: unknown outcome 'meh'"
 
 
-# One trigger each: the text takes the csv.reader loop. read_log reads its
-# text with universal newlines, so only a direct call meets a "\r".
+# One trigger each: the text takes the csv.reader loop.
 LONG = "0" * 70_000 + "30"  # a line beyond the field limit, each cell within it
 FALLBACK_CASES = {
     "quote-in-a-cell": [HEADER, _csv_line("B"), _csv_line('"A"'), _csv_line("C")],
@@ -311,6 +312,10 @@ FALLBACK_CASES = {
     ],
     "crlf": [HEADER + "\r", _csv_line("B") + "\r", "\r", _csv_line("A", outcome="meh") + "\r"],
     "lone-cr": [HEADER, _csv_line("B") + "\r" + _csv_line("A"), _csv_line("A")],
+    # quoted cells that span lines at "\r" and "\r\n": the bad row starts on line 6
+    "quoted-carriage-returns": [
+        HEADER, _csv_line('"A\rB"'), _csv_line('"C\r\nD"'), _csv_line("E", outcome="meh")
+    ],
     "nul": [HEADER, _csv_line("B"), _csv_line("A\0")],
     "line-beyond-the-field-limit": [
         HEADER, _csv_line("B"), _csv_line("A" * 70_000, impact_speed=LONG), _csv_line("C")
@@ -352,6 +357,11 @@ def test_csv_text_with_a_trigger_takes_the_csv_reader_loop(protocol, monkeypatch
         got = str(exc)
     assert got == _csv_reference(text, protocol)
     assert calls == [1]
+
+
+def test_line_ends_inside_quoted_cells_count_in_the_error_line(protocol, tmp_path):
+    path, _ = _write(tmp_path, FALLBACK_CASES["quoted-carriage-returns"])
+    assert _read(path, protocol) == "line 6: unknown outcome 'meh'"
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
