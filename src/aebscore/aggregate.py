@@ -12,14 +12,15 @@ pairwise matrices of these relativities are the campaign's primary output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .campaign import vehicle_sort_key
-from .protocol import LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_text
+from .protocol import (
+    LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_document, within
+)
 from .scoring import ScenarioScore, ScoreValue
 
 METRIC_FREQ = "freq"
@@ -55,7 +56,8 @@ class WeightTable:
 
 
 def load_weight_table(source: str | Path | Mapping) -> WeightTable:
-    doc = _read(source)
+    """Load and validate a weight table (a path or a mapping, see ``read_document``)."""
+    doc = read_document(source, "weight table", WeightTableError)
     region = doc.get("region")
     if not isinstance(region, str) or not region:
         raise WeightTableError("'region' must be a non-empty string")
@@ -69,7 +71,7 @@ def load_weight_table(source: str | Path | Mapping) -> WeightTable:
             raise WeightTableError(f"{where}: expected an object")
         instance = _instance(entry, where)
         w = entry.get("w")
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w <= MAX_MAGNITUDE:
+        if not within(w, 0, MAX_MAGNITUDE):
             raise WeightTableError(
                 f"{where}: 'w' must be a finite number in [0, {MAX_MAGNITUDE:g}], got {w!r}"
             )
@@ -108,18 +110,6 @@ def _instance(entry: Mapping, where: str) -> Instance:
     if light not in LIGHTS:
         raise WeightTableError(f"{where}: 'light' must be one of {LIGHTS}")
     return (code, light)
-
-
-def _read(source: str | Path | Mapping) -> Mapping:
-    if isinstance(source, Mapping):
-        return source
-    try:
-        doc = json.loads(read_text(source, "weight table"))
-    except json.JSONDecodeError as exc:
-        raise WeightTableError(f"weight table is not valid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise WeightTableError("weight table must be a JSON object")
-    return doc
 
 
 def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list[str]:

@@ -9,16 +9,13 @@ deterministic bytes for fixed inputs, so output trees can be diffed.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .aggregate import (
     METRICS,
-    AggregationError,
     GroupScore,
     WeightTableError,
     aggregate_fs,
@@ -28,43 +25,18 @@ from .aggregate import (
     load_weight_table,
 )
 from .campaign import CampaignLog, completion_stats, validate_log, vehicle_sort_key
-from .impact import (
-    DEFAULT_VUT_MASS,
-    GEOMETRY_RULES,
-    ImpactModelError,
-    ImpactPowerModel,
-)
-from .logio import LogFormatError, read_log, write_log
-from .protocol import (
-    LIGHTS,
-    MAX_MAGNITUDE,
-    ProtocolDefinition,
-    ProtocolError,
-    ScenarioGroup,
-    load_protocol,
-    read_text,
-)
+from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, load_impact_config
+from .logio import read_log, write_log
+from .protocol import LIGHTS, ProtocolDefinition, load_protocol
 from .report import (
     EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table, score_title
 )
-from .scoring import ScoringError, score_campaign
-from .simulate import SimulationSpecError, load_simulation_spec, simulate_campaign
+from .scoring import score_campaign
+from .simulate import load_simulation_spec, simulate_campaign
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT = 2
-
-_INPUT_ERRORS = (
-    ProtocolError,
-    LogFormatError,
-    WeightTableError,
-    SimulationSpecError,
-    ImpactModelError,
-    ScoringError,
-    AggregationError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,70 +100,9 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
         )
 
 
-def _load_impact_config(path: Path | None) -> tuple[ImpactPowerModel, dict[str, float], float]:
-    if path is None:
-        return ImpactPowerModel(), {}, DEFAULT_VUT_MASS
-    doc = json.loads(read_text(path, "impact model"))
-    if not isinstance(doc, Mapping):
-        raise ImpactModelError("impact model config must be a JSON object")
-    unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
-    if unknown:
-        raise ImpactModelError(f"unknown impact model field(s) {sorted(unknown)}")
-    geometry_rule = doc.get("geometry_rule", "linear")
-    if not isinstance(geometry_rule, str) or geometry_rule not in GEOMETRY_RULES:
-        raise ImpactModelError(
-            f"unknown geometry rule {geometry_rule!r}; expected one of {sorted(GEOMETRY_RULES)}"
-        )
-    tg_masses = {}
-    for name, mass in _masses(doc, "tg_masses").items():
-        try:
-            group = ScenarioGroup(name)
-        except ValueError:
-            raise ImpactModelError(f"unknown scenario group {name!r} in tg_masses") from None
-        tg_masses[group] = _mass(mass, f"tg_masses[{name!r}]")
-    name = doc.get("name", "kinetic-energy-proxy")
-    if not isinstance(name, str):
-        raise ImpactModelError(f"impact model name: expected a string, got {name!r}")
-    if tg_masses:
-        model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
-    else:
-        model = ImpactPowerModel(name=name, geometry_rule=geometry_rule)
-    vut_masses = {
-        str(k): _mass(v, f"vut_masses[{k!r}]", positive=True)
-        for k, v in _masses(doc, "vut_masses").items()
-    }
-    default_mass = _mass(
-        doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass", positive=True
-    )
-    return model, vut_masses, default_mass
-
-
-def _masses(doc: Mapping, field: str) -> Mapping:
-    masses = doc.get(field, {})
-    if not isinstance(masses, Mapping):
-        raise ImpactModelError(f"impact model {field}: expected an object of masses")
-    return masses
-
-
-def _mass(value, where: str, positive: bool = False) -> float:
-    try:
-        mass = float(value)
-    except (TypeError, ValueError):
-        raise ImpactModelError(f"impact model {where}: expected a number, got {value!r}") from None
-    except OverflowError:  # an integer beyond float range
-        mass = math.inf
-    if not abs(mass) <= MAX_MAGNITUDE:  # also NaN
-        raise ImpactModelError(
-            f"impact model {where}: expected a finite number up to {MAX_MAGNITUDE:g}, got {value!r}"
-        )
-    if positive and mass <= 0:
-        raise ImpactModelError(f"impact model {where}: vehicle masses must be > 0")
-    return mass
-
-
 def _read_inputs(args) -> tuple[ProtocolDefinition, CampaignLog, ImpactPowerModel]:
     protocol = load_protocol(args.protocol)
-    model, vut_masses, default_mass = _load_impact_config(getattr(args, "impact_model", None))
+    model, vut_masses, default_mass = load_impact_config(getattr(args, "impact_model", None) or {})
     log = read_log(args.log, protocol)
     vehicles = tuple(
         replace(v, mass=vut_masses.get(v.id, default_mass)) for v in log.vehicles
@@ -336,10 +247,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

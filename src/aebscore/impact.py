@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping
 
-from .protocol import ScenarioGroup, TestConfig
+from .protocol import MAX_MAGNITUDE, ScenarioGroup, TestConfig, read_document, within
 
 KMH_TO_MS = 1.0 / 3.6
 
@@ -61,6 +62,65 @@ class ImpactPowerModel:
         if group is ScenarioGroup.C2C and mass <= 0:
             raise ImpactModelError("car-to-car target mass must be > 0")
         return mass
+
+
+def load_impact_config(
+    source: str | Path | Mapping,
+) -> tuple[ImpactPowerModel, dict[str, float], float]:
+    """Load an impact config (a path or a mapping, see ``protocol.read_document``).
+
+    Returns the model, the VUT mass per vehicle id and the default VUT mass.
+    Every mass is a JSON number of magnitude at most ``MAX_MAGNITUDE``; VUT
+    masses must be > 0.
+    """
+    doc = read_document(source, "impact model", ImpactModelError)
+    unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
+    if unknown:
+        raise ImpactModelError(f"unknown impact model field(s) {sorted(unknown)}")
+    geometry_rule = doc.get("geometry_rule", "linear")
+    if not isinstance(geometry_rule, str) or geometry_rule not in GEOMETRY_RULES:
+        raise ImpactModelError(
+            f"unknown geometry rule {geometry_rule!r}; expected one of {sorted(GEOMETRY_RULES)}"
+        )
+    tg_masses = {}
+    for name, mass in _masses(doc, "tg_masses").items():
+        try:
+            group = ScenarioGroup(name)
+        except ValueError:
+            raise ImpactModelError(f"unknown scenario group {name!r} in tg_masses") from None
+        tg_masses[group] = _mass(mass, f"tg_masses[{name!r}]")
+    name = doc.get("name", "kinetic-energy-proxy")
+    if not isinstance(name, str):
+        raise ImpactModelError(f"impact model name: expected a string, got {name!r}")
+    if tg_masses:
+        model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
+    else:
+        model = ImpactPowerModel(name=name, geometry_rule=geometry_rule)
+    vut_masses = {
+        str(k): _mass(v, f"vut_masses[{k!r}]", positive=True)
+        for k, v in _masses(doc, "vut_masses").items()
+    }
+    default_mass = _mass(
+        doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass", positive=True
+    )
+    return model, vut_masses, default_mass
+
+
+def _masses(doc: Mapping, key: str) -> Mapping:
+    masses = doc.get(key, {})
+    if not isinstance(masses, Mapping):
+        raise ImpactModelError(f"impact model {key}: expected an object of masses")
+    return masses
+
+
+def _mass(value, where: str, positive: bool = False) -> float:
+    if not within(value, -MAX_MAGNITUDE, MAX_MAGNITUDE):  # also a string, a boolean or NaN
+        raise ImpactModelError(
+            f"impact model {where}: expected a finite number up to {MAX_MAGNITUDE:g}, got {value!r}"
+        )
+    if positive and value <= 0:
+        raise ImpactModelError(f"impact model {where}: vehicle masses must be > 0")
+    return float(value)
 
 
 @dataclass(frozen=True)

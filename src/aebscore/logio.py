@@ -202,7 +202,7 @@ def _read_jsonl(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
                     continue
         try:
             row = decode(raw)
-        except ValueError as exc:  # also an integer beyond int's digit limit
+        except (ValueError, RecursionError) as exc:  # also a big integer or deep nesting
             raise LogFormatError(f"line {line}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):  # the decoder makes every object a dict
             raise LogFormatError(f"line {line}: expected a JSON object")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -290,26 +291,18 @@ class CompiledProtocol:
         self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
         self._passive: dict[tuple, PassivePowers] = {}
 
-    def canonical(self, key: tuple) -> TestConfig | None:
-        """The protocol's own config for ``key``, or None if it is not licensed."""
-        i = self.index.get(key)
-        return None if i is None else self.configs[i]
-
     def passive_powers(self, model, vut_mass: float) -> PassivePowers:
         """Passive impact powers under ``model`` at ``vut_mass``, computed on first use."""
         cache_key = (model, vut_mass)
         powers = self._passive.get(cache_key)
         if powers is None:
-            from .impact import passive_mu_pow  # impact imports this module
+            from .impact import passive_mu_pow, scenario_passive_power  # impact imports this module
 
             by_config = tuple(passive_mu_pow(model, c, vut_mass) for c in self.configs)
-            by_instance = {}
-            for pair, part in self.instances.items():
-                # Same order and arithmetic as impact.scenario_passive_power.
-                total = 0.0
-                for power in by_config[part.start:part.stop]:
-                    total += power
-                by_instance[pair] = total / float(part.stop - part.start)
+            by_instance = {
+                pair: scenario_passive_power(part.configs, model, vut_mass)
+                for pair, part in self.instances.items()
+            }
             powers = self._passive[cache_key] = PassivePowers(by_config, by_instance)
         return powers
 
@@ -355,10 +348,6 @@ class ProtocolDefinition:
     def licensed_pairs(self) -> list[tuple[str, str]]:
         """(scenario code, light) pairs the protocol licenses, in output order."""
         return list(self._compiled.instances)
-
-    def config_index(self) -> dict[tuple, TestConfig]:
-        configs = self._compiled.configs
-        return {key: configs[i] for key, i in self._compiled.index.items()}
 
 
 def _tg_key(tg: float | None) -> float:
@@ -433,10 +422,8 @@ _SCENARIO_KEYS = {
 
 
 def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:
-    """Load and validate a protocol document (path, JSON text, or mapping)."""
-    doc = _read_document(source)
-    if not isinstance(doc, Mapping):
-        raise ProtocolError("protocol document must be a JSON object")
+    """Load and validate a protocol document (a path or a mapping, see ``read_document``)."""
+    doc = read_document(source, "protocol", ProtocolError)
     raw_scenarios = doc.get("scenarios")
     if not isinstance(raw_scenarios, list):
         raise ProtocolError("protocol document needs a top-level 'scenarios' array")
@@ -477,17 +464,22 @@ def read_text(path: str | Path, kind: str, newline: str | None = None) -> str:
         raise ValueError(f"{kind} {path}: not UTF-8 text ({exc})") from None
 
 
-def _read_document(source: str | Path | Mapping) -> Mapping:
+def read_document(source: str | Path | Mapping, kind: str, error: type[ValueError]) -> Mapping:
+    """A JSON input document: a mapping as given, or the object in a UTF-8 file.
+
+    Invalid JSON, nesting deeper than the decoder's recursion limit and a top
+    level that is not an object raise ``error`` naming ``kind`` and the file.
+    """
     if isinstance(source, Mapping):
         return source
-    if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
-        text = read_text(source, "protocol")
-    else:
-        text = source
+    text = read_text(source, kind)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"protocol document is not valid JSON: {exc}") from exc
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer beyond int's digit limit
+        raise error(f"{kind} {source}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{kind} {source}: expected a JSON object")
+    return doc
 
 
 def _parse_scenario(entry, where: str) -> ScenarioSpec:
@@ -607,16 +599,16 @@ def _parse_lights(raw, where: str) -> tuple[str, ...]:
     return tuple(lt for lt in LIGHTS if lt in raw)
 
 
+def within(value, lo: float, hi: float) -> bool:
+    """A JSON number in [lo, hi]. Booleans are not numbers; NaN, infinities and
+    integers beyond float range fall outside any finite bounds."""
+    return isinstance(value, (int, float)) and value.__class__ is not bool and lo <= value <= hi
+
+
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{where}: expected a number, got {value!r}")
-    try:
-        num = float(value)
-    except OverflowError:  # an integer beyond float range
-        num = math.inf
-    if not math.isfinite(num):
+    if not within(value, -sys.float_info.max, sys.float_info.max):
         raise ProtocolError(f"{where}: expected a finite number, got {value!r}")
-    return num
+    return float(value)
 
 
 def _positive_number(value, where: str) -> float:

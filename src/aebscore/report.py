@@ -19,6 +19,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .aggregate import METRIC_FREQ, RelativityMatrix
@@ -161,13 +162,12 @@ def render(table: Table, fmt: str) -> str:
 
 
 def to_csv(table: Table) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([table.title] + [""] * len(table.columns))
-    writer.writerow([table.corner, *table.columns])
-    for label, cells in table.rows:
-        writer.writerow([label, *cells])
-    return buffer.getvalue()
+    # writerow returns what the file's write returns: here, the line itself. The
+    # "\r" in its terminator makes it quote a cell holding one; lines end in "\n".
+    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    head = [[table.title] + [""] * len(table.columns), [table.corner, *table.columns]]
+    rows = head + [[label, *cells] for label, cells in table.rows]
+    return "".join(encode(row)[:-2] + "\n" for row in rows)
 
 
 def parse_csv(text: str) -> Table:

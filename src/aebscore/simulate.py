@@ -14,7 +14,6 @@ for that vehicle.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .campaign import (
     series_failure_speed,
     series_key,
 )
-from .protocol import DAY, LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_text
+from .protocol import DAY, LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
 
@@ -59,15 +58,8 @@ class SimulationSpec:
 
 
 def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
-    if isinstance(source, Mapping):
-        doc = source
-    else:
-        try:
-            doc = json.loads(read_text(source, "simulation spec"))
-        except json.JSONDecodeError as exc:
-            raise SimulationSpecError(f"simulation spec is not valid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise SimulationSpecError("simulation spec must be a JSON object")
+    """Load and validate a simulation spec (a path or a mapping, see ``read_document``)."""
+    doc = read_document(source, "simulation spec", SimulationSpecError)
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SimulationSpecError("'seed' must be an integer")
@@ -89,7 +81,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
             raise SimulationSpecError(f"{where}: duplicate vehicle id {vid!r}")
         seen.add(vid)
         mass = entry.get("mass", 1500.0)
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)) or mass <= 0:
+        if not within(mass, 0, _FLOAT_MAX) or mass == 0:
             raise SimulationSpecError(f"{where}: 'mass' must be a number > 0")
         sensors = entry.get("sensors", [])
         if not isinstance(sensors, list) or any(s not in KNOWN_SENSORS for s in sensors):
@@ -134,7 +126,7 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
         if not isinstance(rule, Mapping):
             raise SimulationSpecError(f"{where}.rules[{i}]: expected an object")
         fail_at = rule.get("fail_at")
-        if fail_at is not None and not _within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
+        if fail_at is not None and not within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
             raise SimulationSpecError(
                 f"{where}.rules[{i}]: 'fail_at' must be a finite number, got {fail_at!r}"
             )
@@ -142,7 +134,7 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     for name, (default, lo, hi) in _ORACLE_NUMBERS.items():
         value = doc.get(name, default)
         if value is not None or default is not None:  # null only where it is the default
-            if not _within(value, lo, hi):
+            if not within(value, lo, hi):
                 bounds = "" if hi == _FLOAT_MAX else f" in [{lo:g}, {hi:g}]"
                 raise SimulationSpecError(
                     f"{where}: {name!r} must be a finite number{bounds}, got {value!r}"
@@ -153,8 +145,8 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     if not (
         isinstance(fraction_range, list)
         and len(fraction_range) == 2
-        and _within(fraction_range[0], 0.0, 1.0)
-        and _within(fraction_range[1], fraction_range[0], 1.0)
+        and within(fraction_range[0], 0.0, 1.0)
+        and within(fraction_range[1], fraction_range[0], 1.0)
     ):
         raise SimulationSpecError(
             f"{where}: 'impact_fraction_range' must be [lo, hi] with 0 <= lo <= hi <= 1"
@@ -169,12 +161,6 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
         impact_fraction_range=(float(fraction_range[0]), float(fraction_range[1])),
         **numbers,
     )
-
-
-def _within(value, lo: float, hi: float) -> bool:
-    """A number in [lo, hi]. Booleans are not numbers; NaN, infinities and
-    integers beyond float range fall outside any finite bounds."""
-    return isinstance(value, (int, float)) and value.__class__ is not bool and lo <= value <= hi
 
 
 def _stable_rng(*parts) -> random.Random:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -606,3 +607,90 @@ def test_spec_model_year_and_is_prototype_accept_their_types():
         profile = spec.vehicles[0][0]
         assert profile.model_year == extra.get("model_year")
         assert profile.is_prototype is extra.get("is_prototype", False)
+
+
+@pytest.mark.parametrize(
+    "doc, where, value",
+    [
+        ({"default_vut_mass": True}, "default_vut_mass", "True"),
+        ({"tg_masses": {"C2C": "2000"}}, "tg_masses['C2C']", "'2000'"),
+        ({"vut_masses": {"1A": "1e3"}}, "vut_masses['1A']", "'1e3'"),
+        ({"tg_masses": {"C2C": True}}, "tg_masses['C2C']", "True"),
+    ],
+    ids=["default-mass-bool", "tg-mass-string", "vut-mass-string", "tg-mass-bool"],
+)
+def test_impact_mass_that_is_not_a_json_number_exits_2(tmp_path, capsys, doc, where, value):
+    config = tmp_path / "impact.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = ["score", *_protocol_args(), "--log", str(GOLDEN_LOG), "--impact-model", str(config)]
+    args += ["--weights", str(DATA_DIR / "weights_eu_example.json"), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: impact model {where}: expected a finite number up to 1e+100, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _score_or_simulate_args(kind, path, out):
+    """CLI arguments that read ``path`` as the input ``kind``, the others valid."""
+    if kind == "simulation spec":
+        return ["simulate", *_protocol_args(), "--oracle", str(path), "--out", str(out)]
+    inputs = {
+        "protocol": str(bundled_protocol_path()),
+        "log": str(GOLDEN_LOG),
+        "weight table": str(DATA_DIR / "weights_eu_example.json"),
+    }
+    inputs[kind] = str(path)
+    args = ["score", "--protocol", inputs["protocol"], "--log", inputs["log"]]
+    args += ["--weights", inputs["weight table"], "--out", str(out)]
+    return args + (["--impact-model", str(path)] if kind == "impact model" else [])
+
+
+@pytest.mark.parametrize("kind", ["protocol", "log", "weight table", "impact model", "simulation spec"])
+def test_input_nested_beyond_the_recursion_limit_exits_2_naming_the_file(tmp_path, capsys, kind):
+    deep = tmp_path / ("deep.jsonl" if kind == "log" else "deep.json")
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    out = tmp_path / "out"
+    assert main(_score_or_simulate_args(kind, deep, out)) == 2
+    err = capsys.readouterr().err
+    if kind == "log":  # log errors are located by line, as every other one is
+        assert "error: line 1: invalid JSON: maximum recursion depth exceeded" in err
+    else:
+        assert f"error: {kind} {deep}: not valid JSON (maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_impact_config_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "impact.json"
+    config.write_text('{"default_vut_mass": 1500 "name": "x"}')
+    out = tmp_path / "out"
+    assert main(_score_or_simulate_args("impact model", config, out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: impact model {config}: not valid JSON (Expecting ',' delimiter" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_report_csv_cell_holding_a_carriage_return_survives_a_csv_reader(tmp_path, capsys):
+    rows = [json.loads(line) for line in GOLDEN_LOG.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if row["vehicle"] == "1A":
+            row["vehicle"] = "1\rA"
+    log = tmp_path / "cr.jsonl"
+    log.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    args = [*_protocol_args(), "--log", str(log)]
+    weights = ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+    stats = tmp_path / "stats.csv"
+    assert main(["stats", *args, "--out", str(stats)]) == 0
+    assert main(["score", *args, *weights, "--out", str(tmp_path / "score")]) == 0
+    assert main(["compare", *args, *weights, "--out", str(tmp_path / "compare")]) == 0
+    capsys.readouterr()
+    paths = [stats, tmp_path / "score" / "mit_pow_day_eu.csv"]
+    paths.append(tmp_path / "compare" / "rel_mp_c2c_eu.csv")
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as file:
+            table = list(csv.reader(file))
+        assert len({len(row) for row in table}) == 1, path
+        assert "1\rA" in [cell for row in table for cell in row], path

@@ -4,15 +4,17 @@ import random
 import pytest
 
 from aebscore.impact import (
+    DEFAULT_VUT_MASS,
     ImpactModelError,
     ImpactPowerModel,
     InterventionSample,
+    load_impact_config,
     mu_pow,
     passive_mu_pow,
     project_impact_speed,
     scenario_passive_power,
 )
-from aebscore.protocol import enumerate_configs
+from aebscore.protocol import ScenarioGroup, enumerate_configs
 
 
 def _config(protocol, code, light="day", **filters):
@@ -132,3 +134,15 @@ def test_scenario_passive_power_average(protocol, model):
     assert scenario_passive_power(configs, model, 1500.0) == pytest.approx(
         sum(powers) / len(powers)
     )
+
+
+def test_impact_config_defaults_and_fields():
+    assert load_impact_config({}) == (ImpactPowerModel(), {}, DEFAULT_VUT_MASS)
+    model, vut_masses, default_mass = load_impact_config(
+        {"tg_masses": {"C2C": 1400}, "vut_masses": {"1A": 1620}, "default_vut_mass": 10**3}
+    )
+    assert model == ImpactPowerModel(tg_masses={ScenarioGroup.C2C: 1400.0})
+    assert vut_masses == {"1A": 1620.0} and default_mass == 1000.0
+    assert isinstance(default_mass, float)
+    with pytest.raises(ImpactModelError, match="default_vut_mass: expected a finite number"):
+        load_impact_config({"default_vut_mass": "1500"})

@@ -130,7 +130,7 @@ def test_off_lattice_row_gets_a_fresh_config(protocol, tmp_path):
         '{"vehicle":"V","scenario":"CCRs","light":"day","vut_speed":60,"overlap":100,"outcome":"avoided"}\n'
     )
     config = read_log(path, protocol).records[0].config
-    assert protocol.compiled.canonical(config.key()) is None
+    assert config.key() not in protocol.compiled.index
     assert all(config is not c for c in protocol.compiled.configs)
     assert config.scenario is protocol.scenario("CCRs")
 
@@ -192,10 +192,9 @@ def _row_by_row(rows, protocol):
             intervention=flag(row.get("intervention")),
             projected=flag(row.get("projected")),
         )
-        records.append(
-            (str(row["vehicle"]), protocol.compiled.canonical(key), outcome,
-             row.get("pre_test") or None)
-        )
+        i = protocol.compiled.index.get(key)
+        config = None if i is None else protocol.compiled.configs[i]
+        records.append((str(row["vehicle"]), config, outcome, row.get("pre_test") or None))
     return records
 
 

@@ -287,7 +287,7 @@ def test_config_hash_follows_key(protocol):
 def test_compiled_table_matches_enumeration(protocol):
     compiled = protocol.compiled
     assert list(compiled.configs) == enumerate_configs(protocol)
-    assert protocol.config_index() == {c.key(): c for c in compiled.configs}
+    assert compiled.index == {c.key(): i for i, c in enumerate(compiled.configs)}
     for (code, light), part in compiled.instances.items():
         configs = enumerate_configs(protocol, scenario=code, light=light)
         assert list(part.configs) == configs
@@ -320,3 +320,9 @@ def test_each_protocol_gets_its_own_lattice():
         assert spec.settings("day").variants[0].speeds == tuple(range(10, hi + 1, 10))
         del spec
         gc.collect()
+
+
+def test_load_protocol_reads_a_path_that_starts_with_a_brace(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{p}.json").write_bytes(bundled_protocol_path().read_bytes())
+    assert load_protocol("{p}.json").config_count() == 224
