@@ -1,52 +1,36 @@
-"""Scenario-based AEB track-test campaign scoring and comparison toolkit."""
+"""Scenario-based AEB track-test campaign scoring and comparison toolkit.
 
-from .aggregate import (
-    GroupScore,
-    RelativityMatrix,
-    WeightTable,
-    aggregate_fs,
-    aggregate_mps,
-    build_matrix,
-    load_weight_table,
-    relativity,
-)
-from .campaign import (
-    CampaignLog,
-    CompletionStats,
-    OutcomeKind,
-    TestOutcome,
-    TestRecord,
-    VehicleProfile,
-    completion_stats,
-    expand_night_judgements,
-    run_scenario,
-    validate_log,
-)
-from .impact import (
-    ImpactPowerModel,
-    InterventionSample,
-    mu_pow,
-    passive_mu_pow,
-    project_impact_speed,
-)
-from .logio import read_log, write_log
-from .protocol import (
-    ProtocolDefinition,
-    ScenarioGroup,
-    ScenarioSpec,
-    TestConfig,
-    bundled_protocol_path,
-    enumerate_configs,
-    load_protocol,
-    speed_lattice,
-)
-from .scoring import (
-    ScenarioScore,
-    ScoreValue,
-    frequency_score,
-    mitigation_power_score,
-    score_campaign,
-)
-from .simulate import load_simulation_spec, simulate_campaign
+The names below are looked up in their modules on each access (PEP 562), so
+``import aebscore`` imports no submodule, and ``aebscore.<name>`` is always
+what the module holds at that moment: nothing is kept here.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "aggregate": "GroupScore RelativityMatrix WeightTable aggregate_fs aggregate_mps build_matrix"
+    " load_weight_table relativity",
+    "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord VehicleProfile"
+    " completion_stats expand_night_judgements run_scenario validate_log",
+    "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
+    "logio": "read_log write_log",
+    "protocol": "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"
+    " enumerate_configs load_protocol speed_lattice",
+    "scoring": "ScenarioScore ScoreValue frequency_score mitigation_power_score score_campaign",
+    "simulate": "load_simulation_spec simulate_campaign",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:  # also a submodule not imported yet: ``from aebscore import`` then loads it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -13,9 +13,8 @@ pairwise matrices of these relativities are the campaign's primary output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .campaign import vehicle_sort_key
 from .protocol import (
@@ -38,8 +37,7 @@ class AggregationError(ValueError):
     """Raised when aggregation preconditions fail."""
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(NamedTuple):
     """Regional relevance weights and the group membership of instances."""
 
     region: str
@@ -130,8 +128,7 @@ def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list
     return problems
 
 
-@dataclass(frozen=True)
-class GroupScore:
+class GroupScore(NamedTuple):
     """One vehicle's aggregated scores for a scenario group under one region."""
 
     vehicle: str
@@ -241,8 +238,7 @@ class _Cells(Mapping):
         return len(self._matrix.order) ** 2
 
 
-@dataclass(frozen=True)
-class RelativityMatrix:
+class RelativityMatrix(NamedTuple):
     """Ranked pairwise relative-score matrix for one metric, group, region."""
 
     metric: str

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .protocol import (
     DAY,
@@ -55,8 +55,7 @@ class OracleError(ValueError):
     """Raised when a braking oracle returns an inconsistent outcome."""
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     """Result of one test: whether the collision was avoided and how hard it hit.
 
     ``intervention`` records whether the braking system responded at all;
@@ -115,19 +114,26 @@ def outcome_problems(outcome: TestOutcome, config: TestConfig) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
 class VehicleProfile:
     """A test-pool vehicle: identity, sensor suite, and mass for the energy model."""
 
-    id: str
-    mass: float = 1500.0  # kg
-    model_year: int | None = None
-    sensors: frozenset[str] = frozenset()
-    is_prototype: bool = False
+    __slots__ = ("id", "mass", "model_year", "sensors", "is_prototype")
 
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"vehicle {self.id!r}: mass must be > 0")
+    def __init__(
+        self,
+        id: str,
+        mass: float = 1500.0,  # kg
+        model_year: int | None = None,
+        sensors: frozenset[str] = frozenset(),
+        is_prototype: bool = False,
+    ):
+        if mass <= 0:
+            raise ValueError(f"vehicle {id!r}: mass must be > 0")
+        self.id = id
+        self.mass = mass
+        self.model_year = model_year
+        self.sensors = sensors
+        self.is_prototype = is_prototype
 
 
 _ID_PATTERN = re.compile(r"^(\d+)(.*)$")
@@ -141,8 +147,7 @@ def vehicle_sort_key(vehicle_id: str) -> tuple:
     return (1, 0, vehicle_id)
 
 
-@dataclass(frozen=True)
-class TestRecord:
+class TestRecord(NamedTuple):
     """One judged or executed test of one vehicle in one configuration."""
 
     vehicle: str
@@ -286,25 +291,29 @@ class LogTable(Sequence):
         return repr(self._tuple())
 
 
-@dataclass(frozen=True)
 class CampaignLog:
     """All records of a campaign against one protocol.
 
     ``records`` may be given as any sequence of ``TestRecord``; it is
     indexed once, here, into a ``LogTable`` against the protocol's compiled
     table, and read back as that table. A ``LogTable`` of the same protocol
-    is kept as it is, so ``dataclasses.replace`` shares it.
+    is kept as it is, so a log built from another log's table shares it.
     """
 
-    protocol: ProtocolDefinition
-    vehicles: tuple[VehicleProfile, ...] = ()
-    records: LogTable = ()
+    __slots__ = ("protocol", "vehicles", "records")
 
-    def __post_init__(self):
-        records = self.records
-        compiled = self.protocol.compiled
+    def __init__(
+        self,
+        protocol: ProtocolDefinition,
+        vehicles: tuple[VehicleProfile, ...] = (),
+        records: Iterable[TestRecord] = (),
+    ):
+        compiled = protocol.compiled
         if not (isinstance(records, LogTable) and records.compiled is compiled):
-            object.__setattr__(self, "records", LogTable.of_records(compiled, records))
+            records = LogTable.of_records(compiled, records)
+        self.protocol = protocol
+        self.vehicles = vehicles
+        self.records: LogTable = records
 
     def vehicle_ids(self) -> list[str]:
         ids = {v.id for v in self.vehicles}
@@ -312,7 +321,7 @@ class CampaignLog:
         return sorted(ids, key=vehicle_sort_key)
 
     def with_records(self, records: Iterable[TestRecord]) -> "CampaignLog":
-        return replace(self, records=tuple(records))
+        return CampaignLog(self.protocol, self.vehicles, tuple(records))
 
 
 # A braking oracle answers one configuration deterministically.
@@ -367,13 +376,14 @@ def run_scenario(
         pre_test = PRETEST_PASSED if pretest_passes(probe) else PRETEST_FAILED
 
     records: list[TestRecord] = []
-    for variant in settings.variants:
+    configs = settings.configs
+    for tg_speed, speeds in settings.variants:
         judged_from = None
         if judge_from is not None:
-            judged_from = judge_from.get(variant.tg_speed)
+            judged_from = judge_from.get(tg_speed)
         stopped = pre_test == PRETEST_FAILED
-        for speed in variant.speeds:
-            config = settings.configs[(overlap, speed, variant.tg_speed)]
+        for speed in speeds:
+            config = configs[(overlap, speed, tg_speed)]
             if not stopped and judged_from is not None and speed >= judged_from:
                 stopped = True
             if stopped:
@@ -382,15 +392,14 @@ def run_scenario(
                 )
                 continue
             outcome = oracle(config)
-            if outcome.kind not in EXECUTED_KINDS:
-                raise OracleError(
-                    f"oracle returned {outcome.kind.value!r} for {config.key()}"
-                )
+            kind = outcome.kind
+            if kind not in EXECUTED_KINDS:
+                raise OracleError(f"oracle returned {kind.value!r} for {config.key()}")
             problems = outcome_problems(outcome, config)
             if problems:
                 raise OracleError(f"oracle outcome invalid for {config.key()}: {problems}")
             records.append(TestRecord(vehicle, config, outcome, pre_test=pre_test))
-            if outcome.kind is OutcomeKind.IMPACTED:
+            if kind is _IMPACTED_KIND:
                 if stop_on_impact or not outcome.intervention:
                     stopped = True
     return records
@@ -440,7 +449,8 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
             series = _series(compiled, pos, config)
             speed = config.vut_speed
             day[config.key() if pos is None else pos] = (series, speed, outcome)
-            if outcome.kind is _IMPACTED_KIND or outcome.kind is _JUDGED_KIND:
+            kind = outcome.kind
+            if kind is _IMPACTED_KIND or kind is _JUDGED_KIND:
                 failed[series] = min(speed, failed.get(series, speed))
         for night, counterpart in compiled.night_pairs:
             found = day.get(counterpart)
@@ -453,11 +463,10 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
                 added.append((vehicle, (night, configs[night], judged, None)))
     if not added:
         return log
-    return replace(log, records=LogTable(compiled, added, base=table))
+    return CampaignLog(log.protocol, log.vehicles, LogTable(compiled, added, base=table))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding with a record locator."""
 
     code: str
@@ -539,8 +548,7 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     ]
 
 
-@dataclass(frozen=True)
-class CompletionStats:
+class CompletionStats(NamedTuple):
     expected: int
     executed: int
     judged: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +23,9 @@ from .aggregate import (
     check_weight_table,
     load_weight_table,
 )
-from .campaign import CampaignLog, completion_stats, validate_log, vehicle_sort_key
+from .campaign import (
+    CampaignLog, VehicleProfile, completion_stats, validate_log, vehicle_sort_key
+)
 from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, load_impact_config
 from .logio import read_log, write_log
 from .protocol import LIGHTS, ProtocolDefinition, load_protocol
@@ -104,10 +105,9 @@ def _read_inputs(args) -> tuple[ProtocolDefinition, CampaignLog, ImpactPowerMode
     protocol = load_protocol(args.protocol)
     model, vut_masses, default_mass = load_impact_config(getattr(args, "impact_model", None) or {})
     log = read_log(args.log, protocol)
-    vehicles = tuple(
-        replace(v, mass=vut_masses.get(v.id, default_mass)) for v in log.vehicles
-    )
-    return protocol, replace(log, vehicles=vehicles), model
+    # read_log gives default profiles; only the mass comes from the impact config.
+    vehicles = tuple(VehicleProfile(v.id, vut_masses.get(v.id, default_mass)) for v in log.vehicles)
+    return protocol, CampaignLog(protocol, vehicles, log.records), model
 
 
 def _formats(args) -> list[str]:
@@ -183,7 +183,7 @@ def cmd_score(args) -> int:
     first = weight_tables[0].region
     grids = {(li, m): score_table(scores, protocol, m, li, first) for li in LIGHTS for m in METRICS}
     tables = (
-        replace(grids[light, metric], title=score_title(metric, light, table.region))
+        grids[light, metric]._replace(title=score_title(metric, light, table.region))
         for table in weight_tables
         for light in LIGHTS
         for metric in METRICS
@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
     protocol = load_protocol(args.protocol)
     spec = load_simulation_spec(args.oracle)
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     log = simulate_campaign(protocol, spec, stop_on_impact=not args.continue_past_impact)
     write_log(log, args.out)
     print(f"{args.out}: {len(log.records)} records for {len(log.vehicles)} vehicles")

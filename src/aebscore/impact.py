@@ -12,15 +12,16 @@ mitigation scores, so any overall constant cancels downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .protocol import MAX_MAGNITUDE, ScenarioGroup, TestConfig, read_document, within
 
 KMH_TO_MS = 1.0 / 3.6
 
-DEFAULT_TG_MASSES = {ScenarioGroup.C2C: 1500.0}  # kg
+# kg; read-only, as every default ImpactPowerModel shares it.
+DEFAULT_TG_MASSES: Mapping[ScenarioGroup, float] = MappingProxyType({ScenarioGroup.C2C: 1500.0})
 DEFAULT_VUT_MASS = 1500.0  # kg
 
 
@@ -36,18 +37,15 @@ GEOMETRY_RULES: dict[str, Callable[[float], float]] = {
 }
 
 
-@dataclass(frozen=True)
-class ImpactPowerModel:
+class ImpactPowerModel(NamedTuple):
     """Pluggable impact-power quantity; strictly increasing in impact speed."""
 
     name: str = "kinetic-energy-proxy"
-    tg_masses: Mapping[ScenarioGroup, float] = field(
-        default_factory=lambda: dict(DEFAULT_TG_MASSES)
-    )
+    tg_masses: Mapping[ScenarioGroup, float] = DEFAULT_TG_MASSES
     geometry_rule: str = "linear"
 
     def __hash__(self) -> int:
-        # Compiled protocols cache passive powers per model; tg_masses is a dict.
+        # Compiled protocols cache passive powers per model; tg_masses is a mapping.
         return hash((self.name, frozenset(self.tg_masses.items()), self.geometry_rule))
 
     def geometry_factor(self, overlap: float) -> float:
@@ -70,8 +68,7 @@ def load_impact_config(
     """Load an impact config (a path or a mapping, see ``protocol.read_document``).
 
     Returns the model, the VUT mass per vehicle id and the default VUT mass.
-    Every mass is a JSON number of magnitude at most ``MAX_MAGNITUDE``; VUT
-    masses must be > 0.
+    Every mass, target or VUT, is a JSON number in (0, ``MAX_MAGNITUDE``].
     """
     doc = read_document(source, "impact model", ImpactModelError)
     unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
@@ -96,13 +93,9 @@ def load_impact_config(
         model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
     else:
         model = ImpactPowerModel(name=name, geometry_rule=geometry_rule)
-    vut_masses = {
-        str(k): _mass(v, f"vut_masses[{k!r}]", positive=True)
-        for k, v in _masses(doc, "vut_masses").items()
-    }
-    default_mass = _mass(
-        doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass", positive=True
-    )
+    masses = _masses(doc, "vut_masses")
+    vut_masses = {str(k): _mass(v, f"vut_masses[{k!r}]") for k, v in masses.items()}
+    default_mass = _mass(doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass")
     return model, vut_masses, default_mass
 
 
@@ -113,18 +106,17 @@ def _masses(doc: Mapping, key: str) -> Mapping:
     return masses
 
 
-def _mass(value, where: str, positive: bool = False) -> float:
+def _mass(value, where: str) -> float:
     if not within(value, -MAX_MAGNITUDE, MAX_MAGNITUDE):  # also a string, a boolean or NaN
         raise ImpactModelError(
             f"impact model {where}: expected a finite number up to {MAX_MAGNITUDE:g}, got {value!r}"
         )
-    if positive and value <= 0:
-        raise ImpactModelError(f"impact model {where}: vehicle masses must be > 0")
+    if value <= 0:
+        raise ImpactModelError(f"impact model {where}: must be > 0, got {value!r}")
     return float(value)
 
 
-@dataclass(frozen=True)
-class InterventionSample:
+class InterventionSample(NamedTuple):
     """Vehicle state at the moment a safety driver took over."""
 
     speed_at_intervention: float  # km/h

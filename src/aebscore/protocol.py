@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -55,8 +54,7 @@ class ProtocolError(ValueError):
     """Raised when a protocol document violates the schema or its invariants."""
 
 
-@dataclass(frozen=True)
-class SpeedRange:
+class SpeedRange(NamedTuple):
     """Inclusive km/h range; (hi - lo) must be a multiple of the speed step."""
 
     lo: float
@@ -67,8 +65,7 @@ class SpeedRange:
         return tuple(self.lo + k * step for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class LightOverride:
+class LightOverride(NamedTuple):
     """Per-light replacements for selected scenario settings (night rows)."""
 
     vut_speed_ranges: tuple[SpeedRange, ...] | None = None
@@ -76,16 +73,14 @@ class LightOverride:
     overlaps: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SeriesVariant:
+class SeriesVariant(NamedTuple):
     """One escalation series shape: a TG speed and the VUT speed lattice."""
 
     tg_speed: float | None
     speeds: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class LightSettings:
+class LightSettings(NamedTuple):
     """The settings a scenario licenses under one light condition.
 
     ``configs`` maps each lattice cell (overlap, VUT speed, TG speed) to its
@@ -95,11 +90,10 @@ class LightSettings:
 
     overlaps: tuple[float, ...]
     variants: tuple[SeriesVariant, ...]
-    configs: Mapping[tuple, TestConfig] = field(repr=False, compare=False)
-    pretest: TestConfig = field(repr=False, compare=False)
+    configs: Mapping[tuple, TestConfig]
+    pretest: TestConfig
 
 
-@dataclass(frozen=True)
 class ScenarioSpec:
     """One collision scenario with its licensed test settings.
 
@@ -108,22 +102,48 @@ class ScenarioSpec:
     all ranges. ``tg_crossing`` marks car-to-car scenarios whose target moves
     orthogonally to the impact axis, so its speed does not reduce the closing
     speed. ``night`` overrides individual settings for night tests.
+    Specs with equal fields are equal and hash equal; the settings cache
+    takes no part in that.
     """
 
-    code: str
-    group: ScenarioGroup
-    vut_speed_ranges: tuple[SpeedRange, ...]
-    tg_speeds: tuple[float, ...] | None
-    speed_step: float
-    overlaps: tuple[float, ...]
-    lights: tuple[str, ...]
-    description: str = ""
-    tg_paired: bool = False
-    tg_crossing: bool = False
-    requires_pretest: bool = False
-    night: LightOverride | None = None
-    # light -> LightSettings, filled by settings() on first use per light.
-    _settings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = (
+        "code", "group", "vut_speed_ranges", "tg_speeds", "speed_step", "overlaps", "lights",
+        "description", "tg_paired", "tg_crossing", "requires_pretest", "night", "_settings",
+    )
+
+    def __init__(
+        self, code: str, group: ScenarioGroup, vut_speed_ranges: tuple[SpeedRange, ...],
+        tg_speeds: tuple[float, ...] | None, speed_step: float, overlaps: tuple[float, ...],
+        lights: tuple[str, ...], description: str = "", tg_paired: bool = False,
+        tg_crossing: bool = False, requires_pretest: bool = False,
+        night: LightOverride | None = None,
+    ):
+        self.code = code
+        self.group = group
+        self.vut_speed_ranges = vut_speed_ranges
+        self.tg_speeds = tg_speeds
+        self.speed_step = speed_step
+        self.overlaps = overlaps
+        self.lights = lights
+        self.description = description
+        self.tg_paired = tg_paired
+        self.tg_crossing = tg_crossing
+        self.requires_pretest = requires_pretest
+        self.night = night
+        # light -> LightSettings, filled by settings() on first use per light.
+        self._settings: dict[str, LightSettings] = {}
+
+    def _values(self) -> tuple:
+        """Every slot but the settings cache, which is last."""
+        return tuple(getattr(self, name) for name in ScenarioSpec.__slots__[:-1])
+
+    def __eq__(self, other):
+        if other.__class__ is not ScenarioSpec:
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def settings(self, light: str) -> LightSettings:
         if light not in self._settings:
@@ -195,8 +215,7 @@ class ScenarioSpec:
         return probe if probe > 0 else lo / 2.0
 
 
-@dataclass(frozen=True)
-class TestConfig:
+class TestConfig(NamedTuple):
     """One concrete test setting of a scenario."""
 
     scenario: ScenarioSpec
@@ -307,31 +326,25 @@ class CompiledProtocol:
         return powers
 
 
-@dataclass(frozen=True)
 class ProtocolDefinition:
     """Validated, immutable scenario catalogue with its compiled config table."""
 
-    scenarios: tuple[ScenarioSpec, ...]
-    provenance: str = ""
-    notes: str = ""
-    _by_code: Mapping[str, ScenarioSpec] = field(default=None, repr=False, compare=False)
-    _compiled: CompiledProtocol = field(default=None, repr=False, compare=False)
+    __slots__ = ("scenarios", "provenance", "notes", "compiled", "_by_code")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_code", {s.code: s for s in self.scenarios})
+    def __init__(self, scenarios: tuple[ScenarioSpec, ...], provenance: str = "", notes: str = ""):
         total = 0
-        for i, spec in enumerate(self.scenarios):
+        for i, spec in enumerate(scenarios):
             total += spec.config_bound()
             if total > MAX_CONFIGS:
                 raise ProtocolError(
                     f"scenarios[{i}] ({spec.code}): the protocol would enumerate up to "
                     f"{total} configurations; the limit is {MAX_CONFIGS}"
                 )
-        object.__setattr__(self, "_compiled", CompiledProtocol(self.scenarios))
-
-    @property
-    def compiled(self) -> CompiledProtocol:
-        return self._compiled
+        self.scenarios = scenarios
+        self.provenance = provenance
+        self.notes = notes
+        self.compiled = CompiledProtocol(scenarios)
+        self._by_code = {s.code: s for s in scenarios}
 
     def scenario(self, code: str) -> ScenarioSpec:
         try:
@@ -343,11 +356,11 @@ class ProtocolDefinition:
         return code in self._by_code
 
     def config_count(self) -> int:
-        return len(self._compiled.configs)
+        return len(self.compiled.configs)
 
     def licensed_pairs(self) -> list[tuple[str, str]]:
         """(scenario code, light) pairs the protocol licenses, in output order."""
-        return list(self._compiled.instances)
+        return list(self.compiled.instances)
 
 
 def _tg_key(tg: float | None) -> float:
@@ -504,7 +517,7 @@ def _parse_scenario(entry, where: str) -> ScenarioSpec:
     tg_speeds = _parse_tg_speeds(entry.get("tg_speeds"), f"{where}.tg_speeds")
     overlaps = _parse_overlaps(entry.get("overlaps"), f"{where}.overlaps")
     lights = _parse_lights(entry.get("lights"), f"{where}.lights")
-    tg_paired = bool(entry.get("tg_paired", False))
+    tg_paired = _flag(entry, "tg_paired", where)
     if tg_paired:
         if tg_speeds is None or len(tg_speeds) != len(ranges):
             raise ProtocolError(
@@ -527,10 +540,18 @@ def _parse_scenario(entry, where: str) -> ScenarioSpec:
         lights=lights,
         description=str(entry.get("description", "")),
         tg_paired=tg_paired,
-        tg_crossing=bool(entry.get("tg_crossing", False)),
-        requires_pretest=bool(entry.get("requires_pretest", False)),
+        tg_crossing=_flag(entry, "tg_crossing", where),
+        requires_pretest=_flag(entry, "requires_pretest", where),
         night=night,
     )
+
+
+def _flag(entry: Mapping, key: str, where: str) -> bool:
+    """A JSON boolean; an absent key means false."""
+    value = entry.get(key, False)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{where}.{key}: expected a boolean, got {value!r}")
+    return value
 
 
 def _parse_override(raw, step: float, where: str) -> LightOverride:

@@ -17,10 +17,9 @@ import csv
 import html
 import io
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 from types import SimpleNamespace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .aggregate import METRIC_FREQ, RelativityMatrix
 from .campaign import CompletionStats, vehicle_sort_key
@@ -70,8 +69,7 @@ def parse_percent_cell(cell: str) -> float:
     return float(cell[:-1]) / 100.0
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """A rendered-table skeleton: title, corner label, headers, rows."""
 
     title: str

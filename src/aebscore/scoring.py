@@ -27,8 +27,7 @@ mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .campaign import (
     CampaignLog,
@@ -50,8 +49,7 @@ class ScoringError(ValueError):
     """Raised when score inputs violate their preconditions."""
 
 
-@dataclass(frozen=True)
-class ScoreValue:
+class ScoreValue(NamedTuple):
     """A score with its evaluations at the shifted failure speeds.
 
     ``lower``/``upper`` are the re-evaluations with the failure speed moved
@@ -85,8 +83,7 @@ class ScoreValue:
         return ScoreValue(value, value, value)
 
 
-@dataclass(frozen=True)
-class ScenarioScore:
+class ScenarioScore(NamedTuple):
     """FS and MPS of one vehicle in one (scenario, light) instance."""
 
     vehicle: str

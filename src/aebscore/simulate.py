@@ -16,9 +16,8 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .campaign import (
     CampaignLog,
@@ -38,8 +37,7 @@ class SimulationSpecError(ValueError):
     """Raised when a simulation spec is malformed."""
 
 
-@dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(NamedTuple):
     kind: str
     fail_at: float | None = None
     rules: tuple[Mapping, ...] = ()
@@ -51,8 +49,7 @@ class OracleSpec:
     respond_prob: float = 0.9
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(NamedTuple):
     seed: int
     vehicles: tuple[tuple[VehicleProfile, OracleSpec], ...]
 
@@ -187,12 +184,14 @@ def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
     pretest_failed: dict[tuple, bool] = {}  # (scenario, light) -> pre-test draw failed
     series_draws: dict[tuple, tuple] = {}  # series key -> (fail speed, fraction, respond)
 
+    kind = spec.kind
+
     def oracle(config: TestConfig) -> TestOutcome:
-        if spec.kind == "always_avoid":
+        if kind == "always_avoid":
             return TestOutcome.avoided()
-        if spec.kind == "never_respond":
+        if kind == "never_respond":
             return TestOutcome.impacted(config.vut_speed, intervention=False)
-        if spec.kind == "threshold":
+        if kind == "threshold":
             fail_at = threshold_for(config)
             if fail_at is None or config.vut_speed < fail_at:
                 return TestOutcome.avoided()

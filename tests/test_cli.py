@@ -436,6 +436,27 @@ def test_non_finite_impact_masses_exit_2(fixture_log, tmp_path, capsys, doc, whe
 
 
 @pytest.mark.parametrize(
+    "doc, where, value",
+    [
+        ({"tg_masses": {"C2C": 0}}, "tg_masses['C2C']", "0"),
+        ({"tg_masses": {"C2O": -1}}, "tg_masses['C2O']", "-1"),
+    ],
+    ids=["c2c-zero", "c2o-negative"],
+)
+def test_target_mass_not_above_zero_exits_2_at_load(tmp_path, capsys, doc, where, value):
+    config = tmp_path / "impact.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    args = ["score", *_protocol_args(), "--log", str(GOLDEN_LOG), "--impact-model", str(config)]
+    args += ["--weights", str(DATA_DIR / "weights_eu_example.json"), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: impact model {where}: must be > 0, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "oracle, message",
     [
         ({"type": "threshold", "fail_at": "abc"}, ": 'fail_at' must be a finite number"),

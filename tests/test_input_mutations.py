@@ -70,6 +70,11 @@ PINNED = [
     ("impact", ("vut_masses", "1A"), "1e3", "impact-vut-mass-string"),
     ("impact", ("tg_masses", "C2C"), True, "impact-tg-mass-bool"),
     ("spec", ("vehicles", 0, "mass"), 10**400, "spec-mass-400-digit"),
+    ("protocol", ("scenarios", 1, "tg_crossing"), "no", "protocol-tg-crossing-string"),
+    ("protocol", ("scenarios", 3, "tg_paired"), "no", "protocol-tg-paired-string"),
+    ("protocol", ("scenarios", 5, "requires_pretest"), "no", "protocol-requires-pretest-string"),
+    ("impact", ("tg_masses", "C2C"), 0, "impact-tg-mass-zero"),
+    ("impact", ("tg_masses", "C2O"), -1, "impact-tg-mass-c2o-negative"),
 ]
 
 

@@ -12,7 +12,6 @@ from records and as read back from JSONL and CSV.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -267,22 +266,22 @@ def messy_records(protocol, seed, shape, complete):
         TestOutcome(OutcomeKind.NOT_EXECUTED, projected=False),
     ):
         i = pick()
-        records[i] = dataclasses.replace(records[i], outcome=outcome)
+        records[i] = records[i]._replace(outcome=outcome)
     i = pick()
     too_fast = TestOutcome.impacted(records[i].config.vut_speed + 10.0, intervention=True)
-    records[i] = dataclasses.replace(records[i], outcome=too_fast)
+    records[i] = records[i]._replace(outcome=too_fast)
 
     # Executed above a failure: a judged record turns into an avoided one.
     for _ in range(3):
         i = pick(lambda r: r.outcome.kind is OutcomeKind.JUDGED_FAILED)
-        records[i] = dataclasses.replace(records[i], outcome=TestOutcome.avoided())
+        records[i] = records[i]._replace(outcome=TestOutcome.avoided())
 
     # Rows off the lattice: shifted speeds, and day rows at the daylight
     # counterparts of night configs that the day lattice lacks.
     for _ in range(4):
         r = records[pick(lambda r: r.config.light == DAY)]
-        shifted = dataclasses.replace(r.config, vut_speed=r.config.vut_speed + 2.5)
-        records.insert(rng.randrange(len(records) + 1), dataclasses.replace(r, config=shifted))
+        shifted = r.config._replace(vut_speed=r.config.vut_speed + 2.5)
+        records.insert(rng.randrange(len(records) + 1), r._replace(config=shifted))
     compiled = protocol.compiled
     orphans = [key for _, key in compiled.night_pairs if not isinstance(key, int)]
     for vehicle in ("V1", "V2", "V3"):
@@ -299,7 +298,7 @@ def messy_records(protocol, seed, shape, complete):
         i = pick()
         copy = records[i]
         if rng.random() < 0.5:
-            copy = dataclasses.replace(copy, outcome=TestOutcome.judged())
+            copy = copy._replace(outcome=TestOutcome.judged())
         records.insert(rng.randrange(i + 1, len(records) + 1), copy)
 
     if shape == "shuffled":
@@ -434,7 +433,7 @@ def test_stages_of_a_read_log_build_no_records(protocol, tmp_path, monkeypatch):
         completion_stats(log)
         expanded = expand_night_judgements(log)
         assert len(expanded.records) > len(log.records)
-        kept = dataclasses.replace(log, vehicles=log.vehicles[:1])
+        kept = CampaignLog(log.protocol, log.vehicles[:1], log.records)
         assert kept.records is log.records
         assert calls == []
         monkeypatch.setattr(TestRecord, "__init__", original)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 
@@ -7,6 +6,7 @@ import pytest
 from aebscore.protocol import (
     ProtocolError,
     ScenarioGroup,
+    ScenarioSpec,
     bundled_protocol_path,
     enumerate_configs,
     load_protocol,
@@ -303,7 +303,11 @@ def test_light_settings_are_built_once_per_light_and_spec(protocol):
     assert spec.settings("day") is spec.settings("day")
     assert spec.settings("night") is spec.settings("night")
     assert "_settings" not in repr(spec)
-    copy = dataclasses.replace(spec)
+    copy = ScenarioSpec(
+        spec.code, spec.group, spec.vut_speed_ranges, spec.tg_speeds, spec.speed_step,
+        spec.overlaps, spec.lights, spec.description, spec.tg_paired, spec.tg_crossing,
+        spec.requires_pretest, spec.night,
+    )
     assert copy == spec and hash(copy) == hash(spec)
     assert copy.settings("day") == spec.settings("day")
     day_only = protocol.scenario("CBNA")

@@ -1,0 +1,96 @@
+"""Package start-up: what importing ``aebscore`` and a run's set-up load.
+
+``import aebscore`` imports no submodule; its names are looked up in their
+modules on access. Loading the inputs of a run (protocol, weight tables,
+simulation spec) loads neither ``dataclasses`` nor the log reader, and the
+CLI module does not load ``dataclasses`` either. Untimed: these are checks of
+what is imported, in a fresh interpreter.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import aebscore
+from aebscore import protocol
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "aebscore" / "data"
+
+# Every name the package exported when its __init__ imported each module eagerly.
+EXPORTS = {
+    "aggregate": (
+        "GroupScore RelativityMatrix WeightTable aggregate_fs aggregate_mps build_matrix"
+        " load_weight_table relativity"
+    ),
+    "campaign": (
+        "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord VehicleProfile"
+        " completion_stats expand_night_judgements run_scenario validate_log"
+    ),
+    "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
+    "logio": "read_log write_log",
+    "protocol": (
+        "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"
+        " enumerate_configs load_protocol speed_lattice"
+    ),
+    "scoring": "ScenarioScore ScoreValue frequency_score mitigation_power_score score_campaign",
+    "simulate": "load_simulation_spec simulate_campaign",
+}
+
+SETUP = """
+import json, sys
+import aebscore
+aebscore.load_protocol(sys.argv[1])
+aebscore.load_weight_table(sys.argv[2])
+aebscore.load_weight_table(sys.argv[3])
+aebscore.load_simulation_spec(sys.argv[4])
+after_setup = [m for m in ("dataclasses", "aebscore.logio") if m in sys.modules]
+import aebscore.cli
+print(json.dumps({"after_setup": after_setup, "cli_dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+def test_setup_and_cli_import_load_neither_dataclasses_nor_the_log_reader():
+    args = [
+        sys.executable, "-c", SETUP, str(DATA / "protocol_swissre.json"),
+        str(DATA / "weights_eu_example.json"), str(DATA / "weights_us_example.json"),
+        str(ROOT / "tests" / "data" / "fixture_sim.json"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(done.stdout) == {"after_setup": [], "cli_dataclasses": False}
+
+
+def test_every_export_resolves_to_its_module_object():
+    assert aebscore.__version__ == "0.1.0"
+    for module, names in EXPORTS.items():
+        source = importlib.import_module(f"aebscore.{module}")
+        for name in names.split():
+            namespace: dict = {}
+            exec(f"from aebscore import {name}", namespace)
+            assert namespace[name] is vars(source)[name], name
+            assert getattr(aebscore, name) is vars(source)[name], name
+
+
+def test_submodules_import_by_name_and_unknown_names_raise():
+    namespace: dict = {}
+    exec("from aebscore import campaign, cli, logio", namespace)
+    assert namespace["logio"] is importlib.import_module("aebscore.logio")
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        aebscore.nope  # noqa: B018
+
+
+def test_an_export_follows_its_module_and_is_not_kept(monkeypatch):
+    # Wrapping a module's function and restoring it, as a tracer does, reaches
+    # callers that look it up through the package.
+    original = protocol.load_protocol
+    monkeypatch.setattr(protocol, "load_protocol", len)
+    assert aebscore.load_protocol is len
+    monkeypatch.undo()
+    assert aebscore.load_protocol is original
+    assert "load_protocol" not in vars(aebscore)
