@@ -35,6 +35,14 @@ JSON line.
 and splices each vehicle's cell into it, putting each line at the row
 number the table keeps. The memos are locals of one call; nothing is
 cached between calls. CSV errors name the physical line a row starts on.
+
+Neither direction holds a JSONL file whole. ``read_log`` reads a JSON-lines
+file in chunks of ``_READ_CHUNK`` characters and parses each line as it
+arrives, keeping per row only its slot in the table. ``write_log`` keeps two
+references per row, the shared text around its vehicle cell and the cell,
+and writes ``_WRITE_BATCH`` lines per call to the file's ``write``. A CSV
+file is still read whole: its plain path checks the whole text first.
+Every error names the file, as in ``log <file>: line N: ...``.
 """
 
 from __future__ import annotations
@@ -78,6 +86,9 @@ _CONFIG_CELLS = ("scenario", "light", "vut_speed", "tg_speed", "overlap")
 _OUTCOME_CELLS = ("outcome", "impact_speed", "intervention", "projected", "pre_test")
 _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
+# Characters per read of a JSON-lines file, and lines per write of a log.
+_READ_CHUNK = 1 << 16
+_WRITE_BATCH = 256
 
 
 class LogFormatError(ValueError):
@@ -119,7 +130,10 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     table = log.records
     configs = table.compiled.configs
-    lines: list = [None] * len(table)
+    size = len(table)
+    # By row number: the shared text around the row's vehicle cell, and the cell.
+    texts: list = [None] * size
+    cells: list = [None] * size
     # (position, or config off the lattice, outcome, pre_test) -> text around the vehicle cell
     rows: dict[tuple, tuple[str, str]] = {}
     for vehicle, slots in table.vehicles.items():
@@ -140,9 +154,15 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
                     cut = text.rindex('"vut_speed": ')
                     row = text[:cut], text[cut:] + "\n"
                 rows[key] = row
-            lines[line] = row[0] + cell + row[1]
-    header = encode(LOG_COLUMNS)[:-2] + "\n" if as_csv else ""
-    path.write_text(header + "".join(lines), encoding="utf-8")
+            texts[line] = row
+            cells[line] = cell
+    with path.open("w", encoding="utf-8") as file:
+        if as_csv:
+            file.write(encode(LOG_COLUMNS)[:-2] + "\n")
+        for start in range(0, size, _WRITE_BATCH):
+            stop = start + _WRITE_BATCH
+            batch = zip(texts[start:stop], cells[start:stop])
+            file.write("".join([head + cell + tail for (head, tail), cell in batch]))
 
 
 def _csv_cell(value) -> str:
@@ -167,10 +187,17 @@ def read_log(
     Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)
-    as_csv = path.suffix.lower() == ".csv"
-    # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
-    text = read_text(path, "log", newline="" if as_csv else None)
-    table = LogTable(protocol.compiled, (_read_csv if as_csv else _read_jsonl)(text, protocol))
+    try:
+        if path.suffix.lower() == ".csv":
+            # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
+            entries = _read_csv(read_text(path, "log", newline=""), protocol)
+            table = LogTable(protocol.compiled, entries)
+        else:
+            with open(path, encoding="utf-8") as file:
+                table = LogTable(protocol.compiled, _read_jsonl(_lines(file), protocol))
+    except (LogFormatError, UnicodeDecodeError) as exc:
+        read_text(path, "log")  # a file that is not UTF-8 text is reported as such
+        raise LogFormatError(f"log {path}: {exc}") from None
     profiles = {v.id: v for v in vehicles}
     for vehicle in table.vehicles:
         if vehicle not in profiles:
@@ -178,12 +205,29 @@ def read_log(
     return CampaignLog(protocol=protocol, vehicles=tuple(profiles.values()), records=table)
 
 
-def _read_jsonl(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
+def _lines(file) -> Iterator[str]:
+    """A text file's lines, split at line feeds alone and read a chunk at a time.
+
+    ``str.splitlines()`` would also split inside a JSON string holding a raw
+    U+2028, U+0085 or another such character.
+    """
+    head: list[str] = []  # the start of a line that spans chunks
+    while chunk := file.read(_READ_CHUNK):
+        lines = chunk.split("\n")
+        if len(lines) > 1:
+            head.append(lines[0])
+            lines[0] = "".join(head)
+            head = [lines.pop()]
+            yield from lines
+        else:
+            head.append(chunk)
+    yield "".join(head)
+
+
+def _read_jsonl(lines: Iterable[str], protocol: ProtocolDefinition) -> Iterator[tuple]:
     decode = json.JSONDecoder().decode
     memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
-    # Only "\n" ends a line: str.splitlines() would also split inside a
-    # string holding a raw U+2028, U+0085 or another such character.
-    for line, raw in enumerate(text.split("\n"), start=1):
+    for line, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         key = vehicle = None

@@ -639,46 +639,6 @@ def _positive_number(value, where: str) -> float:
     return num
 
 
-def protocol_to_dict(protocol: ProtocolDefinition) -> dict:
-    """Serialize a protocol back into its document form (round-trip stable)."""
-    out = {
-        "provenance": protocol.provenance,
-        "notes": protocol.notes,
-        "expected_config_count": protocol.config_count(),
-        "scenarios": [],
-    }
-    for s in protocol.scenarios:
-        entry: dict = {
-            "code": s.code,
-            "group": s.group.value,
-            "vut_speed_ranges": [[_plain(r.lo), _plain(r.hi)] for r in s.vut_speed_ranges],
-            "tg_speeds": None if s.tg_speeds is None else [_plain(v) for v in s.tg_speeds],
-            "speed_step": _plain(s.speed_step),
-            "overlaps": [_plain(v) for v in s.overlaps],
-            "lights": list(s.lights),
-            "description": s.description,
-        }
-        if s.tg_paired:
-            entry["tg_paired"] = True
-        if s.tg_crossing:
-            entry["tg_crossing"] = True
-        if s.requires_pretest:
-            entry["requires_pretest"] = True
-        if s.night is not None:
-            override: dict = {}
-            if s.night.vut_speed_ranges is not None:
-                override["vut_speed_ranges"] = [
-                    [_plain(r.lo), _plain(r.hi)] for r in s.night.vut_speed_ranges
-                ]
-            if s.night.tg_speeds is not None:
-                override["tg_speeds"] = [_plain(v) for v in s.night.tg_speeds]
-            if s.night.overlaps is not None:
-                override["overlaps"] = [_plain(v) for v in s.night.overlaps]
-            entry["night"] = override
-        out["scenarios"].append(entry)
-    return out
-
-
 def _plain(x: float):
     return int(x) if float(x).is_integer() else float(x)
 

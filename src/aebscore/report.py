@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import html
-import io
 import math
 from itertools import zip_longest
 from types import SimpleNamespace
@@ -52,21 +51,6 @@ def format_percent_cell(value: float) -> str:
     if math.isinf(value):
         return INF_CELL
     return f"{value * 100.0:.2f}%"
-
-
-def parse_score_cell(cell: str) -> tuple[float, float] | None:
-    if cell == NA_CELL:
-        return None
-    mean_text, std_text = cell.split("±")
-    return float(mean_text), float(std_text)
-
-
-def parse_percent_cell(cell: str) -> float:
-    if cell == INF_CELL:
-        return math.inf
-    if not cell.endswith("%"):
-        raise ValueError(f"not a percent cell: {cell!r}")
-    return float(cell[:-1]) / 100.0
 
 
 class Table(NamedTuple):
@@ -166,14 +150,6 @@ def to_csv(table: Table) -> str:
     head = [[table.title] + [""] * len(table.columns), [table.corner, *table.columns]]
     rows = head + [[label, *cells] for label, cells in table.rows]
     return "".join(encode(row)[:-2] + "\n" for row in rows)
-
-
-def parse_csv(text: str) -> Table:
-    rows = list(csv.reader(io.StringIO(text)))
-    title = rows[0][0]
-    corner, *columns = rows[1]
-    body = tuple((r[0], tuple(r[1:])) for r in rows[2:])
-    return Table(title=title, corner=corner, columns=tuple(columns), rows=body)
 
 
 def to_markdown(table: Table) -> str:

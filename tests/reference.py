@@ -7,8 +7,12 @@ inline. These are the oracles the fast implementations are checked against.
 
 from __future__ import annotations
 
+import csv
+import io
+
 from aebscore.campaign import OutcomeKind
 from aebscore.protocol import ScenarioGroup
+from aebscore.report import Table
 
 SHIFT = 5.0
 C2C_TG_MASS = 1500.0
@@ -197,3 +201,69 @@ def matrix_reference(nominal):
             value = 0.0 if x == y else relativity_cell(nominal[x], nominal[y])
             cells[(x, y)] = (value, percent_text(value), shade_color(value))
     return order, cells
+
+
+def _plain(x):
+    return int(x) if float(x).is_integer() else float(x)
+
+
+def protocol_to_dict(protocol):
+    """A loaded protocol written back as the document it loads from."""
+    out = {
+        "provenance": protocol.provenance,
+        "notes": protocol.notes,
+        "expected_config_count": protocol.config_count(),
+        "scenarios": [],
+    }
+    for s in protocol.scenarios:
+        entry = {
+            "code": s.code,
+            "group": s.group.value,
+            "vut_speed_ranges": [[_plain(r.lo), _plain(r.hi)] for r in s.vut_speed_ranges],
+            "tg_speeds": None if s.tg_speeds is None else [_plain(v) for v in s.tg_speeds],
+            "speed_step": _plain(s.speed_step),
+            "overlaps": [_plain(v) for v in s.overlaps],
+            "lights": list(s.lights),
+            "description": s.description,
+        }
+        for flag in ("tg_paired", "tg_crossing", "requires_pretest"):
+            if getattr(s, flag):
+                entry[flag] = True
+        if s.night is not None:
+            override = {}
+            if s.night.vut_speed_ranges is not None:
+                override["vut_speed_ranges"] = [
+                    [_plain(r.lo), _plain(r.hi)] for r in s.night.vut_speed_ranges
+                ]
+            if s.night.tg_speeds is not None:
+                override["tg_speeds"] = [_plain(v) for v in s.night.tg_speeds]
+            if s.night.overlaps is not None:
+                override["overlaps"] = [_plain(v) for v in s.night.overlaps]
+            entry["night"] = override
+        out["scenarios"].append(entry)
+    return out
+
+
+def parse_csv(text):
+    """A report's CSV text read back into its table: title row, header row, body."""
+    rows = list(csv.reader(io.StringIO(text)))
+    corner, *columns = rows[1]
+    body = tuple((r[0], tuple(r[1:])) for r in rows[2:])
+    return Table(title=rows[0][0], corner=corner, columns=tuple(columns), rows=body)
+
+
+def parse_score_cell(cell):
+    """``(mean, std)`` of a score cell ``mean±std``, or None for ``NA``."""
+    if cell == "NA":
+        return None
+    mean_text, std_text = cell.split("±")
+    return float(mean_text), float(std_text)
+
+
+def parse_percent_cell(cell):
+    """A matrix cell as a fraction: ``12.5%`` is 0.125 and ``inf`` is infinity."""
+    if cell == "inf":
+        return float("inf")
+    if not cell.endswith("%"):
+        raise ValueError(f"not a percent cell: {cell!r}")
+    return float(cell[:-1]) / 100.0

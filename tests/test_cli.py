@@ -675,8 +675,8 @@ def test_input_nested_beyond_the_recursion_limit_exits_2_naming_the_file(tmp_pat
     out = tmp_path / "out"
     assert main(_score_or_simulate_args(kind, deep, out)) == 2
     err = capsys.readouterr().err
-    if kind == "log":  # log errors are located by line, as every other one is
-        assert "error: line 1: invalid JSON: maximum recursion depth exceeded" in err
+    if kind == "log":  # log errors also name the line
+        assert f"error: log {deep}: line 1: invalid JSON: maximum recursion depth exceeded" in err
     else:
         assert f"error: {kind} {deep}: not valid JSON (maximum recursion depth exceeded" in err
     assert "Traceback" not in err

@@ -1,11 +1,15 @@
 import csv
+import gc
 import io
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 
+from aebscore import logio
 from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
 from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, record_to_row, write_log
 from aebscore.cli import main
@@ -23,6 +27,11 @@ def _sample_log(protocol):
     return CampaignLog(
         protocol=protocol, vehicles=(VehicleProfile("1A", mass=1600.0),), records=records
     )
+
+
+def _located(path, message):
+    """The pattern of a log error: ``log <file>: `` and then ``message``, a pattern."""
+    return rf"^log {re.escape(str(path))}: {message}"
 
 
 def _keys(log):
@@ -253,7 +262,7 @@ def test_equal_values_of_another_type_are_parsed_again(
     assert rows[0][field] == rows[1][field] or field == "tg_speed"
     path = tmp_path / "log.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    with pytest.raises(LogFormatError, match=f"^line 2: {message}"):
+    with pytest.raises(LogFormatError, match=_located(path, f"line 2: {message}")):
         read_log(path, protocol)
 
 
@@ -279,7 +288,7 @@ def test_bad_row_after_many_good_ones_is_located(protocol, tmp_path, suffix):
         lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
         path.write_text("\n".join(lines) + "\n")
         line = 202
-    with pytest.raises(LogFormatError, match=f"^line {line}: unknown outcome 'meh'"):
+    with pytest.raises(LogFormatError, match=_located(path, f"line {line}: unknown outcome 'meh'")):
         read_log(path, protocol)
 
 
@@ -317,7 +326,7 @@ _HEADER = ("vehicle", "scenario", "light", "vut_speed", "overlap", "outcome")
 def test_csv_errors_name_the_physical_line(protocol, tmp_path, rows, line):
     path = tmp_path / "log.csv"
     path.write_text(_csv_text(_HEADER, *rows))
-    with pytest.raises(LogFormatError, match=f"^line {line}: unknown outcome 'meh'"):
+    with pytest.raises(LogFormatError, match=_located(path, f"line {line}: unknown outcome 'meh'")):
         read_log(path, protocol)
 
 
@@ -325,7 +334,8 @@ def test_csv_row_with_extra_cells_names_the_count(protocol, tmp_path):
     path = tmp_path / "log.csv"
     rows = ("V1,CCRs,day,55,100,avoided", "", "V2,CCRs,day,55,100,avoided,x,")
     path.write_text(_csv_text(_HEADER, *rows))
-    with pytest.raises(LogFormatError, match=r"^line 4: unknown field\(s\): 8 cells for 6 columns$"):
+    message = r"line 4: unknown field\(s\): 8 cells for 6 columns$"
+    with pytest.raises(LogFormatError, match=_located(path, message)):
         read_log(path, protocol)
 
 
@@ -334,7 +344,8 @@ def test_csv_cell_beyond_the_field_limit_is_a_located_error(protocol, tmp_path):
     path = tmp_path / "log.csv"
     rows = ("V1,CCRs,day,55,100,avoided", "V2,CCRs,day,55,100," + "x" * (limit + 1))
     path.write_text(_csv_text(_HEADER, *rows))
-    with pytest.raises(LogFormatError, match=rf"^line 3: field larger than field limit \({limit}\)"):
+    message = rf"line 3: field larger than field limit \({limit}\)"
+    with pytest.raises(LogFormatError, match=_located(path, message)):
         read_log(path, protocol)
     assert csv.field_size_limit() == limit
 
@@ -450,5 +461,142 @@ def test_jsonl_with_crlf_line_ends_reads_with_the_same_line_numbers(protocol, tm
     assert len(read_log(crlf, protocol).records) == 3
     for path, sep in ((lf, "\n"), (crlf, "\r\n")):
         path.write_bytes(sep.join(bad).encode() + sep.encode())
-        with pytest.raises(LogFormatError, match=r"^line 4: unknown outcome 'meh'$"):
+        with pytest.raises(LogFormatError, match=_located(path, r"line 4: unknown outcome 'meh'$")):
             read_log(path, protocol)
+
+
+# Streaming: a JSON-lines log is read logio._READ_CHUNK characters at a time,
+# and a log is written logio._WRITE_BATCH lines at a time.
+_LINE = '{"vehicle":%s,"scenario":"CCRs","light":"day","vut_speed":55,"overlap":100,"outcome":"%s"}'
+
+
+def _jsonl(*rows, end="\n"):
+    """JSON lines of (vehicle, outcome) pairs, each ended by ``end``; None is a blank line."""
+    return "".join(
+        ("" if row is None else _LINE % (json.dumps(row[0], ensure_ascii=False), row[1])) + end
+        for row in rows
+    )
+
+
+def _read_or_error(path, protocol):
+    """The vehicles of the records ``read_log`` returns, or the message it raises."""
+    try:
+        return [r.vehicle for r in read_log(path, protocol).records]
+    except LogFormatError as exc:
+        return str(exc)
+
+
+_OK, _BAD = "avoided", "meh"
+STREAM_CASES = {
+    "crlf": (_jsonl(("V1", _OK), ("V2", _OK), None, ("V3", _BAD), end="\r\n"), 4),
+    "lone-cr": (_jsonl(("V1", _OK), None, ("V2", _OK), ("V3", _BAD), end="\r"), 4),
+    "no-final-newline": (_jsonl(("V1", _OK), ("V2", _OK)).rstrip("\n"), ["V1", "V2"]),
+    "blank-lines": ("\n \n" + _jsonl(("V1", _OK), None, None, ("V2", _BAD)) + "\t\n", 6),
+    "raw-separators": (
+        _jsonl(("A\u2028B", _OK), ("C\u0085D", _OK), ("E\u2029F\x1cG", _OK)),
+        ["A\u2028B", "C\u0085D", "E\u2029F\x1cG"],
+    ),
+    "multibyte": (_jsonl(("Zürich ß", _OK), ("✓ \U0001F697", _OK)), ["Zürich ß", "✓ \U0001F697"]),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_jsonl_reads_alike_at_every_chunk_size(protocol, tmp_path, monkeypatch, case):
+    # Every chunk size from one character to the whole file: chunk ends fall
+    # between the "\r" and the "\n" of a line end, and inside every line.
+    text, expected = STREAM_CASES[case]
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, int):  # the line of the row with the bad outcome
+        expected = f"log {path}: line {expected}: unknown outcome 'meh'"
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(logio, "_READ_CHUNK", size)
+        assert _read_or_error(path, protocol) == expected, size
+
+
+def test_jsonl_line_longer_than_several_chunks(protocol, tmp_path):
+    long = "L" * (3 * logio._READ_CHUNK + 17)
+    path = tmp_path / "log.jsonl"
+    path.write_text(_jsonl(("V1", _OK), (long, _OK), ("V3", _OK)), encoding="utf-8")
+    assert _read_or_error(path, protocol) == ["V1", long, "V3"]
+    path.write_text(_jsonl(("V1", _OK), (long, _OK), ("V3", _BAD)), encoding="utf-8")
+    assert _read_or_error(path, protocol) == f"log {path}: line 3: unknown outcome 'meh'"
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_log_of_several_chunks_writes_back_byte_for_byte(protocol, tmp_path, suffix):
+    log = _simulated_log(protocol)
+    first, again = tmp_path / f"first{suffix}", tmp_path / f"again{suffix}"
+    write_log(log, first)
+    data = first.read_bytes()
+    assert data == _reference_write(log.records, first)
+    assert len(data) > logio._READ_CHUNK and data.count(b"\n") > 2 * logio._WRITE_BATCH
+    again_log = read_log(first, protocol)
+    assert again_log.records == log.records
+    write_log(again_log, again)
+    assert again.read_bytes() == data
+
+
+@pytest.mark.parametrize("bad_row", [True, False], ids=["after-a-bad-row", "alone"])
+def test_non_utf8_byte_in_a_later_chunk_is_reported_as_such(protocol, tmp_path, bad_row):
+    # The bad row comes first, but the file is not UTF-8 text, and the message
+    # names the byte's position in the file, not in its chunk.
+    good = _jsonl(("V1", _OK)).encode()
+    head = good + (b"{not json\n" if bad_row else b"")
+    data = head + good * (2 * logio._READ_CHUNK // len(good)) + b"\xff\n" + good
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        read_log(path, protocol)
+    assert not isinstance(info.value, LogFormatError)
+    at = data.index(b"\xff")
+    assert str(info.value) == (
+        f"log {path}: not UTF-8 text "
+        f"('utf-8' codec can't decode byte 0xff in position {at}: invalid start byte)"
+    )
+
+
+@pytest.fixture(scope="module")
+def fleet_jsonl(protocol, tmp_path_factory):
+    """A 100-vehicle random-oracle campaign written as JSON lines."""
+    rng = random.Random(11)
+    vehicles = []
+    for i in range(100):
+        lo = rng.uniform(0.2, 0.5)
+        oracle = {
+            "type": "random",
+            "never_prob": rng.uniform(0.1, 0.4),
+            "pretest_fail_prob": rng.uniform(0.0, 0.2),
+            "impact_fraction_range": [lo, rng.uniform(lo + 0.1, 0.95)],
+            "respond_prob": rng.uniform(0.7, 0.95),
+        }
+        vehicles.append({"id": f"{i + 1}{rng.choice(['', 'A'])}", "oracle": oracle})
+    spec = load_simulation_spec({"seed": 5, "vehicles": vehicles})
+    path = tmp_path_factory.mktemp("fleet") / "fleet.jsonl"
+    write_log(simulate_campaign(protocol, spec), path)
+    return path
+
+
+def _held(call):
+    """The result of ``call`` and the most memory it held beyond what it returns:
+    the traced peak less what is still traced when it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current
+
+
+def test_log_io_holds_less_than_half_the_file(protocol, fleet_jsonl, tmp_path):
+    # Holding the text, its lines or the written text whole would each take
+    # about the file's size.
+    size = fleet_jsonl.stat().st_size
+    log, read_held = _held(lambda: read_log(fleet_jsonl, protocol))
+    assert len(log.records) == 22_400
+    _, write_held = _held(lambda: write_log(log, tmp_path / "again.jsonl"))
+    assert (tmp_path / "again.jsonl").read_bytes() == fleet_jsonl.read_bytes()
+    assert read_held < size / 2
+    assert write_held < size / 2

@@ -90,11 +90,14 @@ def _csv_reference(text, protocol):
 
 
 def _read(path, protocol):
-    """The records ``read_log`` returns, or the message it raises."""
+    """The records ``read_log`` returns, or the message it raises after the
+    ``log <file>: `` that every log error starts with."""
     try:
         return read_log(path, protocol).records
     except LogFormatError as exc:
-        return str(exc)
+        prefix, message = f"log {path}: ", str(exc)
+        assert message.startswith(prefix), message
+        return message[len(prefix) :]
 
 
 # One CCRm row; %s is the text of the vehicle value.

@@ -10,9 +10,9 @@ from aebscore.protocol import (
     bundled_protocol_path,
     enumerate_configs,
     load_protocol,
-    protocol_to_dict,
     speed_lattice,
 )
+from reference import protocol_to_dict
 
 
 def test_bundled_protocol_totals(protocol):
