@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from enum import Enum
 from typing import NamedTuple
 
+from .impact import DEFAULT_VUT_MASS
 from .protocol import (
     DAY,
     CompiledProtocol,
@@ -115,25 +116,15 @@ def outcome_problems(outcome: TestOutcome, config: TestConfig) -> list[str]:
 
 
 class VehicleProfile:
-    """A test-pool vehicle: identity, sensor suite, and mass for the energy model."""
+    """A test-pool vehicle: its identity and its mass for the energy model."""
 
-    __slots__ = ("id", "mass", "model_year", "sensors", "is_prototype")
+    __slots__ = ("id", "mass")
 
-    def __init__(
-        self,
-        id: str,
-        mass: float = 1500.0,  # kg
-        model_year: int | None = None,
-        sensors: frozenset[str] = frozenset(),
-        is_prototype: bool = False,
-    ):
+    def __init__(self, id: str, mass: float = DEFAULT_VUT_MASS):  # kg
         if mass <= 0:
             raise ValueError(f"vehicle {id!r}: mass must be > 0")
         self.id = id
         self.mass = mass
-        self.model_year = model_year
-        self.sensors = sensors
-        self.is_prototype = is_prototype
 
 
 _ID_PATTERN = re.compile(r"^(\d+)(.*)$")
@@ -354,17 +345,17 @@ def run_scenario(
     *,
     vehicle: str = "VUT",
     stop_on_impact: bool = True,
-    judge_from: Mapping[float | None, float] | None = None,
+    judged: Collection[TestConfig] = (),
 ) -> list[TestRecord]:
     """Drive one (scenario, overlap, light) slice against a braking oracle.
 
     Each TG-speed variant escalates independently from its lowest lattice
     speed. The series stops at the first non-avoided outcome (or, with
     ``stop_on_impact`` off, at the first impact without any braking response)
-    and all higher speeds are emitted as judged failures. ``judge_from`` maps
-    a TG speed to a speed at which the series is judged without execution,
-    e.g. where the daylight run already failed. A failed pre-test judges
-    every configuration of the slice.
+    and all higher speeds are emitted as judged failures. A series also
+    stops, without driving it, at its first configuration in ``judged``:
+    the night tests ``judged_nights`` finds from the day records. A failed
+    pre-test judges every configuration of the slice.
     """
     settings = spec.settings(light)
     if overlap not in settings.overlaps:
@@ -378,15 +369,11 @@ def run_scenario(
     records: list[TestRecord] = []
     configs = settings.configs
     for tg_speed, speeds in settings.variants:
-        judged_from = None
-        if judge_from is not None:
-            judged_from = judge_from.get(tg_speed)
         stopped = pre_test == PRETEST_FAILED
         for speed in speeds:
             config = configs[(overlap, speed, tg_speed)]
-            if not stopped and judged_from is not None and speed >= judged_from:
+            if stopped or (judged and config in judged):
                 stopped = True
-            if stopped:
                 records.append(
                     TestRecord(vehicle, config, TestOutcome.judged(), pre_test=pre_test)
                 )
@@ -405,16 +392,6 @@ def run_scenario(
     return records
 
 
-def series_failure_speed(records: Sequence[TestRecord]) -> tuple[float, OutcomeKind] | None:
-    """Lowest non-avoided speed of one series and the kind observed there."""
-    failures = [
-        (r.config.vut_speed, r.outcome.kind)
-        for r in records
-        if r.outcome.kind in (OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED)
-    ]
-    return min(failures) if failures else None
-
-
 def _series(compiled: CompiledProtocol, pos: int | None, config: TestConfig):
     """Escalation series of a record: its number in the compiled table, or
     the series key when the lattice has no such series."""
@@ -424,13 +401,46 @@ def _series(compiled: CompiledProtocol, pos: int | None, config: TestConfig):
     return compiled.series_index.get(key, key)
 
 
-def expand_night_judgements(log: CampaignLog) -> CampaignLog:
-    """Judge missing night tests whose daylight counterpart failed.
+def judged_nights(
+    compiled: CompiledProtocol, entries: Iterable[tuple], night_pairs: Iterable[tuple]
+) -> Iterator[int]:
+    """The night rule: night positions judged failed from one vehicle's day records.
 
-    A night configuration is added as judged failed when the same vehicle's
-    day record at matching settings was judged, or was the impact that ended
-    its day series. Existing night records are never touched; applying the
-    expansion twice changes nothing.
+    ``entries`` are the vehicle's records as ``VehicleSlots.entries`` lists
+    them; only the day ones count, and of repeats at one configuration the
+    last. ``night_pairs`` is ``compiled.night_pairs`` or a part of it. A
+    night position is judged when its daylight counterpart was judged, or
+    was an impact at the lowest impacted or judged speed of its day series.
+    A night position without a daylight counterpart is never judged by this
+    rule.
+    """
+    day = {}  # day position, or key off the lattice -> (series, speed, last outcome)
+    failed = {}  # day series -> lowest impacted or judged speed
+    for _, pos, config, outcome, _ in entries:
+        if config.light != DAY:
+            continue
+        series = _series(compiled, pos, config)
+        speed = config.vut_speed
+        day[config.key() if pos is None else pos] = (series, speed, outcome)
+        kind = outcome.kind
+        if kind is _IMPACTED_KIND or kind is _JUDGED_KIND:
+            failed[series] = min(speed, failed.get(series, speed))
+    if not failed:
+        return
+    for night, counterpart in night_pairs:
+        found = day.get(counterpart)
+        if found is not None:
+            series, speed, outcome = found
+            kind = outcome.kind
+            if kind is _JUDGED_KIND or (kind is _IMPACTED_KIND and failed[series] == speed):
+                yield night
+
+
+def expand_night_judgements(log: CampaignLog) -> CampaignLog:
+    """Add the night tests ``judged_nights`` finds as judged failed.
+
+    Only empty night slots are filled: existing night records are never
+    touched, and applying the expansion twice changes nothing.
     """
     table = log.records
     compiled = table.compiled
@@ -441,25 +451,8 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
         slots = table.vehicles.get(vehicle)
         if slots is None:
             continue
-        day = {}  # day position, or key off the lattice -> (series, speed, last outcome)
-        failed = {}  # day series -> lowest impacted or judged speed
-        for _, pos, config, outcome, _ in slots.entries(configs):
-            if config.light != DAY:
-                continue
-            series = _series(compiled, pos, config)
-            speed = config.vut_speed
-            day[config.key() if pos is None else pos] = (series, speed, outcome)
-            kind = outcome.kind
-            if kind is _IMPACTED_KIND or kind is _JUDGED_KIND:
-                failed[series] = min(speed, failed.get(series, speed))
-        for night, counterpart in compiled.night_pairs:
-            found = day.get(counterpart)
-            if found is None or slots.outcomes[night] is not None:
-                continue
-            series, speed, outcome = found
-            kind = outcome.kind
-            # A judged day record, or the impact that ended its day series.
-            if kind is _JUDGED_KIND or (kind is _IMPACTED_KIND and failed[series] == speed):
+        for night in judged_nights(compiled, slots.entries(configs), compiled.night_pairs):
+            if slots.outcomes[night] is None:
                 added.append((vehicle, (night, configs[night], judged, None)))
     if not added:
         return log

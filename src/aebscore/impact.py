@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .protocol import MAX_MAGNITUDE, ScenarioGroup, TestConfig, read_document, within
 
@@ -182,18 +182,12 @@ def passive_mu_pow(model: ImpactPowerModel, config: TestConfig, vut_mass: float)
 
 
 def scenario_passive_power(
-    configs,
-    model: ImpactPowerModel,
-    vut_mass: float,
-    config_weights: Mapping[TestConfig, float] | None = None,
+    configs: Sequence[TestConfig], model: ImpactPowerModel, vut_mass: float
 ) -> float:
-    """Weighted average passive impact power over a scenario's configurations."""
-    num = 0.0
-    den = 0.0
-    for config in configs:
-        w = 1.0 if config_weights is None else float(config_weights.get(config, 1.0))
-        num += w * passive_mu_pow(model, config, vut_mass)
-        den += w
-    if den <= 0:
+    """Mean passive impact power over a scenario's configurations."""
+    if not configs:
         raise ImpactModelError("no configurations to average over")
-    return num / den
+    total = 0.0  # summed in order: sum() compensates its rounding from Python 3.12 on
+    for config in configs:
+        total += passive_mu_pow(model, config, vut_mass)
+    return total / len(configs)

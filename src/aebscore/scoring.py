@@ -36,7 +36,7 @@ from .campaign import (
     series_key,
     validate_log,
 )
-from .impact import ImpactPowerModel, mu_pow, passive_mu_pow
+from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, mu_pow, passive_mu_pow
 from .protocol import LIGHTS, TestConfig
 
 UNCERTAINTY_SHIFT_KMH = 5.0
@@ -251,7 +251,7 @@ def score_campaign(
     masses = {v.id: v.mass for v in log.vehicles}
     scores: list[ScenarioScore] = []
     for vehicle in log.vehicle_ids():
-        mass = masses.get(vehicle, 1500.0)
+        mass = masses.get(vehicle, DEFAULT_VUT_MASS)
         slots = table.vehicles.get(vehicle)
         outcomes = () if slots is None else slots.outcomes
         off_lattice = set()

@@ -21,14 +21,15 @@ from typing import Mapping, NamedTuple
 
 from .campaign import (
     CampaignLog,
+    LogTable,
     TestOutcome,
-    TestRecord,
     VehicleProfile,
+    judged_nights,
     run_scenario,
-    series_failure_speed,
     series_key,
 )
-from .protocol import DAY, LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
+from .impact import DEFAULT_VUT_MASS
+from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
 
@@ -77,7 +78,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         if vid in seen:
             raise SimulationSpecError(f"{where}: duplicate vehicle id {vid!r}")
         seen.add(vid)
-        mass = entry.get("mass", 1500.0)
+        mass = entry.get("mass", DEFAULT_VUT_MASS)
         if not within(mass, 0, _FLOAT_MAX) or mass == 0:
             raise SimulationSpecError(f"{where}: 'mass' must be a number > 0")
         sensors = entry.get("sensors", [])
@@ -88,7 +89,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
             raise SimulationSpecError(f"{where}: 'model_year' must be an integer or null")
         if not isinstance(is_prototype, bool):
             raise SimulationSpecError(f"{where}: 'is_prototype' must be a boolean")
-        profile = VehicleProfile(vid, float(mass), model_year, frozenset(sensors), is_prototype)
+        profile = VehicleProfile(vid, float(mass))
         oracle_doc = entry.get("oracle", default_oracle)
         if oracle_doc is None:
             raise SimulationSpecError(f"{where}: no oracle and no default_oracle")
@@ -241,24 +242,25 @@ def simulate_campaign(
     stop_on_impact: bool = True,
 ) -> CampaignLog:
     """Replay the incremental procedure for every vehicle in the spec."""
-    records: list[TestRecord] = []
+    compiled = protocol.compiled
+    index, configs = compiled.index, compiled.configs
+    night_pairs: dict[str, list[tuple]] = {}  # scenario -> its (night, day counterpart) pairs
+    for pair in compiled.night_pairs:
+        night_pairs.setdefault(configs[pair[0]].code, []).append(pair)
+    entries = []  # (vehicle, (position, config, outcome, pre_test)) in row order
     for profile, oracle_spec in spec.vehicles:
         oracle = build_oracle(oracle_spec, spec.seed, profile.id)
         for scenario in protocol.scenarios:
-            day_failures: dict[tuple[float, float | None], float] = {}
+            day = []  # the scenario's day records as table entries; the row is not read
+            judged = ()
             for light in LIGHTS:
                 if light not in scenario.lights:
                     continue
-                settings = scenario.settings(light)
-                for overlap in settings.overlaps:
-                    judge_from = None
-                    if light == NIGHT and day_failures:
-                        judge_from = {
-                            tg: speed
-                            for (ov, tg), speed in day_failures.items()
-                            if ov == overlap
-                        }
-                    slice_records = run_scenario(
+                if light == NIGHT:
+                    pairs = night_pairs.get(scenario.code, ())
+                    judged = {configs[night] for night in judged_nights(compiled, day, pairs)}
+                for overlap in scenario.settings(light).overlaps:
+                    for _, config, outcome, pre_test in run_scenario(
                         oracle,
                         scenario,
                         overlap,
@@ -266,19 +268,14 @@ def simulate_campaign(
                         requires_pretest=scenario.requires_pretest,
                         vehicle=profile.id,
                         stop_on_impact=stop_on_impact,
-                        judge_from=judge_from,
-                    )
-                    records.extend(slice_records)
-                    if light == DAY:
-                        by_series: dict[tuple, list[TestRecord]] = {}
-                        for record in slice_records:
-                            by_series.setdefault(series_key(record.config), []).append(record)
-                        for key, series_records in by_series.items():
-                            failure = series_failure_speed(series_records)
-                            if failure is not None:
-                                day_failures[(overlap, key[3])] = failure[0]
+                        judged=judged,
+                    ):
+                        pos = index[config.key()]
+                        entries.append((profile.id, (pos, config, outcome, pre_test)))
+                        if light != NIGHT:
+                            day.append((None, pos, config, outcome, pre_test))
     return CampaignLog(
         protocol=protocol,
         vehicles=tuple(profile for profile, _ in spec.vehicles),
-        records=tuple(records),
+        records=LogTable(compiled, entries),
     )

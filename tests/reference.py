@@ -53,6 +53,61 @@ def scan_series(outcomes_by_speed, speeds, stop_on_impact=True):
     return recorded
 
 
+def night_must_be_judged(records, stop_on_impact=True):
+    """Reference night rule: (vehicle, night config key) -> judged or not.
+
+    A simulated night test is judged failed exactly when its slice's
+    pre-test failed, when its daylight counterpart (same scenario, overlap,
+    VUT and TG speed) was judged or was an impact at the lowest impacted or
+    judged speed of its day series, or when a lower night speed of the same
+    series was judged or ended the series: any impact, or with
+    ``stop_on_impact`` off an impact without braking response.
+    """
+    by_key = {}
+    by_vehicle = {}
+    for r in records:
+        by_key[(r.vehicle, r.config.key())] = r
+        by_vehicle.setdefault(r.vehicle, []).append(r)
+    failed = (OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED)
+    expected = {}
+    for r in records:
+        c = r.config
+        if c.light != "night":
+            continue
+        day = by_key.get((r.vehicle, (c.code, "day", c.overlap, c.vut_speed, c.tg_speed)))
+        counterpart_failed = False
+        if day is not None and day.outcome.kind is OutcomeKind.JUDGED_FAILED:
+            counterpart_failed = True
+        elif day is not None and day.outcome.kind is OutcomeKind.IMPACTED:
+            day_failures = [
+                o.config.vut_speed
+                for o in by_vehicle[r.vehicle]
+                if o.config.code == c.code
+                and o.config.light == "day"
+                and o.config.overlap == c.overlap
+                and o.config.tg_speed == c.tg_speed
+                and o.outcome.kind in failed
+            ]
+            counterpart_failed = c.vut_speed == min(day_failures)
+        lower_stopped = False
+        for o in by_vehicle[r.vehicle]:
+            if (
+                o.config.code == c.code
+                and o.config.light == "night"
+                and o.config.overlap == c.overlap
+                and o.config.tg_speed == c.tg_speed
+                and o.config.vut_speed < c.vut_speed
+            ):
+                kind = o.outcome.kind
+                if kind is OutcomeKind.JUDGED_FAILED:
+                    lower_stopped = True
+                if kind is OutcomeKind.IMPACTED and (stop_on_impact or not o.outcome.intervention):
+                    lower_stopped = True
+        judged = r.pre_test == "failed" or counterpart_failed or lower_stopped
+        expected[(r.vehicle, c.key())] = judged
+    return expected
+
+
 def boundary_of(config, configs, outcomes):
     """(speed, shiftable) of the first non-avoided config in the series.
 

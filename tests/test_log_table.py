@@ -29,7 +29,6 @@ from aebscore.campaign import (
     completion_stats,
     expand_night_judgements,
     outcome_problems,
-    series_failure_speed,
     series_key,
     validate_log,
     vehicle_sort_key,
@@ -133,14 +132,16 @@ def reference_stats(log, records):
 
 def reference_expand(log, records):
     day_records = {}
-    day_series = {}
+    boundaries = {}  # (vehicle, day series) -> lowest impacted or judged speed
     existing = set()
     for record in records:
         existing.add((record.vehicle, record.config.key()))
         if record.config.light == DAY:
             day_records[(record.vehicle, record.config.key())] = record
-            day_series.setdefault((record.vehicle,) + series_key(record.config), []).append(record)
-    boundaries = {key: series_failure_speed(recs) for key, recs in day_series.items()}
+            if record.outcome.kind in (OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED):
+                key = (record.vehicle,) + series_key(record.config)
+                speed = record.config.vut_speed
+                boundaries[key] = min(speed, boundaries.get(key, speed))
     added = []
     for vehicle in _vehicle_ids(log, records):
         for config in enumerate_configs(log.protocol, light=NIGHT):
@@ -154,8 +155,8 @@ def reference_expand(log, records):
             if kind is OutcomeKind.JUDGED_FAILED:
                 triggered = True
             elif kind is OutcomeKind.IMPACTED:
-                boundary = boundaries.get((vehicle,) + series_key(day_record.config))
-                triggered = boundary is not None and day_record.config.vut_speed == boundary[0]
+                boundary = boundaries[(vehicle,) + series_key(day_record.config)]
+                triggered = day_record.config.vut_speed == boundary
             else:
                 triggered = False
             if triggered:

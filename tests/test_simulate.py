@@ -15,13 +15,14 @@ from aebscore.campaign import (
 )
 from aebscore.cli import main
 from aebscore.logio import record_to_row
-from aebscore.protocol import bundled_protocol_path, enumerate_configs
+from aebscore.protocol import bundled_protocol_path, enumerate_configs, load_protocol
 from aebscore.simulate import (
     SimulationSpecError,
     build_oracle,
     load_simulation_spec,
     simulate_campaign,
 )
+from reference import night_must_be_judged
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_SIM = DATA_DIR / "fixture_sim.json"
@@ -141,6 +142,102 @@ def test_simulate_of_the_fixture_spec_matches_the_golden_log(tmp_path):
     args = ["simulate", "--protocol", str(bundled_protocol_path()), "--oracle", str(FIXTURE_SIM)]
     assert main([*args, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "fixture_campaign.jsonl").read_bytes()
+
+
+# sha256 of `simulate --continue-past-impact` on the fixture spec.
+FIXTURE_CONTINUE_SHA256 = "670ad0eb9ca6459427e433311d406de46d4b92c410b3f9d39a324d96eedd6c83"
+
+
+def test_simulate_continue_past_impact_of_the_fixture_spec_is_pinned_and_validates(tmp_path):
+    out = tmp_path / "campaign.jsonl"
+    common = ["--protocol", str(bundled_protocol_path())]
+    args = ["simulate", *common, "--oracle", str(FIXTURE_SIM), "--continue-past-impact"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_CONTINUE_SHA256
+    assert main(["validate", *common, "--log", str(out)]) == 0
+
+
+# Night lattices off the day one: night 55-95 between day speeds 50-80, and
+# night 20-80 reaching above day speeds 20-50.
+NIGHT_LATTICES = {
+    "scenarios": [
+        {
+            "code": "OFFGRID",
+            "group": "C2O",
+            "vut_speed_ranges": [[50, 80]],
+            "tg_speeds": None,
+            "speed_step": 10,
+            "overlaps": [100],
+            "lights": ["day", "night"],
+            "night": {"vut_speed_ranges": [[55, 95]]},
+        },
+        {
+            "code": "ABOVE",
+            "group": "C2C",
+            "vut_speed_ranges": [[20, 50]],
+            "tg_speeds": [10, 20],
+            "speed_step": 10,
+            "overlaps": [50, 100],
+            "lights": ["day", "night"],
+            "requires_pretest": True,
+            "night": {"vut_speed_ranges": [[20, 80]]},
+        },
+    ]
+}
+
+
+def _kinds(log, code, light):
+    return {
+        r.config.vut_speed: r.outcome.kind
+        for r in log.records
+        if r.config.code == code and r.config.light == light
+    }
+
+
+def test_a_night_test_without_a_daylight_counterpart_is_driven():
+    protocol = load_protocol(NIGHT_LATTICES)
+    log = simulate_campaign(protocol, _spec(oracle={"type": "never_respond"}))
+    impacted, judged = OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED
+    assert _kinds(log, "OFFGRID", "day") == {50: impacted, 60: judged, 70: judged, 80: judged}
+    # Night 55 lies above the day failure at 50 but has no counterpart.
+    assert _kinds(log, "OFFGRID", "night") == {
+        55: impacted, 65: judged, 75: judged, 85: judged, 95: judged
+    }
+    assert validate_log(log) == []
+    assert expand_night_judgements(log) is log
+
+
+NIGHT_RULE_ORACLES = [
+    {"type": "never_respond"},
+    {"type": "always_avoid"},
+    {"type": "threshold", "fail_at": 60, "impact_fraction": 0.5},
+    {"type": "threshold", "fail_at": 40, "respond": False},
+    {"type": "threshold", "fail_at": None, "rules": [{"light": "day", "fail_at": 30}]},
+    {"type": "threshold", "fail_at": 75, "rules": [{"light": "day", "overlap": 50, "fail_at": 20}]},
+]
+
+
+@pytest.mark.parametrize("stop_on_impact", [True, False], ids=["stop", "continue"])
+@pytest.mark.parametrize("lattices", ["bundled", "night-off-day"])
+def test_every_simulated_night_outcome_follows_the_reference_night_rule(
+    protocol, lattices, stop_on_impact
+):
+    if lattices != "bundled":
+        protocol = load_protocol(NIGHT_LATTICES)
+    oracles = NIGHT_RULE_ORACLES + RANDOM_ORACLES
+    vehicles = [{"id": f"V{i}", "oracle": oracle} for i, oracle in enumerate(oracles)]
+    for seed in (3, 4):
+        spec = load_simulation_spec({"seed": seed, "vehicles": vehicles})
+        log = simulate_campaign(protocol, spec, stop_on_impact=stop_on_impact)
+        judged = {
+            (r.vehicle, r.config.key()): r.outcome.kind is OutcomeKind.JUDGED_FAILED
+            for r in log.records
+            if r.config.light == "night"
+        }
+        assert judged == night_must_be_judged(log.records, stop_on_impact)
+        assert any(judged.values()) and not all(judged.values())
+        assert validate_log(log) == []
+        assert expand_night_judgements(log) is log
 
 
 def _reference_random_oracle(spec, seed, vehicle):
