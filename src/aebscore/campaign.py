@@ -8,14 +8,14 @@ driven. Night tests whose daylight counterpart failed are likewise judged
 without execution. Scenarios outside standardized protocols get a low-speed
 pre-test first; no response there fails the whole scenario.
 
-A campaign log is a vehicle x configuration table: ``LogTable`` keeps, per
-vehicle, one outcome and one pre-test slot for each position of the
-protocol's compiled table, with the row number of the record in each, and
-a residual list of the records off the lattice and of repeated positions.
-Validation, completion statistics, night expansion, scoring and log writing
-read those slots, with the compiled series numbers and the night-to-day
-position pairs; ``log.records`` builds ``TestRecord`` objects, in row
-order, only when something reads them.
+A campaign log is its rows: ``LogTable`` keeps, per vehicle, its
+``(position, config, outcome, pre_test)`` entries in row order, where the
+position indexes the protocol's compiled table, and the vehicle column as
+runs of consecutive rows. Validation, completion statistics, night
+expansion, scoring and log writing read each vehicle's entries, with the
+compiled series numbers and the night-to-day position pairs;
+``log.records`` builds ``TestRecord`` objects, in row order, only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -147,56 +147,21 @@ class TestRecord(NamedTuple):
     pre_test: str | None = None  # "passed" | "failed" for pre-tested scenarios
 
 
-class VehicleSlots:
-    """One vehicle's records in a ``LogTable``.
-
-    ``outcomes[i]``, ``pre_tests[i]`` and ``rows[i]`` hold the first record
-    at compiled position ``i`` and its row number in the log (None while the
-    slot is empty). ``residual`` holds every other record as ``(row,
-    position, config, outcome, pre_test)`` in row order: repeats of a filled
-    position, and records off the lattice, whose position is None.
-    """
-
-    __slots__ = ("outcomes", "pre_tests", "rows", "residual")
-
-    def __init__(self, size: int):
-        self.outcomes: list[TestOutcome | None] = [None] * size
-        self.pre_tests: list[str | None] = [None] * size
-        self.rows: list[int | None] = [None] * size
-        self.residual: list[tuple] = []
-
-    def copy(self) -> VehicleSlots:
-        other = VehicleSlots(0)
-        other.outcomes = self.outcomes[:]
-        other.pre_tests = self.pre_tests[:]
-        other.rows = self.rows[:]
-        other.residual = self.residual[:]
-        return other
-
-    def entries(self, configs: Sequence[TestConfig]) -> list[tuple]:
-        """``(row, position, config, outcome, pre_test)`` of every record:
-        the slots in position order, then the residual."""
-        outcomes, pre_tests = self.outcomes, self.pre_tests
-        filled = [
-            (row, i, configs[i], outcomes[i], pre_tests[i])
-            for i, row in enumerate(self.rows)
-            if row is not None
-        ]
-        return filled + self.residual if self.residual else filled
-
-
 _NO_VEHICLE = object()
 
 
 class LogTable(Sequence):
-    """A campaign log's records, stored per vehicle by compiled position.
+    """A campaign log's records, stored per vehicle in row order.
 
     Built in one pass from ``(vehicle, (position, config, outcome,
     pre_test))`` entries in row order, where the position indexes
-    ``compiled.configs`` or is None off the lattice. With ``base``, the
-    entries are rows after the base's own: the new table shares the base's
-    vehicles and copies only those the entries touch. ``vehicles`` maps each
-    vehicle, in order of first appearance, to its ``VehicleSlots``.
+    ``compiled.configs`` or is None off the lattice. ``vehicles`` maps each
+    vehicle, in order of first appearance, to its entries in row order;
+    rows that read alike may share one entry tuple. The vehicle column is
+    kept as runs of consecutive rows with one vehicle: ``run_lengths[i]``
+    rows of ``run_vehicles[i]``, the table's own key string. With ``base``,
+    the entries are rows after the base's own: the new table shares the
+    base's vehicles and copies only those the entries touch.
 
     As a sequence it is the log's records in row order, built on first
     access; its length is known without building them.
@@ -205,30 +170,33 @@ class LogTable(Sequence):
     def __init__(
         self, compiled: CompiledProtocol, entries: Iterable[tuple], base: LogTable | None = None
     ):
-        size = len(compiled.configs)
-        vehicles = {} if base is None else dict(base.vehicles)
-        start = 0 if base is None else base.size
-        row = start - 1
+        vehicles: dict[str, list[tuple]] = {} if base is None else dict(base.vehicles)
+        names = {vehicle: vehicle for vehicle in vehicles}  # a vehicle -> its key string
+        run_vehicles = [] if base is None else base.run_vehicles[:]
+        run_lengths = [] if base is None else base.run_lengths[:]
+        rows = None
         last = _NO_VEHICLE
-        for row, (vehicle, (pos, config, outcome, pre_test)) in enumerate(entries, start):
+        for vehicle, entry in entries:
             if vehicle != last:
+                if rows is not None:
+                    run_lengths.append(len(rows) - start)
                 last = vehicle
-                slots = vehicles.get(vehicle)
-                if slots is None:
-                    slots = vehicles[vehicle] = VehicleSlots(size)
-                elif base is not None and base.vehicles.get(vehicle) is slots:
-                    slots = vehicles[vehicle] = slots.copy()
-                outcomes, pre_tests, rows = slots.outcomes, slots.pre_tests, slots.rows
-                residual = slots.residual
-            if pos is not None and outcomes[pos] is None:
-                outcomes[pos] = outcome
-                pre_tests[pos] = pre_test
-                rows[pos] = row
-            else:
-                residual.append((row, pos, config, outcome, pre_test))
+                rows = vehicles.get(vehicle)
+                if rows is None:
+                    rows = vehicles[vehicle] = []
+                elif base is not None and base.vehicles.get(vehicle) is rows:
+                    rows = vehicles[vehicle] = rows[:]
+                run_vehicles.append(names.setdefault(vehicle, vehicle))
+                start = len(rows)
+                append = rows.append
+            append(entry)
+        if rows is not None:
+            run_lengths.append(len(rows) - start)
         self.compiled = compiled
-        self.vehicles: dict[str, VehicleSlots] = vehicles
-        self.size = row + 1
+        self.vehicles = vehicles
+        self.run_vehicles: list[str] = run_vehicles
+        self.run_lengths: list[int] = run_lengths
+        self.size = sum(run_lengths)
         self._records: tuple[TestRecord, ...] | None = None
 
     @classmethod
@@ -246,14 +214,22 @@ class LogTable(Sequence):
         table._records = records
         return table
 
+    def runs(self) -> Iterator[tuple[str, list[tuple]]]:
+        """The rows in row order, as ``(vehicle, entries)`` runs."""
+        vehicles = self.vehicles
+        taken = dict.fromkeys(vehicles, 0)  # a vehicle -> its entries in earlier runs
+        for vehicle, length in zip(self.run_vehicles, self.run_lengths):
+            start = taken[vehicle]
+            taken[vehicle] = start + length
+            yield vehicle, vehicles[vehicle][start : start + length]
+
     def _tuple(self) -> tuple[TestRecord, ...]:
         if self._records is None:
-            records: list = [None] * self.size
-            configs = self.compiled.configs
-            for vehicle, slots in self.vehicles.items():
-                for row, _, config, outcome, pre_test in slots.entries(configs):
-                    records[row] = TestRecord(vehicle, config, outcome, pre_test)
-            self._records = tuple(records)
+            self._records = tuple(
+                TestRecord(vehicle, config, outcome, pre_test)
+                for vehicle, entries in self.runs()
+                for _, config, outcome, pre_test in entries
+            )
         return self._records
 
     def __len__(self) -> int:
@@ -406,17 +382,17 @@ def judged_nights(
 ) -> Iterator[int]:
     """The night rule: night positions judged failed from one vehicle's day records.
 
-    ``entries`` are the vehicle's records as ``VehicleSlots.entries`` lists
-    them; only the day ones count, and of repeats at one configuration the
-    last. ``night_pairs`` is ``compiled.night_pairs`` or a part of it. A
-    night position is judged when its daylight counterpart was judged, or
-    was an impact at the lowest impacted or judged speed of its day series.
-    A night position without a daylight counterpart is never judged by this
-    rule.
+    ``entries`` are the vehicle's ``(position, config, outcome, pre_test)``
+    entries in row order; only the day ones count, and of repeats at one
+    configuration the last. ``night_pairs`` is ``compiled.night_pairs`` or a
+    part of it. A night position is judged when its daylight counterpart was
+    judged, or was an impact at the lowest impacted or judged speed of its
+    day series. A night position without a daylight counterpart is never
+    judged by this rule.
     """
     day = {}  # day position, or key off the lattice -> (series, speed, last outcome)
     failed = {}  # day series -> lowest impacted or judged speed
-    for _, pos, config, outcome, _ in entries:
+    for pos, config, outcome, _ in entries:
         if config.light != DAY:
             continue
         series = _series(compiled, pos, config)
@@ -439,8 +415,9 @@ def judged_nights(
 def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     """Add the night tests ``judged_nights`` finds as judged failed.
 
-    Only empty night slots are filled: existing night records are never
-    touched, and applying the expansion twice changes nothing.
+    Only night positions that no record holds are filled: existing night
+    records are never touched, and applying the expansion twice changes
+    nothing.
     """
     table = log.records
     compiled = table.compiled
@@ -448,12 +425,11 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     judged = TestOutcome.judged()
     added = []
     for vehicle in log.vehicle_ids():
-        slots = table.vehicles.get(vehicle)
-        if slots is None:
-            continue
-        for night in judged_nights(compiled, slots.entries(configs), compiled.night_pairs):
-            if slots.outcomes[night] is None:
-                added.append((vehicle, (night, configs[night], judged, None)))
+        entries = table.vehicles.get(vehicle, ())
+        nights = list(judged_nights(compiled, entries, compiled.night_pairs))
+        if nights:
+            held = {entry[0] for entry in entries}
+            added += [(vehicle, (n, configs[n], judged, None)) for n in nights if n not in held]
     if not added:
         return log
     return CampaignLog(log.protocol, log.vehicles, LogTable(compiled, added, base=table))
@@ -486,30 +462,29 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     """
     table = log.records
     compiled = table.compiled
-    configs = compiled.configs
     checked: dict[tuple, list[str]] = {}  # (position, id(outcome)) -> its problems
-    findings = []  # (order, code, vehicle, config, message)
-    for vehicle, slots in table.vehicles.items():
-        entries = slots.entries(configs)
-        off_lattice: set[tuple] = set()
+    # (vehicle, entry index, entry index of its series' first row or None, code, config, message)
+    findings = []
+    for vehicle, entries in table.vehicles.items():
+        seen = set()  # positions, and keys off the lattice
         stops: dict = {}  # series -> lowest judged or unbraked-impact speed
-        for row, pos, config, outcome, _ in entries:
+        for i, (pos, config, outcome, _) in enumerate(entries):
             if pos is None:
                 message = "configuration is not in the protocol"
-                findings.append(((0, row), "unlicensed-config", vehicle, config, message))
-                duplicate = config.key() in off_lattice
-                off_lattice.add(config.key())
+                findings.append((vehicle, i, None, "unlicensed-config", config, message))
+                key = config.key()
                 problems = outcome_problems(outcome, config)
             else:
-                duplicate = row != slots.rows[pos]
+                key = pos
                 problems = checked.get((pos, id(outcome)))
                 if problems is None:
                     problems = checked[pos, id(outcome)] = outcome_problems(outcome, config)
-            if duplicate:
+            if key in seen:
                 message = "duplicate record for this configuration"
-                findings.append(((0, row), "duplicate-record", vehicle, config, message))
+                findings.append((vehicle, i, None, "duplicate-record", config, message))
+            seen.add(key)
             for problem in problems:
-                findings.append(((0, row), "invalid-outcome", vehicle, config, problem))
+                findings.append((vehicle, i, None, "invalid-outcome", config, problem))
             kind = outcome.kind
             # A judged record, or an impact with no braking response, ends a
             # series; nothing may execute above the lowest such speed.
@@ -519,25 +494,37 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
         if not stops:
             continue
         above = []
-        for row, pos, config, outcome, _ in entries:
+        for i, (pos, config, outcome, _) in enumerate(entries):
             if outcome.kind in EXECUTED_KINDS:
                 series = _series(compiled, pos, config)
                 if config.vut_speed > stops.get(series, math.inf):
-                    above.append((series, row, config))
+                    above.append((series, i, config))
         if not above:
             continue
-        first: dict = {}  # series -> its first row
-        for row, pos, config, _, _ in entries:
-            series = _series(compiled, pos, config)
-            first[series] = min(row, first.get(series, row))
-        for series, row, config in above:
+        first: dict = {}  # series -> index of its first entry
+        for i, (pos, config, _, _) in enumerate(entries):
+            first.setdefault(_series(compiled, pos, config), i)
+        for series, i, config in above:
             message = f"executed above a failure at {stops[series]:g} km/h in the same series"
-            order = (1, first[series], row)
-            findings.append((order, "executed-above-failure", vehicle, config, message))
-    findings.sort(key=lambda finding: finding[0])
+            findings.append((vehicle, i, first[series], "executed-above-failure", config, message))
+    if not findings:
+        return []
+    rows: dict[str, list[int]] = {vehicle: [] for vehicle in table.vehicles}
+    row = 0
+    for vehicle, length in zip(table.run_vehicles, table.run_lengths):
+        rows[vehicle] += range(row, row + length)
+        row += length
+
+    def order(finding):  # row order, then each series by its first row
+        vehicle_rows = rows[finding[0]]
+        if finding[2] is None:
+            return (0, vehicle_rows[finding[1]])
+        return (1, vehicle_rows[finding[2]], vehicle_rows[finding[1]])
+
+    findings.sort(key=order)
     return [
         Diagnostic(code, _locator(vehicle, config), message)
-        for _, code, vehicle, config, message in findings
+        for vehicle, _, _, code, config, message in findings
     ]
 
 
@@ -555,11 +542,7 @@ def completion_stats(log: CampaignLog) -> dict[str, CompletionStats]:
     stats: dict[str, CompletionStats] = {}
     for vehicle in log.vehicle_ids():
         executed = judged = 0
-        slots = table.vehicles.get(vehicle)
-        outcomes = () if slots is None else slots.outcomes + [e[3] for e in slots.residual]
-        for outcome in outcomes:
-            if outcome is None:
-                continue
+        for _, _, outcome, _ in table.vehicles.get(vehicle, ()):
             kind = outcome.kind
             if kind is _JUDGED_KIND:
                 judged += 1

@@ -82,8 +82,8 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
     parser.add_argument("--protocol", type=Path, required=True, help="protocol JSON file")
     if log:
         parser.add_argument("--log", type=Path, required=True, help="campaign log (.jsonl/.csv)")
-        parser.add_argument("--impact-model", type=Path, help="impact model config JSON")
     if weights:
+        parser.add_argument("--impact-model", type=Path, help="impact model config JSON")
         parser.add_argument(
             "--weights",
             type=Path,
@@ -103,7 +103,7 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
 
 def _read_inputs(args) -> tuple[ProtocolDefinition, CampaignLog, ImpactPowerModel]:
     protocol = load_protocol(args.protocol)
-    model, vut_masses, default_mass = load_impact_config(getattr(args, "impact_model", None) or {})
+    model, vut_masses, default_mass = load_impact_config(args.impact_model or {})
     log = read_log(args.log, protocol)
     # read_log gives default profiles; only the mass comes from the impact config.
     vehicles = tuple(VehicleProfile(v.id, vut_masses.get(v.id, default_mass)) for v in log.vehicles)
@@ -163,12 +163,18 @@ def _validated_inputs(args):
             print(diagnostic, file=sys.stderr)
         return None
     tables = [load_weight_table(p) for p in args.weights]
-    for table in tables:
+    paths = {}  # region -> the weight table file that names it
+    for path, table in zip(args.weights, tables):
         problems = check_weight_table(table, protocol)
         if problems:
             raise WeightTableError(
                 f"weight table {table.region!r}: " + "; ".join(problems[:3])
             )
+        if table.region in paths:  # its reports would overwrite the other table's
+            raise WeightTableError(
+                f"weight tables {paths[table.region]} and {path} both have region {table.region!r}"
+            )
+        paths[table.region] = path
     return protocol, log, model, tables
 
 

@@ -6,13 +6,13 @@ pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
 
 ``read_log`` streams rows straight into the log's table (see
-``campaign.LogTable``): each row fills its vehicle's slot at the compiled
-position of its config, or joins the residual. Campaign logs repeat
-themselves: every vehicle runs the same configurations with few distinct
-outcomes. ``read_log`` therefore checks each distinct row once per call.
-Rows that differ only in their vehicle share one position, config, outcome
-and pre-test, and only the first of them goes through the checks; the rest
-cost a lookup and a slot store.
+``campaign.LogTable``): each row appends its entry, the compiled position of
+its config with the config, outcome and pre-test, to its vehicle's entries.
+Campaign logs repeat themselves: every vehicle runs the same configurations
+with few distinct outcomes. ``read_log`` therefore checks each distinct row
+once per call. Rows that differ only in their vehicle share one entry, and
+only the first of them goes through the checks; the rest cost a lookup and
+an append.
 A row is looked up by its text with the vehicle cut out, before it is
 split or decoded. A CSV file whose only ``vehicle`` column is its first,
 with no quote, carriage return or NUL and no line beyond
@@ -31,17 +31,18 @@ decode to the same row but for the vehicle. Other lines, and lines equal
 only once decoded (``1`` and ``1.0``, another key order), take the full
 parse. A vehicle is a non-empty string or an integer. Only ``\n`` ends a
 JSON line.
-``write_log`` works the other way round: it encodes each distinct row once
-and splices each vehicle's cell into it, putting each line at the row
-number the table keeps. The memos are locals of one call; nothing is
-cached between calls. CSV errors name the physical line a row starts on.
+``write_log`` works the other way round: it encodes each distinct row and
+each vehicle cell once, then walks the table's runs of rows and splices
+each vehicle's cell into its rows. The memos are locals of one call;
+nothing is cached between calls. CSV errors name the physical line a row
+starts on.
 
 Neither direction holds a JSONL file whole. ``read_log`` reads a JSON-lines
 file in chunks of ``_READ_CHUNK`` characters and parses each line as it
-arrives, keeping per row only its slot in the table. ``write_log`` keeps two
-references per row, the shared text around its vehicle cell and the cell,
-and writes ``_WRITE_BATCH`` lines per call to the file's ``write``. A CSV
-file is still read whole: its plain path checks the whole text first.
+arrives, keeping per row only its entry in the table. ``write_log`` keeps
+one text per distinct row and per vehicle, and writes ``_WRITE_BATCH``
+lines per call to the file's ``write``. A CSV file is still read whole: its
+plain path checks the whole text first.
 Every error names the file, as in ``log <file>: line N: ...``.
 """
 
@@ -62,7 +63,6 @@ from .campaign import (
     LogTable,
     OutcomeKind,
     TestOutcome,
-    TestRecord,
     VehicleProfile,
 )
 from .protocol import LIGHTS, ProtocolDefinition, TestConfig, _plain, read_text
@@ -95,28 +95,6 @@ class LogFormatError(ValueError):
     """Raised when a campaign-log file cannot be parsed."""
 
 
-def record_to_row(record: TestRecord) -> dict:
-    c = record.config
-    row: dict = {
-        "vehicle": record.vehicle,
-        "scenario": c.code,
-        "light": c.light,
-        "vut_speed": _plain(c.vut_speed),
-        "tg_speed": None if c.tg_speed is None else _plain(c.tg_speed),
-        "overlap": _plain(c.overlap),
-        "outcome": record.outcome.kind.value,
-    }
-    if record.outcome.impact_speed is not None:
-        row["impact_speed"] = _plain(record.outcome.impact_speed)
-    if record.outcome.intervention is not None:
-        row["intervention"] = record.outcome.intervention
-    if record.outcome.projected is not None:
-        row["projected"] = record.outcome.projected
-    if record.pre_test is not None:
-        row["pre_test"] = record.pre_test
-    return row
-
-
 def write_log(log: CampaignLog, path: str | Path) -> None:
     """Write a log as CSV (``.csv``) or JSON lines (any other suffix).
 
@@ -129,40 +107,51 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     # "\r" in its terminator makes it quote a cell holding one; lines end in "\n".
     encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     table = log.records
-    configs = table.compiled.configs
-    size = len(table)
-    # By row number: the shared text around the row's vehicle cell, and the cell.
-    texts: list = [None] * size
-    cells: list = [None] * size
+    cells: dict[str, str] = {}  # vehicle -> its encoded cell
     # (position, or config off the lattice, outcome, pre_test) -> text around the vehicle cell
     rows: dict[tuple, tuple[str, str]] = {}
-    for vehicle, slots in table.vehicles.items():
+    for vehicle, entries in table.vehicles.items():
         if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
-            cell = encode([_csv_cell(vehicle), ""])[:-3]
+            cells[vehicle] = encode([_csv_cell(vehicle), ""])[:-3]
         else:
-            cell = f'"vehicle": {json.dumps(vehicle)}, '
-        for line, pos, config, outcome, pre_test in slots.entries(configs):
+            cells[vehicle] = f'"vehicle": {json.dumps(vehicle)}, '
+        for pos, config, outcome, pre_test in entries:
             key = (config if pos is None else pos, outcome, pre_test)
-            row = rows.get(key)
-            if row is None:
-                fields = record_to_row(TestRecord(vehicle, config, outcome, pre_test))
-                del fields["vehicle"]
-                if as_csv:  # the vehicle is column 0
-                    row = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
-                else:  # "vehicle" sorts second to last, just before "vut_speed"
-                    text = json.dumps(fields, sort_keys=True)
-                    cut = text.rindex('"vut_speed": ')
-                    row = text[:cut], text[cut:] + "\n"
-                rows[key] = row
-            texts[line] = row
-            cells[line] = cell
+            if key in rows:
+                continue
+            impact, tg = outcome.impact_speed, config.tg_speed
+            fields = {
+                "scenario": config.code,
+                "light": config.light,
+                "vut_speed": _plain(config.vut_speed),
+                "tg_speed": None if tg is None else _plain(tg),
+                "overlap": _plain(config.overlap),
+                "outcome": outcome.kind.value,
+                "impact_speed": None if impact is None else _plain(impact),
+                "intervention": outcome.intervention,
+                "projected": outcome.projected,
+                "pre_test": pre_test,
+            }
+            if as_csv:  # the vehicle is column 0
+                rows[key] = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
+            else:  # only tg_speed is written as null; "vehicle" sorts just before "vut_speed"
+                fields = {k: v for k, v in fields.items() if v is not None or k == "tg_speed"}
+                text = json.dumps(fields, sort_keys=True)
+                cut = text.rindex('"vut_speed": ')
+                rows[key] = text[:cut], text[cut:] + "\n"
     with path.open("w", encoding="utf-8") as file:
         if as_csv:
             file.write(encode(LOG_COLUMNS)[:-2] + "\n")
-        for start in range(0, size, _WRITE_BATCH):
-            stop = start + _WRITE_BATCH
-            batch = zip(texts[start:stop], cells[start:stop])
-            file.write("".join([head + cell + tail for (head, tail), cell in batch]))
+        lines = []
+        for vehicle, entries in table.runs():
+            cell = cells[vehicle]
+            for pos, config, outcome, pre_test in entries:
+                head, tail = rows[config if pos is None else pos, outcome, pre_test]
+                lines.append(head + cell + tail)
+                if len(lines) == _WRITE_BATCH:
+                    file.write("".join(lines))
+                    lines.clear()
+        file.write("".join(lines))
 
 
 def _csv_cell(value) -> str:
@@ -183,7 +172,7 @@ def read_log(
     Rows naming a scenario the protocol does not know are rejected here;
     rows whose settings are not licensed parse fine and are reported by
     ``validate_log`` instead. A licensed row resolves to the protocol's
-    canonical ``TestConfig`` object and fills its slot in the log's table.
+    canonical ``TestConfig`` object in its entry in the log's table.
     Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)

@@ -18,9 +18,9 @@ deviation summarize the three evaluations.
 One kernel computes both scores and the envelope: it takes an instance's
 configs with their series ids, outcomes and passive powers as parallel
 sequences and makes one pass over them per shift. ``score_campaign`` feeds it
-slices of each vehicle's outcome slots in the log's table, which are indexed
-like the protocol's compiled table; ``frequency_score`` and
-``mitigation_power_score`` feed it any config sequence with its outcome
+slices of each vehicle's outcomes laid out like the protocol's compiled
+table, from the vehicle's entries in the log's table; ``frequency_score``
+and ``mitigation_power_score`` feed it any config sequence with its outcome
 mapping.
 """
 
@@ -249,19 +249,17 @@ def score_campaign(
     table = log.records
     compiled = table.compiled
     masses = {v.id: v.mass for v in log.vehicles}
+    size = len(compiled.configs)
     scores: list[ScenarioScore] = []
     for vehicle in log.vehicle_ids():
         mass = masses.get(vehicle, DEFAULT_VUT_MASS)
-        slots = table.vehicles.get(vehicle)
-        outcomes = () if slots is None else slots.outcomes
+        outcomes: list[TestOutcome | None] = [None] * size
         off_lattice = set()
-        if slots is not None and slots.residual:
-            outcomes = outcomes[:]
-            for _, pos, config, outcome, _ in slots.residual:
-                if pos is None:
-                    off_lattice.add((config.code, config.light))
-                else:  # a later duplicate replaces the earlier record
-                    outcomes[pos] = outcome
+        for pos, config, outcome, _ in table.vehicles.get(vehicle, ()):
+            if pos is None:
+                off_lattice.add((config.code, config.light))
+            else:  # a later duplicate replaces an earlier record
+                outcomes[pos] = outcome
         passive = None
         for spec in log.protocol.scenarios:
             for light in LIGHTS:

@@ -251,7 +251,7 @@ def simulate_campaign(
     for profile, oracle_spec in spec.vehicles:
         oracle = build_oracle(oracle_spec, spec.seed, profile.id)
         for scenario in protocol.scenarios:
-            day = []  # the scenario's day records as table entries; the row is not read
+            day = []  # the scenario's day entries
             judged = ()
             for light in LIGHTS:
                 if light not in scenario.lights:
@@ -270,10 +270,10 @@ def simulate_campaign(
                         stop_on_impact=stop_on_impact,
                         judged=judged,
                     ):
-                        pos = index[config.key()]
-                        entries.append((profile.id, (pos, config, outcome, pre_test)))
+                        entry = (index[config.key()], config, outcome, pre_test)
+                        entries.append((profile.id, entry))
                         if light != NIGHT:
-                            day.append((None, pos, config, outcome, pre_test))
+                            day.append(entry)
     return CampaignLog(
         protocol=protocol,
         vehicles=tuple(profile for profile, _ in spec.vehicles),

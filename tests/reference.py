@@ -262,6 +262,30 @@ def _plain(x):
     return int(x) if float(x).is_integer() else float(x)
 
 
+def record_to_row(record):
+    """One log row of a record as a dict: ``tg_speed`` always, other optional
+    fields only when set."""
+    c, o = record.config, record.outcome
+    row = {
+        "vehicle": record.vehicle,
+        "scenario": c.scenario.code,
+        "light": c.light,
+        "vut_speed": _plain(c.vut_speed),
+        "tg_speed": None if c.tg_speed is None else _plain(c.tg_speed),
+        "overlap": _plain(c.overlap),
+        "outcome": o.kind.value,
+    }
+    if o.impact_speed is not None:
+        row["impact_speed"] = _plain(o.impact_speed)
+    if o.intervention is not None:
+        row["intervention"] = o.intervention
+    if o.projected is not None:
+        row["projected"] = o.projected
+    if record.pre_test is not None:
+        row["pre_test"] = record.pre_test
+    return row
+
+
 def protocol_to_dict(protocol):
     """A loaded protocol written back as the document it loads from."""
     out = {

@@ -317,6 +317,43 @@ def test_mismatched_weight_table_exits_2(fixture_log, tmp_path, capsys):
     assert "not licensed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_validate_and_stats_take_no_impact_model(fixture_log, capsys, command):
+    # Neither command reads an impact model, so the option is not offered.
+    args = [command, *_protocol_args(), "--log", str(fixture_log)]
+    with pytest.raises(SystemExit) as exited:
+        main(args + ["--impact-model", "/nonexistent.json"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --impact-model" in capsys.readouterr().err
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+@pytest.mark.parametrize("same_file", [True, False])
+def test_two_weight_tables_of_one_region_exit_2_before_any_report(
+    fixture_log, tmp_path, capsys, command, same_file
+):
+    first = DATA_DIR / "weights_eu_example.json"
+    second = first
+    if not same_file:  # another EU table, with other weights
+        doc = json.loads(first.read_text(encoding="utf-8"))
+        for entry in doc["weights"]:
+            entry["w"] *= 2
+        second = tmp_path / "other_eu.json"
+        second.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "reports"
+    us = DATA_DIR / "weights_us_example.json"
+    weights = ["--weights", str(first), "--weights", str(us), "--weights", str(second)]
+    args = [command, *_protocol_args(), "--log", str(fixture_log), *weights, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: weight tables {first} and {second} both have region 'EU'\n"
+    )
+    assert not out.exists()
+
+
 def test_impact_model_config(fixture_log, tmp_path):
     config = tmp_path / "impact.json"
     config.write_text(

@@ -2,13 +2,13 @@
 
 ``validate_log``, ``completion_stats``, ``expand_night_judgements``,
 ``score_campaign`` and ``write_log`` read a log's ``LogTable``: per vehicle,
-one slot per compiled configuration plus a residual of duplicates and rows
-off the lattice. The references below walk the records one at a time, with
-tuple-keyed dicts, as those stages did before the table; they are the
-oracles. Each seeded log mixes shuffled rows, interleaved vehicles,
-duplicates, off-lattice rows, invalid outcomes, executed-above-failure
-rows, existing night rows and partial instances, and is checked as built
-from records and as read back from JSONL and CSV.
+its entries in row order, with the vehicle column kept as runs of rows. The
+references below walk the records one at a time, with tuple-keyed dicts, as
+those stages did before the table; they are the oracles. Each seeded log
+mixes shuffled rows, interleaved vehicles, duplicates, off-lattice rows,
+invalid outcomes, executed-above-failure rows, existing night rows and
+partial instances, and is checked as built from records and as read back
+from JSONL and CSV.
 """
 
 import csv
@@ -35,7 +35,7 @@ from aebscore.campaign import (
 )
 from aebscore.cli import main
 from aebscore.impact import ImpactPowerModel
-from aebscore.logio import LOG_COLUMNS, read_log, record_to_row, write_log
+from aebscore.logio import LOG_COLUMNS, read_log, write_log
 from aebscore.protocol import (
     DAY,
     LIGHTS,
@@ -46,6 +46,7 @@ from aebscore.protocol import (
 )
 from aebscore.scoring import ScenarioScore, ScoreValue, ScoringError, _kernel, score_campaign
 from aebscore.simulate import load_simulation_spec, simulate_campaign
+from reference import record_to_row
 
 DATA_DIR = bundled_protocol_path().parent
 
@@ -440,3 +441,20 @@ def test_stages_of_a_read_log_build_no_records(protocol, tmp_path, monkeypatch):
         monkeypatch.setattr(TestRecord, "__init__", original)
         assert log.records == tuple(records)  # the view, built on first access
         assert calls == []
+
+
+@pytest.mark.parametrize("shape", ["grouped", "interleaved"])
+def test_runs_hold_the_tables_own_vehicle_strings_and_rebuild_the_row_order(
+    protocol, tmp_path, shape
+):
+    records = messy_records(protocol, 4, shape, complete=False)
+    for _, log in _forms(protocol, records, tmp_path):
+        table = log.records
+        keys = {vehicle: vehicle for vehicle in table.vehicles}
+        assert all(keys[vehicle] is vehicle for vehicle in table.run_vehicles)
+        assert sum(table.run_lengths) == len(table) == len(records)
+        rows = [(v, e[1], e[2], e[3]) for v, entries in table.runs() for e in entries]
+        assert rows == [tuple(r) for r in records]
+        expanded = expand_night_judgements(log).records
+        assert expanded.run_vehicles[: len(table.run_vehicles)] == table.run_vehicles
+        assert list(expanded.runs())[: len(table.run_lengths)] == list(table.runs())

@@ -11,10 +11,11 @@ import pytest
 
 from aebscore import logio
 from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
-from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, record_to_row, write_log
+from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, write_log
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path, enumerate_configs
 from aebscore.simulate import load_simulation_spec, simulate_campaign
+from reference import record_to_row
 
 
 def _sample_log(protocol):
@@ -600,3 +601,36 @@ def test_log_io_holds_less_than_half_the_file(protocol, fleet_jsonl, tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == fleet_jsonl.read_bytes()
     assert read_held < size / 2
     assert write_held < size / 2
+
+
+def _retained(call):
+    """The result of ``call`` and the traced memory it still holds on return."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current
+
+
+@pytest.mark.parametrize("shape, limit", [("grouped", 48), ("alternating", 60)])
+def test_read_log_table_retains_few_bytes_per_row(protocol, fleet_jsonl, tmp_path, shape, limit):
+    # The table keeps per row one reference to an entry that rows reading
+    # alike share, and per run of one vehicle's rows a length and the
+    # vehicle's key string: about 35 B per row grouped by vehicle, 53 B with
+    # a run per row. Keeping row numbers per row, or each row's own vehicle
+    # string, takes 70 B or more in both shapes.
+    path = fleet_jsonl
+    if shape == "alternating":  # each vehicle's n-th row, vehicle after vehicle
+        by_vehicle = {}
+        for line in fleet_jsonl.read_text(encoding="utf-8").splitlines(keepends=True):
+            by_vehicle.setdefault(json.loads(line)["vehicle"], []).append(line)
+        path = tmp_path / "alternating.jsonl"
+        path.write_text("".join(map("".join, zip(*by_vehicle.values()))), encoding="utf-8")
+    log, retained = _retained(lambda: read_log(path, protocol))
+    assert len(log.records) == 22_400
+    assert retained / 22_400 <= limit
+    assert len(log.records.run_lengths) == (100 if shape == "grouped" else 22_400)

@@ -14,7 +14,6 @@ from aebscore.campaign import (
     validate_log,
 )
 from aebscore.cli import main
-from aebscore.logio import record_to_row
 from aebscore.protocol import bundled_protocol_path, enumerate_configs, load_protocol
 from aebscore.simulate import (
     SimulationSpecError,
@@ -22,7 +21,7 @@ from aebscore.simulate import (
     load_simulation_spec,
     simulate_campaign,
 )
-from reference import night_must_be_judged
+from reference import night_must_be_judged, record_to_row
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_SIM = DATA_DIR / "fixture_sim.json"
