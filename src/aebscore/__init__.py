@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "aggregate": "GroupScore RelativityMatrix WeightTable aggregate_fs aggregate_mps build_matrix"
     " load_weight_table relativity",
-    "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord VehicleProfile"
-    " completion_stats expand_night_judgements run_scenario validate_log",
+    "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord completion_stats"
+    " expand_night_judgements run_scenario validate_log",
     "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
     "logio": "read_log write_log",
     "protocol": "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"

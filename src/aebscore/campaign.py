@@ -26,7 +26,6 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from .impact import DEFAULT_VUT_MASS
 from .protocol import (
     DAY,
     CompiledProtocol,
@@ -115,27 +114,23 @@ def outcome_problems(outcome: TestOutcome, config: TestConfig) -> list[str]:
     return problems
 
 
-class VehicleProfile:
-    """A test-pool vehicle: its identity and its mass for the energy model."""
-
-    __slots__ = ("id", "mass")
-
-    def __init__(self, id: str, mass: float = DEFAULT_VUT_MASS):  # kg
-        if mass <= 0:
-            raise ValueError(f"vehicle {id!r}: mass must be > 0")
-        self.id = id
-        self.mass = mass
-
-
 _ID_PATTERN = re.compile(r"^(\d+)(.*)$")
 
 
 def vehicle_sort_key(vehicle_id: str) -> tuple:
-    """Natural ordering: numeric prefix first, so '2' sorts before '10'."""
+    """Natural ordering: numeric prefix first, so '2' sorts before '10'. The prefix
+    compares by value without ``int()``; ids equal in value and suffix ('7',
+    '07') fall back to the id text, so no two ids tie."""
     m = _ID_PATTERN.match(vehicle_id)
-    if m:
-        return (0, int(m.group(1)), m.group(2))
-    return (1, 0, vehicle_id)
+    if m is None:
+        return (1, vehicle_id)
+    digits = m.group(1)
+    if not digits.isascii():  # any decimal digit, as int() reads it; rare, so imported here
+        import unicodedata
+
+        digits = "".join(str(unicodedata.decimal(d)) for d in digits)
+    digits = digits.lstrip("0")
+    return (0, len(digits), digits, m.group(2), vehicle_id)
 
 
 class TestRecord(NamedTuple):
@@ -267,28 +262,17 @@ class CampaignLog:
     is kept as it is, so a log built from another log's table shares it.
     """
 
-    __slots__ = ("protocol", "vehicles", "records")
+    __slots__ = ("protocol", "records")
 
-    def __init__(
-        self,
-        protocol: ProtocolDefinition,
-        vehicles: tuple[VehicleProfile, ...] = (),
-        records: Iterable[TestRecord] = (),
-    ):
+    def __init__(self, protocol: ProtocolDefinition, records: Iterable[TestRecord] = ()):
         compiled = protocol.compiled
         if not (isinstance(records, LogTable) and records.compiled is compiled):
             records = LogTable.of_records(compiled, records)
         self.protocol = protocol
-        self.vehicles = vehicles
         self.records: LogTable = records
 
     def vehicle_ids(self) -> list[str]:
-        ids = {v.id for v in self.vehicles}
-        ids.update(self.records.vehicles)
-        return sorted(ids, key=vehicle_sort_key)
-
-    def with_records(self, records: Iterable[TestRecord]) -> "CampaignLog":
-        return CampaignLog(self.protocol, self.vehicles, tuple(records))
+        return sorted(self.records.vehicles, key=vehicle_sort_key)
 
 
 # A braking oracle answers one configuration deterministically.
@@ -425,14 +409,14 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     judged = TestOutcome.judged()
     added = []
     for vehicle in log.vehicle_ids():
-        entries = table.vehicles.get(vehicle, ())
+        entries = table.vehicles[vehicle]
         nights = list(judged_nights(compiled, entries, compiled.night_pairs))
         if nights:
             held = {entry[0] for entry in entries}
             added += [(vehicle, (n, configs[n], judged, None)) for n in nights if n not in held]
     if not added:
         return log
-    return CampaignLog(log.protocol, log.vehicles, LogTable(compiled, added, base=table))
+    return CampaignLog(log.protocol, LogTable(compiled, added, base=table))
 
 
 class Diagnostic(NamedTuple):
@@ -542,7 +526,7 @@ def completion_stats(log: CampaignLog) -> dict[str, CompletionStats]:
     stats: dict[str, CompletionStats] = {}
     for vehicle in log.vehicle_ids():
         executed = judged = 0
-        for _, _, outcome, _ in table.vehicles.get(vehicle, ()):
+        for _, _, outcome, _ in table.vehicles[vehicle]:
             kind = outcome.kind
             if kind is _JUDGED_KIND:
                 judged += 1

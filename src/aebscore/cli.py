@@ -23,12 +23,10 @@ from .aggregate import (
     check_weight_table,
     load_weight_table,
 )
-from .campaign import (
-    CampaignLog, VehicleProfile, completion_stats, validate_log, vehicle_sort_key
-)
-from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, load_impact_config
+from .campaign import completion_stats, validate_log
+from .impact import load_impact_config
 from .logio import read_log, write_log
-from .protocol import LIGHTS, ProtocolDefinition, load_protocol
+from .protocol import LIGHTS, load_protocol
 from .report import (
     EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table, score_title
 )
@@ -101,15 +99,6 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
         )
 
 
-def _read_inputs(args) -> tuple[ProtocolDefinition, CampaignLog, ImpactPowerModel]:
-    protocol = load_protocol(args.protocol)
-    model, vut_masses, default_mass = load_impact_config(args.impact_model or {})
-    log = read_log(args.log, protocol)
-    # read_log gives default profiles; only the mass comes from the impact config.
-    vehicles = tuple(VehicleProfile(v.id, vut_masses.get(v.id, default_mass)) for v in log.vehicles)
-    return protocol, CampaignLog(protocol, vehicles, log.records), model
-
-
 def _formats(args) -> list[str]:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     if not formats:
@@ -155,13 +144,17 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _validated_inputs(args):
-    protocol, log, model = _read_inputs(args)
+def _read_inputs(args):
+    """Score's and compare's inputs with each log vehicle's mass; None on log findings."""
+    protocol = load_protocol(args.protocol)
+    model, vut_masses, default_mass = load_impact_config(args.impact_model or {})
+    log = read_log(args.log, protocol)
     diagnostics = validate_log(log)
     if diagnostics:
         for diagnostic in diagnostics:
             print(diagnostic, file=sys.stderr)
         return None
+    masses = {vehicle: vut_masses.get(vehicle, default_mass) for vehicle in log.records.vehicles}
     tables = [load_weight_table(p) for p in args.weights]
     paths = {}  # region -> the weight table file that names it
     for path, table in zip(args.weights, tables):
@@ -175,16 +168,16 @@ def _validated_inputs(args):
                 f"weight tables {paths[table.region]} and {path} both have region {table.region!r}"
             )
         paths[table.region] = path
-    return protocol, log, model, tables
+    return protocol, log, model, masses, tables
 
 
 def cmd_score(args) -> int:
     formats = _formats(args)
-    inputs = _validated_inputs(args)
+    inputs = _read_inputs(args)
     if inputs is None:
         return EXIT_FINDINGS
-    protocol, log, model, weight_tables = inputs
-    scores = score_campaign(log, model, validate=False)
+    protocol, log, model, masses, weight_tables = inputs
+    scores = score_campaign(log, model, validate=False, masses=masses)
     # The grids of all regions are the same; each is built once and titled per region.
     first = weight_tables[0].region
     grids = {(li, m): score_table(scores, protocol, m, li, first) for li in LIGHTS for m in METRICS}
@@ -200,23 +193,18 @@ def cmd_score(args) -> int:
 
 def cmd_compare(args) -> int:
     formats = _formats(args)
-    inputs = _validated_inputs(args)
+    inputs = _read_inputs(args)
     if inputs is None:
         return EXIT_FINDINGS
-    protocol, log, model, weight_tables = inputs
-    scores = score_campaign(log, model, validate=False)
+    protocol, log, model, masses, weight_tables = inputs
+    scores = score_campaign(log, model, validate=False, masses=masses)
     by_vehicle: dict[str, list] = {}
     for s in scores:
         by_vehicle.setdefault(s.vehicle, []).append(s)
-    masses = {v.id: v.mass for v in log.vehicles}
     passive_powers = {
-        vehicle: protocol.compiled.passive_powers(
-            model, masses.get(vehicle, DEFAULT_VUT_MASS)
-        ).by_instance
+        vehicle: protocol.compiled.passive_powers(model, masses[vehicle]).by_instance
         for vehicle in by_vehicle
     }
-
-    vehicles = sorted(by_vehicle, key=vehicle_sort_key)
     group_scores = [
         [
             GroupScore(
@@ -226,7 +214,7 @@ def cmd_compare(args) -> int:
                 fs=aggregate_fs(by_vehicle[vehicle], table, group),
                 mps=aggregate_mps(by_vehicle[vehicle], table, group, passive_powers[vehicle]),
             )
-            for vehicle in vehicles
+            for vehicle in by_vehicle
         ]
         for table in weight_tables
         for group in table.groups
@@ -244,7 +232,7 @@ def cmd_simulate(args) -> int:
         spec = spec._replace(seed=args.seed)
     log = simulate_campaign(protocol, spec, stop_on_impact=not args.continue_past_impact)
     write_log(log, args.out)
-    print(f"{args.out}: {len(log.records)} records for {len(log.vehicles)} vehicles")
+    print(f"{args.out}: {len(log.records)} records for {len(spec.vehicles)} vehicles")
     return EXIT_OK
 
 

@@ -31,11 +31,11 @@ decode to the same row but for the vehicle. Other lines, and lines equal
 only once decoded (``1`` and ``1.0``, another key order), take the full
 parse. A vehicle is a non-empty string or an integer. Only ``\n`` ends a
 JSON line.
-``write_log`` works the other way round: it encodes each distinct row and
-each vehicle cell once, then walks the table's runs of rows and splices
-each vehicle's cell into its rows. The memos are locals of one call;
-nothing is cached between calls. CSV errors name the physical line a row
-starts on.
+``write_log`` works the other way round: it walks the table's runs of rows
+and splices each vehicle's cell into its rows, encoding each distinct row
+and each vehicle cell the first time a line needs it. The memos are locals
+of one call; nothing is cached between calls. CSV errors name the physical
+line a row starts on.
 
 Neither direction holds a JSONL file whole. ``read_log`` reads a JSON-lines
 file in chunks of ``_READ_CHUNK`` characters and parses each line as it
@@ -58,14 +58,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
 
-from .campaign import (
-    CampaignLog,
-    LogTable,
-    OutcomeKind,
-    TestOutcome,
-    VehicleProfile,
-)
-from .protocol import LIGHTS, ProtocolDefinition, TestConfig, _plain, read_text
+from .campaign import CampaignLog, LogTable, OutcomeKind, TestOutcome
+from .protocol import LIGHTS, ProtocolDefinition, TestConfig, _plain, has_lone_surrogate, read_text
 
 LOG_COLUMNS = (
     "vehicle",
@@ -99,59 +93,62 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     """Write a log as CSV (``.csv``) or JSON lines (any other suffix).
 
     Same bytes as encoding each record in full, but each distinct row and
-    vehicle cell is encoded once per call (see the module docstring).
+    vehicle cell is encoded once per call, by the first line that holds it
+    (see the module docstring).
     """
     path = Path(path)
     as_csv = path.suffix.lower() == ".csv"
     # writerow returns what the file's write returns: here, the line itself. The
     # "\r" in its terminator makes it quote a cell holding one; lines end in "\n".
     encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
-    table = log.records
     cells: dict[str, str] = {}  # vehicle -> its encoded cell
     # (position, or config off the lattice, outcome, pre_test) -> text around the vehicle cell
     rows: dict[tuple, tuple[str, str]] = {}
-    for vehicle, entries in table.vehicles.items():
-        if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
-            cells[vehicle] = encode([_csv_cell(vehicle), ""])[:-3]
-        else:
-            cells[vehicle] = f'"vehicle": {json.dumps(vehicle)}, '
-        for pos, config, outcome, pre_test in entries:
-            key = (config if pos is None else pos, outcome, pre_test)
-            if key in rows:
-                continue
-            impact, tg = outcome.impact_speed, config.tg_speed
-            fields = {
-                "scenario": config.code,
-                "light": config.light,
-                "vut_speed": _plain(config.vut_speed),
-                "tg_speed": None if tg is None else _plain(tg),
-                "overlap": _plain(config.overlap),
-                "outcome": outcome.kind.value,
-                "impact_speed": None if impact is None else _plain(impact),
-                "intervention": outcome.intervention,
-                "projected": outcome.projected,
-                "pre_test": pre_test,
-            }
-            if as_csv:  # the vehicle is column 0
-                rows[key] = "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
-            else:  # only tg_speed is written as null; "vehicle" sorts just before "vut_speed"
-                fields = {k: v for k, v in fields.items() if v is not None or k == "tg_speed"}
-                text = json.dumps(fields, sort_keys=True)
-                cut = text.rindex('"vut_speed": ')
-                rows[key] = text[:cut], text[cut:] + "\n"
     with path.open("w", encoding="utf-8") as file:
         if as_csv:
             file.write(encode(LOG_COLUMNS)[:-2] + "\n")
         lines = []
-        for vehicle, entries in table.runs():
-            cell = cells[vehicle]
+        for vehicle, entries in log.records.runs():
+            cell = cells.get(vehicle)
+            if cell is None:
+                if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
+                    cell = cells[vehicle] = encode([_csv_cell(vehicle), ""])[:-3]
+                else:
+                    cell = cells[vehicle] = f'"vehicle": {json.dumps(vehicle)}, '
             for pos, config, outcome, pre_test in entries:
-                head, tail = rows[config if pos is None else pos, outcome, pre_test]
-                lines.append(head + cell + tail)
+                key = (config if pos is None else pos, outcome, pre_test)
+                text = rows.get(key)
+                if text is None:
+                    text = rows[key] = _row_text(config, outcome, pre_test, as_csv, encode)
+                lines.append(text[0] + cell + text[1])
                 if len(lines) == _WRITE_BATCH:
                     file.write("".join(lines))
                     lines.clear()
         file.write("".join(lines))
+
+
+def _row_text(config, outcome, pre_test, as_csv, encode) -> tuple[str, str]:
+    """A row's encoded text before and after its vehicle cell."""
+    impact, tg = outcome.impact_speed, config.tg_speed
+    fields = {
+        "scenario": config.code,
+        "light": config.light,
+        "vut_speed": _plain(config.vut_speed),
+        "tg_speed": None if tg is None else _plain(tg),
+        "overlap": _plain(config.overlap),
+        "outcome": outcome.kind.value,
+        "impact_speed": None if impact is None else _plain(impact),
+        "intervention": outcome.intervention,
+        "projected": outcome.projected,
+        "pre_test": pre_test,
+    }
+    if as_csv:  # the vehicle is column 0
+        return "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
+    # Only tg_speed is written as null; "vehicle" sorts just before "vut_speed".
+    fields = {k: v for k, v in fields.items() if v is not None or k == "tg_speed"}
+    text = json.dumps(fields, sort_keys=True)
+    cut = text.rindex('"vut_speed": ')
+    return text[:cut], text[cut:] + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -162,11 +159,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def read_log(
-    path: str | Path,
-    protocol: ProtocolDefinition,
-    vehicles: Iterable[VehicleProfile] = (),
-) -> CampaignLog:
+def read_log(path: str | Path, protocol: ProtocolDefinition) -> CampaignLog:
     """Parse a log file and resolve its rows against the protocol.
 
     Rows naming a scenario the protocol does not know are rejected here;
@@ -187,11 +180,10 @@ def read_log(
     except (LogFormatError, UnicodeDecodeError) as exc:
         read_text(path, "log")  # a file that is not UTF-8 text is reported as such
         raise LogFormatError(f"log {path}: {exc}") from None
-    profiles = {v.id: v for v in vehicles}
     for vehicle in table.vehicles:
-        if vehicle not in profiles:
-            profiles[vehicle] = VehicleProfile(id=vehicle)
-    return CampaignLog(protocol=protocol, vehicles=tuple(profiles.values()), records=table)
+        if has_lone_surrogate(vehicle):
+            raise LogFormatError(f"log {path}: vehicle {vehicle!r} holds a lone surrogate")
+    return CampaignLog(protocol, table)
 
 
 def _lines(file) -> Iterator[str]:

@@ -480,8 +480,9 @@ def read_text(path: str | Path, kind: str, newline: str | None = None) -> str:
 def read_document(source: str | Path | Mapping, kind: str, error: type[ValueError]) -> Mapping:
     """A JSON input document: a mapping as given, or the object in a UTF-8 file.
 
-    Invalid JSON, nesting deeper than the decoder's recursion limit and a top
-    level that is not an object raise ``error`` naming ``kind`` and the file.
+    Invalid JSON, nesting deeper than the decoder's recursion limit, a top level
+    that is not an object and a string holding a lone surrogate raise ``error``
+    naming ``kind`` and the file.
     """
     if isinstance(source, Mapping):
         return source
@@ -492,7 +493,22 @@ def read_document(source: str | Path | Mapping, kind: str, error: type[ValueErro
         raise error(f"{kind} {source}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise error(f"{kind} {source}: expected a JSON object")
+    if "\\ud" in text or "\\uD" in text:  # walked without recursion: nesting may be deep
+        nodes = [doc]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, dict):
+                nodes += (*node, *node.values())
+            elif isinstance(node, list):
+                nodes += node
+            elif isinstance(node, str) and has_lone_surrogate(node):
+                raise error(f"{kind} {source}: string {node!r} holds a lone surrogate")
     return doc
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """No UTF-8 file holds a lone surrogate, but a JSON escape such as "\\ud800" makes one."""
+    return not text.isascii() and any("\ud800" <= c <= "\udfff" for c in text)
 
 
 def _parse_scenario(entry, where: str) -> ScenarioSpec:

@@ -229,8 +229,12 @@ def score_campaign(
     model: ImpactPowerModel,
     config_weights: Mapping[TestConfig, float] | None = None,
     validate: bool = True,
+    *,
+    masses: Mapping[str, float] | None = None,
 ) -> list[ScenarioScore]:
-    """Score every vehicle on every (scenario, light) instance of the protocol.
+    """Score every vehicle on every (scenario, light) instance of the protocol,
+    in ``vehicle_sort_key`` order, each at its mass in ``masses`` (kg) or at
+    ``DEFAULT_VUT_MASS`` if ``masses`` does not name it.
 
     Instances the protocol does not license come back marked not applicable.
     A licensed instance with no records at all means the vehicle never got
@@ -248,14 +252,14 @@ def score_campaign(
             )
     table = log.records
     compiled = table.compiled
-    masses = {v.id: v.mass for v in log.vehicles}
+    masses = masses or {}
     size = len(compiled.configs)
     scores: list[ScenarioScore] = []
     for vehicle in log.vehicle_ids():
         mass = masses.get(vehicle, DEFAULT_VUT_MASS)
         outcomes: list[TestOutcome | None] = [None] * size
         off_lattice = set()
-        for pos, config, outcome, _ in table.vehicles.get(vehicle, ()):
+        for pos, config, outcome, _ in table.vehicles[vehicle]:
             if pos is None:
                 off_lattice.add((config.code, config.light))
             else:  # a later duplicate replaces an earlier record

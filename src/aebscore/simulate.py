@@ -19,16 +19,7 @@ import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .campaign import (
-    CampaignLog,
-    LogTable,
-    TestOutcome,
-    VehicleProfile,
-    judged_nights,
-    run_scenario,
-    series_key,
-)
-from .impact import DEFAULT_VUT_MASS
+from .campaign import CampaignLog, LogTable, TestOutcome, judged_nights, run_scenario, series_key
 from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
@@ -52,7 +43,7 @@ class OracleSpec(NamedTuple):
 
 class SimulationSpec(NamedTuple):
     seed: int
-    vehicles: tuple[tuple[VehicleProfile, OracleSpec], ...]
+    vehicles: tuple[tuple[str, OracleSpec], ...]  # (vehicle id, its oracle)
 
 
 def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
@@ -66,8 +57,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         raise SimulationSpecError("'vehicles' must be a non-empty array")
     default_oracle = doc.get("default_oracle")
 
-    vehicles = []
-    seen = set()
+    vehicles = {}  # vehicle id -> its oracle
     for i, entry in enumerate(raw_vehicles):
         where = f"vehicles[{i}]"
         if not isinstance(entry, Mapping):
@@ -75,10 +65,10 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         vid = entry.get("id")
         if not isinstance(vid, str) or not vid:
             raise SimulationSpecError(f"{where}: 'id' must be a non-empty string")
-        if vid in seen:
+        if vid in vehicles:
             raise SimulationSpecError(f"{where}: duplicate vehicle id {vid!r}")
-        seen.add(vid)
-        mass = entry.get("mass", DEFAULT_VUT_MASS)
+        # Checked, not kept, as the next three: scoring takes masses from the impact model.
+        mass = entry.get("mass", 1.0)
         if not within(mass, 0, _FLOAT_MAX) or mass == 0:
             raise SimulationSpecError(f"{where}: 'mass' must be a number > 0")
         sensors = entry.get("sensors", [])
@@ -89,12 +79,11 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
             raise SimulationSpecError(f"{where}: 'model_year' must be an integer or null")
         if not isinstance(is_prototype, bool):
             raise SimulationSpecError(f"{where}: 'is_prototype' must be a boolean")
-        profile = VehicleProfile(vid, float(mass))
         oracle_doc = entry.get("oracle", default_oracle)
         if oracle_doc is None:
             raise SimulationSpecError(f"{where}: no oracle and no default_oracle")
-        vehicles.append((profile, _parse_oracle(oracle_doc, f"{where}.oracle")))
-    return SimulationSpec(seed=seed, vehicles=tuple(vehicles))
+        vehicles[vid] = _parse_oracle(oracle_doc, f"{where}.oracle")
+    return SimulationSpec(seed=seed, vehicles=tuple(vehicles.items()))
 
 
 _ORACLE_KINDS = ("always_avoid", "never_respond", "threshold", "random")
@@ -248,8 +237,8 @@ def simulate_campaign(
     for pair in compiled.night_pairs:
         night_pairs.setdefault(configs[pair[0]].code, []).append(pair)
     entries = []  # (vehicle, (position, config, outcome, pre_test)) in row order
-    for profile, oracle_spec in spec.vehicles:
-        oracle = build_oracle(oracle_spec, spec.seed, profile.id)
+    for vehicle, oracle_spec in spec.vehicles:
+        oracle = build_oracle(oracle_spec, spec.seed, vehicle)
         for scenario in protocol.scenarios:
             day = []  # the scenario's day entries
             judged = ()
@@ -266,16 +255,12 @@ def simulate_campaign(
                         overlap,
                         light,
                         requires_pretest=scenario.requires_pretest,
-                        vehicle=profile.id,
+                        vehicle=vehicle,
                         stop_on_impact=stop_on_impact,
                         judged=judged,
                     ):
                         entry = (index[config.key()], config, outcome, pre_test)
-                        entries.append((profile.id, entry))
+                        entries.append((vehicle, entry))
                         if light != NIGHT:
                             day.append(entry)
-    return CampaignLog(
-        protocol=protocol,
-        vehicles=tuple(profile for profile, _ in spec.vehicles),
-        records=LogTable(compiled, entries),
-    )
+    return CampaignLog(protocol, LogTable(compiled, entries))

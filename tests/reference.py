@@ -201,15 +201,16 @@ def mitigation_triple(configs, outcomes, vut_mass, weights=None):
 
 
 def natural_key(vehicle):
-    """Vehicles with a numeric prefix first, by number then suffix; others by name."""
+    """Vehicles with a numeric prefix first, by number then suffix, then by the
+    whole id ('07' before '7'); others by name."""
     digits = ""
     for ch in vehicle:
         if not ch.isdecimal():
             break
         digits += ch
     if digits:
-        return (0, int(digits), vehicle[len(digits):])
-    return (1, 0, vehicle)
+        return (0, int(digits), vehicle[len(digits):], vehicle)
+    return (1, 0, vehicle, vehicle)
 
 
 def relativity_cell(score_x, score_y):

@@ -16,7 +16,7 @@ from aebscore.campaign import (
 )
 from aebscore.protocol import TestConfig, enumerate_configs
 
-from reference import scan_series
+from reference import natural_key, scan_series
 
 
 def threshold_oracle(fail_at, impact_fraction=0.5, respond=True):
@@ -201,7 +201,7 @@ def test_expand_is_idempotent_and_preserves_existing(protocol):
     day = _day_log(protocol, "CCRs", no_response_oracle)
     night_config = enumerate_configs(protocol, scenario="CCRs", light="night")[0]
     existing = TestRecord("V", night_config, TestOutcome.avoided())
-    log = day.with_records(day.records + (existing,))
+    log = CampaignLog(protocol, day.records + (existing,))
     once = expand_night_judgements(log)
     twice = expand_night_judgements(once)
     assert once.records == twice.records
@@ -290,16 +290,34 @@ def test_completion_stats_counts(protocol):
     assert s.completion_percent == round(110 / 224 * 100)
 
 
-def test_completion_stats_empty_vehicle(protocol):
-    from aebscore.campaign import VehicleProfile
-
-    log = CampaignLog(protocol=protocol, vehicles=(VehicleProfile("Z"),))
-    assert completion_stats(log)["Z"].completion_percent == 0
-
-
 def test_vehicle_sort_key_natural_order():
     ids = ["10", "2", "1B", "7A", "1A", "7B", "6"]
     assert sorted(ids, key=vehicle_sort_key) == ["1A", "1B", "2", "6", "7A", "7B", "10"]
+
+
+def test_vehicle_sort_key_breaks_ties_on_the_id_text():
+    ids = ["7", "07", "007", "1A", "01A", "0", "00", "x", "\u0663", "3", "\u0661\u0660"]
+    keys = {vehicle_sort_key(v) for v in ids}
+    assert len(keys) == len(ids)
+    assert sorted(ids, key=vehicle_sort_key) == [
+        "0", "00", "01A", "1A", "3", "\u0663", "007", "07", "7", "\u0661\u0660", "x"
+    ]
+    assert sorted(ids, key=vehicle_sort_key) == sorted(ids, key=natural_key)
+
+
+def test_vehicle_sort_key_orders_as_the_reference_and_as_int_did():
+    rng = random.Random(8)
+    ids = list({"".join(rng.choices("0079A", k=rng.randint(1, 5))) for _ in range(400)})
+    rng.shuffle(ids)
+    assert sorted(ids, key=vehicle_sort_key) == sorted(ids, key=natural_key)
+    for a in ids[:60]:
+        for b in ids[:60]:
+            old_a, old_b = natural_key(a)[:3], natural_key(b)[:3]  # the order before ties broke
+            if old_a < old_b:
+                assert vehicle_sort_key(a) < vehicle_sort_key(b)
+    huge = "1" + "0" * 5000
+    ids = [huge, "9" * 4999, "0" + huge]
+    assert sorted(ids, key=vehicle_sort_key) == ["9" * 4999, "0" + huge, huge]
 
 
 def test_completion_stats_matches_brute_force_on_interleaved_log(protocol):

@@ -662,7 +662,7 @@ def test_spec_model_year_and_is_prototype_accept_their_types():
     for extra in ({"model_year": 2024, "is_prototype": True}, {"model_year": None}, {}):
         vehicle = {"id": "V", "oracle": {"type": "always_avoid"}, **extra}
         spec = load_simulation_spec({"vehicles": [vehicle]})
-        assert [profile.id for profile, _ in spec.vehicles] == ["V"]
+        assert [vehicle for vehicle, _ in spec.vehicles] == ["V"]
 
 
 @pytest.mark.parametrize(
@@ -750,3 +750,145 @@ def test_report_csv_cell_holding_a_carriage_return_survives_a_csv_reader(tmp_pat
             table = list(csv.reader(file))
         assert len({len(row) for row in table}) == 1, path
         assert "1\rA" in [cell for row in table for cell in row], path
+
+
+def _relabelled_golden_log(path, relabel):
+    """The golden log with each vehicle's rows copied under the ids ``relabel`` maps it to."""
+    rows = [json.loads(line) for line in GOLDEN_LOG.read_text(encoding="utf-8").splitlines()]
+    lines = [
+        json.dumps({**row, "vehicle": new}) + "\n"
+        for old, ids in relabel.items()
+        for new in ids
+        for row in rows
+        if row["vehicle"] == old
+    ]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+_REPORTS = """
+import sys
+from aebscore.cli import main
+protocol, log, eu, us, out = sys.argv[1:]
+common = ["--protocol", protocol, "--log", log]
+weights = ["--weights", eu, "--weights", us]
+codes = [main(["stats", *common, "--out", out + "/stats.csv"])]
+codes += [main([c, *common, *weights, "--out", out + "/" + c]) for c in ("score", "compare")]
+sys.exit(max(codes))
+"""
+
+
+def test_reports_of_ids_equal_in_value_do_not_depend_on_the_hash_seed(tmp_path):
+    # Copies of one vehicle tie on every score, so only the ids order them.
+    log = _relabelled_golden_log(
+        tmp_path / "log.jsonl", {"1A": ["7", "07", "007", "1A", "01A"], "2": ["2"]}
+    )
+    src = str(Path(aebscore.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    weights = [str(DATA_DIR / f"weights_{region}_example.json") for region in ("eu", "us")]
+    trees = []
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", _REPORTS, str(bundled_protocol_path()), str(log), *weights, out],
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+        )
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 1 + 8 + 12  # stats, 4 score and 6 matrix tables per region
+    assert all(tree == trees[0] for tree in trees)
+    stats = trees[0][Path("stats.csv")].decode().splitlines()
+    assert [row.split(",")[0] for row in stats[2:]] == ["01A", "1A", "2", "007", "07", "7"]
+    matrix = trees[0][Path("compare/rel_mp_c2c_eu.csv")].decode().splitlines()
+    assert matrix[1].split(",")[1:] == ["01A", "1A", "007", "07", "7", "2"]
+
+
+def test_stats_orders_an_id_of_5000_digits_without_int(tmp_path, capsys):
+    huge = "9" * 5000
+    log = _relabelled_golden_log(tmp_path / "log.jsonl", {"1A": [huge + "A", "10"]})
+    assert main(["stats", *_protocol_args(), "--log", str(log)]) == 0
+    out, err = capsys.readouterr()
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["10", huge + "A"]
+    assert not err
+
+
+def test_score_and_compare_take_each_vehicles_mass_from_the_impact_model(
+    tmp_path, capsys, monkeypatch
+):
+    from aebscore.protocol import CompiledProtocol
+
+    calls = {"score_campaign": [], "passive_powers": set()}
+
+    def scoring(*args, masses, **kwargs):
+        calls["score_campaign"].append(masses)
+        return score_campaign(*args, masses=masses, **kwargs)
+
+    def passive_powers(self, model, vut_mass):
+        calls["passive_powers"].add(vut_mass)
+        return original(self, model, vut_mass)
+
+    score_campaign, original = cli.score_campaign, CompiledProtocol.passive_powers
+    monkeypatch.setattr(cli, "score_campaign", scoring)
+    monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
+    config = tmp_path / "impact.json"
+    config.write_text(json.dumps({"vut_masses": {"1A": 900, "6": 2400}, "default_vut_mass": 1700}))
+    for command in ("score", "compare"):
+        args = ["--log", str(GOLDEN_LOG), "--impact-model", str(config), "--out", str(tmp_path)]
+        args += ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+        assert main([command, *_protocol_args(), *args]) == 0
+    capsys.readouterr()
+    masses = {"1A": 900.0, "2": 1700.0, "6": 2400.0, "7B": 1700.0}
+    assert calls["score_campaign"] == [masses, masses]
+    assert calls["passive_powers"] == {900.0, 1700.0, 2400.0}
+
+
+_LONE = "A\\ud800"  # a JSON escape that decodes to a lone surrogate
+
+
+@pytest.mark.parametrize("first", [None, "B"])  # "B": the escaped row hits the read memo
+def test_log_vehicle_holding_a_lone_surrogate_exits_2_naming_the_file(tmp_path, capsys, first):
+    row = GOLDEN_LOG.read_text(encoding="utf-8").splitlines()[0]
+    lines = [row.replace('"1A"', f'"{first}"')] if first else []
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n".join([*lines, row.replace('"1A"', f'"{_LONE}"')]) + "\n")
+    stats = tmp_path / "stats.csv"
+    assert main(["stats", *_protocol_args(), "--log", str(log), "--out", str(stats)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: log {log}: vehicle 'A\\ud800' holds a lone surrogate" in err
+    assert not stats.exists()
+
+
+def test_spec_id_holding_a_lone_surrogate_exits_2_before_the_log_is_written(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"vehicles": [{"id": "%s", "oracle": {"type": "always_avoid"}}]}' % _LONE)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *_protocol_args(), "--oracle", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: simulation spec {spec}: string 'A\\ud800' holds a lone surrogate" in err
+    assert not out.exists()
+
+
+def test_weight_region_holding_a_lone_surrogate_exits_2_before_any_report(tmp_path, capsys):
+    doc = json.loads((DATA_DIR / "weights_eu_example.json").read_text(encoding="utf-8"))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({**doc, "region": "E\ud800"}))  # json.dumps escapes it
+    out = tmp_path / "out"
+    args = ["--log", str(GOLDEN_LOG), "--weights", str(weights), "--out", str(out)]
+    assert main(["score", *_protocol_args(), *args]) == 2
+    err = capsys.readouterr().err
+    assert f"error: weight table {weights}: string 'E\\ud800' holds a lone surrogate" in err
+    assert not out.exists()
+
+
+def test_escaped_surrogate_pairs_and_backslashes_are_characters(tmp_path, capsys):
+    # "😀" is one character, and "\\ud800" is a backslash and five letters.
+    ids = ["\\ud83d\\ude00", "\\\\ud800"]
+    vehicles = ", ".join('{"id": "%s"}' % vid for vid in ids)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"default_oracle": {"type": "always_avoid"}, "vehicles": [%s]}' % vehicles)
+    log = tmp_path / "log.jsonl"
+    assert main(["simulate", *_protocol_args(), "--oracle", str(spec), "--out", str(log)]) == 0
+    assert main(["stats", *_protocol_args(), "--log", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert "\U0001f600" in out and "\\ud800" in out

@@ -55,10 +55,8 @@ DATA_DIR = bundled_protocol_path().parent
 # References: the record-walking stages.
 
 
-def _vehicle_ids(log, records):
-    ids = {v.id for v in log.vehicles}
-    ids.update(r.vehicle for r in records)
-    return sorted(ids, key=vehicle_sort_key)
+def _vehicle_ids(records):
+    return sorted({r.vehicle for r in records}, key=vehicle_sort_key)
 
 
 def _locator(record):
@@ -118,7 +116,7 @@ def reference_validate(log, records):
 
 def reference_stats(log, records):
     expected = len(enumerate_configs(log.protocol))
-    counts = {vehicle: [0, 0] for vehicle in _vehicle_ids(log, records)}
+    counts = {vehicle: [0, 0] for vehicle in _vehicle_ids(records)}
     for record in records:
         kind = record.outcome.kind
         if kind is OutcomeKind.JUDGED_FAILED:
@@ -144,7 +142,7 @@ def reference_expand(log, records):
                 speed = record.config.vut_speed
                 boundaries[key] = min(speed, boundaries.get(key, speed))
     added = []
-    for vehicle in _vehicle_ids(log, records):
+    for vehicle in _vehicle_ids(records):
         for config in enumerate_configs(log.protocol, light=NIGHT):
             if (vehicle, config.key()) in existing:
                 continue
@@ -165,10 +163,9 @@ def reference_expand(log, records):
     return tuple(records) + tuple(added)
 
 
-def reference_score(log, records, model):
+def reference_score(log, records, model, masses):
     compiled = log.protocol.compiled
     index = {c.key(): i for i, c in enumerate(enumerate_configs(log.protocol))}
-    masses = {v.id: v.mass for v in log.vehicles}
     outcomes_of = {}
     off_lattice = set()
     for record in records:
@@ -179,7 +176,7 @@ def reference_score(log, records, model):
         else:
             outcomes[i] = record.outcome
     scores = []
-    for vehicle in _vehicle_ids(log, records):
+    for vehicle in _vehicle_ids(records):
         mass = masses.get(vehicle, 1500.0)
         outcomes = outcomes_of.get(vehicle, ())
         for spec in log.protocol.scenarios:
@@ -384,13 +381,17 @@ def _assert_scores_agree(got, expected):
                     )
 
 
+# V2, V4 and V5 are missing: they weigh 1500 kg.
+MASSES = {"V1": 1100.0, "V3": 2300.0}
+
+
 @pytest.mark.parametrize("seed, shape", CASES)
 def test_scores_match_the_record_walking_reference(protocol, tmp_path, seed, shape):
     model = ImpactPowerModel()
     records = messy_records(protocol, seed, shape, complete=True)
     for _, log in _forms(protocol, records, tmp_path):
-        expected = reference_score(log, records, model)
-        _assert_scores_agree(score_campaign(log, model, validate=False), expected)
+        expected = reference_score(log, records, model, MASSES)
+        _assert_scores_agree(score_campaign(log, model, validate=False, masses=MASSES), expected)
 
 
 def test_partial_instances_fail_scoring_as_in_the_reference(protocol, tmp_path):
@@ -398,9 +399,9 @@ def test_partial_instances_fail_scoring_as_in_the_reference(protocol, tmp_path):
     records = messy_records(protocol, 1, "shuffled", complete=False)
     log = CampaignLog(protocol=protocol, records=tuple(records))
     with pytest.raises(ScoringError) as expected:
-        reference_score(log, records, model)
+        reference_score(log, records, model, MASSES)
     with pytest.raises(ScoringError) as got:
-        score_campaign(log, model, validate=False)
+        score_campaign(log, model, validate=False, masses=MASSES)
     assert str(got.value) == str(expected.value)
 
 
@@ -435,7 +436,7 @@ def test_stages_of_a_read_log_build_no_records(protocol, tmp_path, monkeypatch):
         completion_stats(log)
         expanded = expand_night_judgements(log)
         assert len(expanded.records) > len(log.records)
-        kept = CampaignLog(log.protocol, log.vehicles[:1], log.records)
+        kept = CampaignLog(log.protocol, log.records)
         assert kept.records is log.records
         assert calls == []
         monkeypatch.setattr(TestRecord, "__init__", original)

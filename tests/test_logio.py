@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from aebscore import logio
-from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord, VehicleProfile
+from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord
 from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, write_log
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path, enumerate_configs
@@ -25,9 +25,7 @@ def _sample_log(protocol):
         TestRecord("1A", configs[1], TestOutcome.impacted(42.5, projected=True)),
         TestRecord("1A", configs[2], TestOutcome.judged()),
     )
-    return CampaignLog(
-        protocol=protocol, vehicles=(VehicleProfile("1A", mass=1600.0),), records=records
-    )
+    return CampaignLog(protocol=protocol, records=records)
 
 
 def _located(path, message):
@@ -113,14 +111,6 @@ def test_unlicensed_settings_parse_but_flag_in_validation(protocol, tmp_path):
     log = read_log(path, protocol)
     assert len(log.records) == 1
     assert [d.code for d in validate_log(log)] == ["unlicensed-config"]
-
-
-def test_vehicle_profiles_merge(protocol, tmp_path):
-    log = _sample_log(protocol)
-    path = tmp_path / "campaign.jsonl"
-    write_log(log, path)
-    again = read_log(path, protocol, vehicles=[VehicleProfile("1A", mass=1777.0)])
-    assert {v.id: v.mass for v in again.vehicles} == {"1A": 1777.0}
 
 
 def test_licensed_rows_resolve_to_canonical_configs(protocol, tmp_path):
@@ -435,7 +425,7 @@ def test_csv_vehicle_holding_a_carriage_return_round_trips(protocol, tmp_path, c
     write_log(log, jsonl_path)
     assert b'"A\rB"' in csv_path.read_bytes() and b'"A\r\nB"' in csv_path.read_bytes()
     assert read_log(csv_path, protocol).records == records
-    assert [v.id for v in read_log(csv_path, protocol).vehicles] == vehicles
+    assert list(read_log(csv_path, protocol).records.vehicles) == vehicles
     # validate reads both files alike: same findings, same exit code, no input error
     outputs = []
     for path in (csv_path, jsonl_path):

@@ -8,7 +8,6 @@ from aebscore.campaign import (
     OutcomeKind,
     TestOutcome,
     TestRecord,
-    VehicleProfile,
 )
 from aebscore.impact import ImpactPowerModel
 from aebscore.protocol import TestConfig, enumerate_configs, load_protocol
@@ -356,7 +355,7 @@ def _assert_triple(score, triple):
         assert math.isclose(value, ref, rel_tol=1e-12, abs_tol=1e-15)
 
 
-def _campaign_with_noise(protocol, rng, mass):
+def _campaign_with_noise(protocol, rng):
     """A one-vehicle log with a replaced duplicate and an off-lattice record per instance."""
     expected = {}
     records = []
@@ -376,16 +375,13 @@ def _campaign_with_noise(protocol, rng, mass):
         )
         records.append(TestRecord("V", rogue, TestOutcome.avoided()))
         expected[(code, light)] = (configs, outcomes)
-    log = CampaignLog(
-        protocol=protocol, vehicles=(VehicleProfile("V", mass=mass),), records=tuple(records)
-    )
-    return log, expected
+    return CampaignLog(protocol=protocol, records=tuple(records)), expected
 
 
 def test_score_campaign_unvalidated_matches_reference(protocol, model):
     rng = random.Random(404)
-    log, expected = _campaign_with_noise(protocol, rng, 1720.0)
-    scores = score_campaign(log, model, validate=False)
+    log, expected = _campaign_with_noise(protocol, rng)
+    scores = score_campaign(log, model, validate=False, masses={"V": 1720.0})
     assert len(scores) == 2 * len(protocol.scenarios)
     for s in scores:
         if s.not_applicable:
@@ -399,14 +395,40 @@ def test_score_campaign_unvalidated_matches_reference(protocol, model):
 
 def test_score_campaign_config_weights_match_reference(protocol, model):
     rng = random.Random(405)
-    log, expected = _campaign_with_noise(protocol, rng, 1380.0)
+    log, expected = _campaign_with_noise(protocol, rng)
     weights = {c: rng.uniform(0.1, 3.0) for c in enumerate_configs(protocol)}
-    for s in score_campaign(log, model, config_weights=weights, validate=False):
+    masses = {"V": 1380.0}
+    for s in score_campaign(log, model, config_weights=weights, validate=False, masses=masses):
         if s.not_applicable:
             continue
         configs, outcomes = expected[(s.scenario, s.light)]
         _assert_triple(s.fs, frequency_triple(configs, outcomes, weights))
         _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1380.0, weights))
+
+
+@pytest.mark.parametrize(
+    "masses, used", [(None, 1500.0), ({}, 1500.0), ({"W": 900.0}, 1500.0), ({"V": 900.0}, 900.0)]
+)
+def test_score_campaign_weighs_a_vehicle_missing_from_masses_1500_kg(
+    protocol, model, monkeypatch, masses, used
+):
+    # The mass cancels out of every score, so the masses the kernel gets are watched.
+    from aebscore import scoring
+
+    seen = set()
+
+    def kernel(*args):
+        seen.add(args[-1])
+        return original(*args)
+
+    original = scoring._kernel
+    monkeypatch.setattr(scoring, "_kernel", kernel)
+    log, expected = _campaign_with_noise(protocol, random.Random(406))
+    for s in score_campaign(log, model, validate=False, masses=masses):
+        if not s.not_applicable:
+            configs, outcomes = expected[(s.scenario, s.light)]
+            _assert_triple(s.mps, mitigation_triple(configs, outcomes, used))
+    assert seen == {used}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])

@@ -22,15 +22,16 @@ from aebscore import protocol
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "aebscore" / "data"
 
-# Every name the package exported when its __init__ imported each module eagerly.
+# Every name the package exported when its __init__ imported each module eagerly,
+# less VehicleProfile, which is gone: masses come from the impact model alone.
 EXPORTS = {
     "aggregate": (
         "GroupScore RelativityMatrix WeightTable aggregate_fs aggregate_mps build_matrix"
         " load_weight_table relativity"
     ),
     "campaign": (
-        "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord VehicleProfile"
-        " completion_stats expand_night_judgements run_scenario validate_log"
+        "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord completion_stats"
+        " expand_night_judgements run_scenario validate_log"
     ),
     "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
     "logio": "read_log write_log",
