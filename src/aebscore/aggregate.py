@@ -6,8 +6,11 @@ region's accident statistics. Frequency scores aggregate as a weighted
 average; mitigation scores additionally weight each instance by its passive
 impact power, so scenarios with more energy at stake count for more.
 
+Both read a vehicle's scores by (scenario, light), indexed once per vehicle.
+
 Relative scores compare two vehicles: their score ratio minus one. Ranked
-pairwise matrices of these relativities are the campaign's primary output.
+pairwise matrices of these relativities are the campaign's primary output,
+each row one ``relativity_row`` call.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ def load_weight_table(source: str | Path | Mapping) -> WeightTable:
     region = doc.get("region")
     if not isinstance(region, str) or not region:
         raise WeightTableError("'region' must be a non-empty string")
+    if "/" in region or "\\" in region or "\0" in region:  # it names report files
+        where = "" if isinstance(source, Mapping) else f" {source}"
+        raise WeightTableError(f"weight table{where}: region {region!r} cannot be in a file name")
     raw_weights = doc.get("weights")
     if not isinstance(raw_weights, list) or not raw_weights:
         raise WeightTableError("'weights' must be a non-empty array")
@@ -139,12 +145,11 @@ class GroupScore(NamedTuple):
 
 
 def _applicable(
-    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup
+    scores: Mapping[Instance, ScenarioScore], table: WeightTable, group: ScenarioGroup
 ) -> Iterator[tuple[Instance, ScenarioScore]]:
     """The group's instances with their scores, not-applicable ones left out."""
-    by_instance = {(s.scenario, s.light): s for s in scores}
     for instance in table.groups.get(group, ()):
-        score = by_instance.get(instance)
+        score = scores.get(instance)
         if score is None:
             raise AggregationError(f"no scenario score for instance {instance}")
         if not score.not_applicable:
@@ -152,9 +157,11 @@ def _applicable(
 
 
 def aggregate_fs(
-    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup
+    scores: Mapping[Instance, ScenarioScore], table: WeightTable, group: ScenarioGroup
 ) -> ScoreValue:
-    """Weighted average of scenario frequency scores over a group.
+    """Weighted average of one vehicle's scenario frequency scores over a group.
+
+    ``scores`` maps (scenario, light) to the vehicle's score, as ``cli.cmd_compare`` indexes it.
 
     Not-applicable instances drop out and their weight leaves the
     normalization, so the result stays a convex combination of what was
@@ -165,10 +172,11 @@ def aggregate_fs(
 
 
 def aggregate_mps(
-    scores: Iterable[ScenarioScore], table: WeightTable, group: ScenarioGroup,
+    scores: Mapping[Instance, ScenarioScore], table: WeightTable, group: ScenarioGroup,
     passive_powers: Mapping[Instance, float],
 ) -> ScoreValue:
-    """Passive-power-weighted average of scenario mitigation scores.
+    """Passive-power-weighted average of one vehicle's scenario mitigation scores,
+    indexed as ``aggregate_fs`` reads them.
 
     Each instance's statistical weight is multiplied by its passive impact
     power, so mitigation in high-energy scenarios dominates the group score.
@@ -204,22 +212,27 @@ def _weighted_mean(
     return ScoreValue(nominal=nominal / total, lower=lower / total, upper=upper / total)
 
 
-def relativity(score_x: float, score_y: float) -> float:
-    """Relative performance of x against y: score ratio minus one.
+_NEGATIVE = "relativity requires non-negative scores"
+
+
+def relativity_row(score_x: float, scores: Iterable[float]) -> tuple[float, ...]:
+    """Relative performance of x against each y in ``scores``: score ratio minus one.
 
     Both zero compares equal (0); a positive score against a zero one is
     infinitely better (inf); a zero score against a positive one is a full
-    shortfall (-1, rendered as -100%).
+    shortfall (-1, rendered as -100%). Every score must be non-negative; the
+    callers check. x against itself is 0.
     """
-    if score_x < 0 or score_y < 0:
-        raise AggregationError("relativity requires non-negative scores")
-    if score_x == 0 and score_y == 0:
-        return 0.0
-    if score_y == 0:
-        return math.inf
     if score_x == 0:
-        return -1.0
-    return score_x / score_y - 1.0
+        return tuple([0.0 if y == 0 else -1.0 for y in scores])
+    return tuple([score_x / y - 1.0 if y else math.inf for y in scores])
+
+
+def relativity(score_x: float, score_y: float) -> float:
+    """The relativity of x against y (see ``relativity_row``)."""
+    if score_x < 0 or score_y < 0:
+        raise AggregationError(_NEGATIVE)
+    return relativity_row(score_x, (score_y,))[0]
 
 
 class _Cells(Mapping):
@@ -271,8 +284,8 @@ def build_matrix(group_scores: Sequence[GroupScore], metric: str) -> RelativityM
     field = "fs" if metric == METRIC_FREQ else "mps"
     nominal = {gs.vehicle: getattr(gs, field).nominal for gs in group_scores}
     order = tuple(sorted(nominal, key=lambda v: (-nominal[v], vehicle_sort_key(v))))
-    rows = tuple(
-        tuple(0.0 if x == y else relativity(nominal[x], nominal[y]) for y in order)
-        for x in order
-    )
+    values = [nominal[v] for v in order]
+    if len(values) > 1 and min(values) < 0:  # a lone vehicle has only its diagonal
+        raise AggregationError(_NEGATIVE)
+    rows = tuple([relativity_row(x, values) for x in values])
     return RelativityMatrix(metric, groups.pop(), regions.pop(), order, nominal, rows)

@@ -156,18 +156,20 @@ def _read_inputs(args):
         return None
     masses = {vehicle: vut_masses.get(vehicle, default_mass) for vehicle in log.records.vehicles}
     tables = [load_weight_table(p) for p in args.weights]
-    paths = {}  # region -> the weight table file that names it
+    seen = {}  # region as report file names spell it -> (weight table file, region)
     for path, table in zip(args.weights, tables):
         problems = check_weight_table(table, protocol)
         if problems:
             raise WeightTableError(
                 f"weight table {table.region!r}: " + "; ".join(problems[:3])
             )
-        if table.region in paths:  # its reports would overwrite the other table's
-            raise WeightTableError(
-                f"weight tables {paths[table.region]} and {path} both have region {table.region!r}"
-            )
-        paths[table.region] = path
+        key = table.region.upper().lower()
+        if key in seen:  # its reports would overwrite the other table's
+            other, region = seen[key]
+            clash = f"both have region {region!r}" if region == table.region else (
+                f"have regions {region!r} and {table.region!r}, whose reports share file names")
+            raise WeightTableError(f"weight tables {other} and {path} {clash}")
+        seen[key] = (path, table.region)
     return protocol, log, model, masses, tables
 
 
@@ -198,9 +200,9 @@ def cmd_compare(args) -> int:
         return EXIT_FINDINGS
     protocol, log, model, masses, weight_tables = inputs
     scores = score_campaign(log, model, validate=False, masses=masses)
-    by_vehicle: dict[str, list] = {}
+    by_vehicle: dict[str, dict] = {}  # vehicle -> (scenario, light) -> its score
     for s in scores:
-        by_vehicle.setdefault(s.vehicle, []).append(s)
+        by_vehicle.setdefault(s.vehicle, {})[s.scenario, s.light] = s
     passive_powers = {
         vehicle: protocol.compiled.passive_powers(model, masses[vehicle]).by_instance
         for vehicle in by_vehicle

@@ -141,53 +141,67 @@ def project_impact_speed(sample: InterventionSample) -> float:
     return math.sqrt(max(0.0, remaining)) / KMH_TO_MS
 
 
-def mu_pow(
-    model: ImpactPowerModel,
-    config: TestConfig,
-    vut_mass: float,
-    impact_speed: float,
-) -> float:
-    """Impact-power proxy (J) of a collision at ``impact_speed`` km/h.
+PowerTerms = tuple  # (half the effective mass, same-axis TG speed or None, geometry factor)
 
-    Car-to-car: half the reduced mass times the squared closing speed. The
-    closing speed subtracts the target speed for same-axis targets and equals
-    the impact speed for crossing targets. Other groups: half the VUT mass
-    times the squared impact speed. All scaled by the geometry factor.
+
+def power_terms(model: ImpactPowerModel, config: TestConfig, vut_mass: float) -> PowerTerms:
+    """The impact-power formula of one config, as the terms ``impact_power`` evaluates.
+
+    Car-to-car: the reduced mass of the pair; the closing speed subtracts a
+    same-axis target's speed. Car-to-VRU and car-to-object: the VUT mass.
+    """
+    if vut_mass <= 0:
+        raise ImpactModelError(f"VUT mass must be > 0, got {vut_mass}")
+    effective_mass, same_axis = vut_mass, None
+    if config.scenario.group is ScenarioGroup.C2C:
+        tg_mass = model.tg_mass(ScenarioGroup.C2C)
+        effective_mass = vut_mass * tg_mass / (vut_mass + tg_mass)
+        same_axis = None if config.scenario.tg_crossing else config.tg_speed
+    return (0.5 * effective_mass, same_axis, model.geometry_factor(config.overlap))
+
+
+def impact_power(terms: PowerTerms, impact_speed: float) -> float:
+    """Impact-power proxy (J) at ``impact_speed`` km/h: half the effective mass
+    times the squared closing speed, scaled by the geometry factor. A same-axis
+    target pulls away: no energy transfer at or below its speed.
     """
     if impact_speed < 0:
         raise ImpactModelError(f"impact speed must be >= 0, got {impact_speed}")
-    if vut_mass <= 0:
-        raise ImpactModelError(f"VUT mass must be > 0, got {vut_mass}")
-    group = config.scenario.group
-    if group is ScenarioGroup.C2C:
-        tg_mass = model.tg_mass(group)
-        effective_mass = vut_mass * tg_mass / (vut_mass + tg_mass)
-        if config.scenario.tg_crossing or config.tg_speed is None:
-            closing = impact_speed
-        else:
-            # Same-axis target pulls away; no energy transfer at or below its speed.
-            closing = max(0.0, impact_speed - config.tg_speed)
-    elif group in (ScenarioGroup.C2VRU, ScenarioGroup.C2O):
-        effective_mass = vut_mass
-        closing = impact_speed
-    else:  # pragma: no cover - enum is closed
-        raise ImpactModelError(f"unknown scenario group {group!r}")
-    v_ms = closing * KMH_TO_MS
-    return 0.5 * effective_mass * v_ms * v_ms * model.geometry_factor(config.overlap)
+    half_mass, tg_speed, geometry = terms
+    if tg_speed is not None:
+        impact_speed = max(0.0, impact_speed - tg_speed)
+    v_ms = impact_speed * KMH_TO_MS
+    return half_mass * v_ms * v_ms * geometry
+
+
+def mu_pow(
+    model: ImpactPowerModel, config: TestConfig, vut_mass: float, impact_speed: float
+) -> float:
+    """Impact-power proxy (J) of ``config`` at ``impact_speed`` km/h (see ``power_terms``)."""
+    return impact_power(power_terms(model, config, vut_mass), impact_speed)
+
+
+def config_powers(model: ImpactPowerModel, configs: Sequence[TestConfig], vut_mass: float) -> tuple:
+    """Each config's power terms and passive power: the impact power of a
+    vehicle that never brakes, so hits at the test speed."""
+    terms = tuple(power_terms(model, c, vut_mass) for c in configs)
+    return terms, tuple(impact_power(t, c.vut_speed) for t, c in zip(terms, configs))
 
 
 def passive_mu_pow(model: ImpactPowerModel, config: TestConfig, vut_mass: float) -> float:
-    """Impact power of a vehicle that never brakes: impact at the test speed."""
-    return mu_pow(model, config, vut_mass, config.vut_speed)
+    """Passive impact power of one config (see ``config_powers``)."""
+    return config_powers(model, (config,), vut_mass)[1][0]
 
 
 def scenario_passive_power(
-    configs: Sequence[TestConfig], model: ImpactPowerModel, vut_mass: float
+    configs: Sequence[TestConfig], passive: Sequence[float], vut_mass: float
 ) -> float:
-    """Mean passive impact power over a scenario's configurations."""
+    """Mean of ``passive``, the passive powers of a scenario's ``configs`` at
+    ``vut_mass`` (see ``config_powers``), summed in order. ``vut_mass`` only
+    labels the call for ``benchmarks/tracing.py``."""
     if not configs:
         raise ImpactModelError("no configurations to average over")
     total = 0.0  # summed in order: sum() compensates its rounding from Python 3.12 on
-    for config in configs:
-        total += passive_mu_pow(model, config, vut_mass)
+    for power in passive:
+        total += power
     return total / len(configs)

@@ -252,13 +252,14 @@ class InstanceSlice(NamedTuple):
 
 
 class PassivePowers(NamedTuple):
-    """Passive impact powers under one impact model and VUT mass.
+    """Impact-power terms and passive impact powers under one impact model and VUT mass.
 
-    ``by_config[i]`` belongs to ``CompiledProtocol.configs[i]``;
-    ``by_instance`` maps (scenario, light) to the unweighted mean over the
-    instance's configs.
+    ``terms[i]`` (see ``impact.power_terms``) and ``by_config[i]`` belong to
+    ``CompiledProtocol.configs[i]``; ``by_instance`` maps (scenario, light)
+    to the unweighted mean over the instance's configs.
     """
 
+    terms: tuple[tuple, ...]
     by_config: tuple[float, ...]
     by_instance: Mapping[tuple[str, str], float]
 
@@ -311,18 +312,19 @@ class CompiledProtocol:
         self._passive: dict[tuple, PassivePowers] = {}
 
     def passive_powers(self, model, vut_mass: float) -> PassivePowers:
-        """Passive impact powers under ``model`` at ``vut_mass``, computed on first use."""
+        """Power terms and passive powers under ``model`` at ``vut_mass``, built on first use."""
         cache_key = (model, vut_mass)
         powers = self._passive.get(cache_key)
         if powers is None:
-            from .impact import passive_mu_pow, scenario_passive_power  # impact imports this module
+            # impact imports this module
+            from .impact import config_powers, scenario_passive_power
 
-            by_config = tuple(passive_mu_pow(model, c, vut_mass) for c in self.configs)
+            terms, by_config = config_powers(model, self.configs, vut_mass)
             by_instance = {
-                pair: scenario_passive_power(part.configs, model, vut_mass)
-                for pair, part in self.instances.items()
+                pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], vut_mass)
+                for pair, p in self.instances.items()
             }
-            powers = self._passive[cache_key] = PassivePowers(by_config, by_instance)
+            powers = self._passive[cache_key] = PassivePowers(terms, by_config, by_instance)
         return powers
 
 

@@ -5,10 +5,11 @@ Score tables put scenarios in rows and vehicles in columns; each cell shows
 license the (scenario, light) instance. Matrix tables are ranked best to
 worst in both dimensions; cells show the relative score as a percentage with
 two decimals, a literal ``inf`` for comparisons against a zero score, and
-``0.00%`` on the diagonal.
+``0.00%`` on the diagonal, formatted a row per call.
 
 CSV is the authoritative output; markdown and HTML are presentational (the
-HTML matrices add a red-green diverging shade anchored at zero).
+HTML matrices add a red-green diverging shade anchored at zero). Markdown
+escapes a backslash or pipe in a cell and writes a line break as ``<br>``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXTENSIONS = {"csv": "csv", "markdown": "md", "html": "html"}
 
 NA_CELL = "NA"
 INF_CELL = "inf"
+_INFINITIES = (math.inf, -math.inf)
 
 
 def format_number(value: float) -> str:
@@ -37,8 +39,7 @@ def format_number(value: float) -> str:
     rounded = round(value, 2)
     if rounded == 0:
         return "0"
-    text = f"{rounded:.2f}".rstrip("0").rstrip(".")
-    return text
+    return f"{rounded:.2f}".rstrip("0").rstrip(".")
 
 
 def format_score_cell(score: ScoreValue | None) -> str:
@@ -47,10 +48,13 @@ def format_score_cell(score: ScoreValue | None) -> str:
     return f"{format_number(score.mean)}±{format_number(score.std)}"
 
 
+def format_percent_row(values: Iterable[float]) -> tuple[str, ...]:
+    """Each relativity as a percentage with two decimals, or a literal ``inf``."""
+    return tuple([INF_CELL if v in _INFINITIES else "%.2f%%" % (v * 100.0) for v in values])
+
+
 def format_percent_cell(value: float) -> str:
-    if math.isinf(value):
-        return INF_CELL
-    return f"{value * 100.0:.2f}%"
+    return format_percent_row((value,))[0]
 
 
 class Table(NamedTuple):
@@ -97,9 +101,7 @@ def score_title(metric: str, light: str, region: str) -> str:
 
 def matrix_table(matrix: RelativityMatrix) -> Table:
     """Ranked pairwise relativity grid; HTML shades it from the matrix rows."""
-    rows = tuple(
-        (x, tuple(map(format_percent_cell, values))) for x, values in zip(matrix.order, matrix.rows)
-    )
+    rows = tuple([(x, format_percent_row(values)) for x, values in zip(matrix.order, matrix.rows)])
     metric_name = "FREQ" if matrix.metric == METRIC_FREQ else "MP"
     title = f"REL_{metric_name}_{matrix.group.value}_{matrix.region.upper()}"
     return Table(title=title, corner="", columns=matrix.order, rows=rows, shading=matrix.rows)
@@ -122,10 +124,7 @@ def completion_table(stats: Mapping[str, CompletionStats]) -> Table:
 
 def _diverging_color(value: float) -> str:
     """White at zero, saturating to green at +100% and red at -100%."""
-    if math.isinf(value):
-        t = 1.0
-    else:
-        t = max(-1.0, min(1.0, value))
+    t = 1.0 if math.isinf(value) else max(-1.0, min(1.0, value))
     if t >= 0:
         r, g, b = (int(255 - 155 * t), 255, int(255 - 155 * t))
     else:
@@ -154,11 +153,17 @@ def to_csv(table: Table) -> str:
 
 def to_markdown(table: Table) -> str:
     lines = [f"## {table.title}", ""]
-    lines.append("| " + " | ".join([table.corner, *table.columns]) + " |")
+    lines.append(_markdown_row([table.corner, *table.columns]))
     lines.append("|" + "---|" * (len(table.columns) + 1))
     for label, cells in table.rows:
-        lines.append("| " + " | ".join([label, *cells]) + " |")
+        lines.append(_markdown_row([label, *cells]))
     return "\n".join(lines) + "\n"
+
+
+def _markdown_row(cells: list[str]) -> str:
+    """One table row: a cell's backslashes and pipes escaped, its line breaks as <br>."""
+    cells = [c.replace("\\", "\\\\").replace("|", "\\|").replace("\r\n", "\n") for c in cells]
+    return "| " + " | ".join([c.replace("\r", "<br>").replace("\n", "<br>") for c in cells]) + " |"
 
 
 def to_html(table: Table) -> str:

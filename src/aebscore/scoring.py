@@ -16,12 +16,12 @@ failure speed, clamped to the physical range. The reported mean and standard
 deviation summarize the three evaluations.
 
 One kernel computes both scores and the envelope: it takes an instance's
-configs with their series ids, outcomes and passive powers as parallel
-sequences and makes one pass over them per shift. ``score_campaign`` feeds it
-slices of each vehicle's outcomes laid out like the protocol's compiled
-table, from the vehicle's entries in the log's table; ``frequency_score``
-and ``mitigation_power_score`` feed it any config sequence with its outcome
-mapping.
+configs with their series ids, outcomes, passive powers and power terms as
+parallel sequences and makes one pass over them per shift. ``score_campaign``
+feeds it slices of each vehicle's outcomes laid out like the protocol's
+compiled table, and of the terms and powers the compiled protocol keeps per
+(model, mass); ``frequency_score`` and ``mitigation_power_score`` feed it
+any config sequence with its outcome mapping.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .campaign import (
     series_key,
     validate_log,
 )
-from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, mu_pow, passive_mu_pow
+from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, PowerTerms, config_powers, impact_power
 from .protocol import LIGHTS, TestConfig
 
 UNCERTAINTY_SHIFT_KMH = 5.0
@@ -101,16 +101,16 @@ def _kernel(
     outcomes: Sequence[TestOutcome | None],
     config_weights: Mapping[TestConfig, float] | None,
     passive: Sequence[float] | None = None,
-    model: ImpactPowerModel | None = None,
-    vut_mass: float = 0.0,
+    terms: Sequence[PowerTerms] | None = None,
 ) -> tuple[ScoreValue, ScoreValue | None]:
     """FS and, given passive powers, MPS of one config sequence with their envelopes.
 
     ``series[i]`` numbers the escalation series of ``configs[i]`` from 0,
-    ``outcomes[i]`` is its outcome (None when missing) and
-    ``passive[i]`` its passive impact power. Each shift is one pass over the
-    configs in order, accumulating exactly as the definitions read, so the
-    results do not depend on how the configs were gathered.
+    ``outcomes[i]`` is its outcome (None when missing), ``passive[i]`` its
+    passive impact power and ``terms[i]`` its ``impact.power_terms``. Each
+    shift is one pass over the configs in order, accumulating exactly as the
+    definitions read, so the results do not depend on how the configs were
+    gathered. With no demonstrated boundary all shifts read alike: one runs.
     """
     if not configs:
         raise ScoringError("no configurations to score")
@@ -136,6 +136,7 @@ def _kernel(
         elif failure[s] is None or v < failure[s]:
             failure[s] = v
     edges = [failure[s] if capable[s] else None for s in series]
+    shifts = _SHIFTS if edges.count(None) < len(edges) else (0.0,)
 
     den = 0.0
     for w in weights:
@@ -150,11 +151,9 @@ def _kernel(
         if denominator <= 0.0:
             raise ScoringError("passive impact power is zero across all configurations")
 
-    fs_values = []
-    mps_values = []
-    for shift in _SHIFTS:
-        num = 0.0
-        realized = 0.0
+    fs_values, mps_values = [], []
+    for shift in shifts:
+        num = realized = 0.0
         for i, edge in enumerate(edges):
             v = speeds[i]
             hit = not avoided[i]
@@ -174,16 +173,17 @@ def _kernel(
                     )
                 if edge is not None:
                     speed = min(max(speed - shift, 0.0), v)
-                realized += weights[i] * mu_pow(model, configs[i], vut_mass, speed)
+                realized += weights[i] * impact_power(terms[i], speed)
             else:
                 realized += weights[i] * passive[i]
         fs_values.append(num / den)
         if passive is not None:
             mps_values.append(1.0 - realized / denominator)
-    fs = ScoreValue(nominal=fs_values[1], lower=fs_values[0], upper=fs_values[2])
+    mid = len(shifts) // 2
+    fs = ScoreValue(nominal=fs_values[mid], lower=fs_values[0], upper=fs_values[-1])
     if passive is None:
         return fs, None
-    return fs, ScoreValue(nominal=mps_values[1], lower=mps_values[0], upper=mps_values[2])
+    return fs, ScoreValue(nominal=mps_values[mid], lower=mps_values[0], upper=mps_values[-1])
 
 
 def _sequence(
@@ -220,8 +220,8 @@ def mitigation_power_score(
     clamped to [0, test speed].
     """
     series, ordered = _sequence(configs, outcomes)
-    passive = [passive_mu_pow(model, c, vut_mass) for c in configs]
-    return _kernel(configs, series, ordered, config_weights, passive, model, vut_mass)[1]
+    terms, passive = config_powers(model, configs, vut_mass)
+    return _kernel(configs, series, ordered, config_weights, passive, terms)[1]
 
 
 def score_campaign(
@@ -264,7 +264,7 @@ def score_campaign(
                 off_lattice.add((config.code, config.light))
             else:  # a later duplicate replaces an earlier record
                 outcomes[pos] = outcome
-        passive = None
+        powers = None
         for spec in log.protocol.scenarios:
             for light in LIGHTS:
                 part = compiled.instances.get((spec.code, light))
@@ -274,25 +274,19 @@ def score_campaign(
                     )
                     continue
                 instance_outcomes = outcomes[part.start:part.stop]
-                if (spec.code, light) not in off_lattice and all(
-                    o is None for o in instance_outcomes
-                ):
+                untested = instance_outcomes.count(None) == len(instance_outcomes)
+                if untested and (spec.code, light) not in off_lattice:
                     scores.append(
                         ScenarioScore(
                             vehicle, spec.code, light, ScoreValue.zero(), ScoreValue.zero(), 0
                         )
                     )
                     continue
-                if passive is None:
-                    passive = compiled.passive_powers(model, mass).by_config
+                if powers is None:
+                    powers = compiled.passive_powers(model, mass)
                 fs, mps = _kernel(
-                    part.configs,
-                    part.series,
-                    instance_outcomes,
-                    config_weights,
-                    passive[part.start:part.stop],
-                    model,
-                    mass,
+                    part.configs, part.series, instance_outcomes, config_weights,
+                    powers.by_config[part.start:part.stop], powers.terms[part.start:part.stop],
                 )
                 scores.append(
                     ScenarioScore(vehicle, spec.code, light, fs, mps, len(part.configs))

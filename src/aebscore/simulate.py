@@ -237,6 +237,8 @@ def simulate_campaign(
     for pair in compiled.night_pairs:
         night_pairs.setdefault(configs[pair[0]].code, []).append(pair)
     entries = []  # (vehicle, (position, config, outcome, pre_test)) in row order
+    avoided, judged_failed = TestOutcome.avoided(), TestOutcome.judged()  # one object each
+    shared: dict[tuple, tuple] = {}  # (position, avoided?, pre_test) -> their rows' entry
     for vehicle, oracle_spec in spec.vehicles:
         oracle = build_oracle(oracle_spec, spec.seed, vehicle)
         for scenario in protocol.scenarios:
@@ -259,7 +261,10 @@ def simulate_campaign(
                         stop_on_impact=stop_on_impact,
                         judged=judged,
                     ):
-                        entry = (index[config.key()], config, outcome, pre_test)
+                        pos = index[config.key()]
+                        entry = (pos, config, outcome, pre_test)
+                        if outcome is avoided or outcome is judged_failed:
+                            entry = shared.setdefault((pos, outcome is avoided, pre_test), entry)
                         entries.append((vehicle, entry))
                         if light != NIGHT:
                             day.append(entry)

@@ -26,6 +26,11 @@ def _score(code, light, fs, mps=None, na=False):
     )
 
 
+def _index(scores):
+    """A vehicle's scores by (scenario, light) instance, as compare builds them."""
+    return {(s.scenario, s.light): s for s in scores}
+
+
 def _table(weights, group=ScenarioGroup.C2VRU, region="EU"):
     return load_weight_table(
         {
@@ -45,38 +50,38 @@ def _table(weights, group=ScenarioGroup.C2VRU, region="EU"):
 def test_aggregate_fs_mean_of_two():
     table = _table({("A", "day"): 0.5, ("B", "day"): 0.5})
     scores = [_score("A", "day", 0.8), _score("B", "day", 0.6)]
-    assert aggregate_fs(scores, table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.7)
+    assert aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.7)
 
 
 def test_aggregate_fs_single_scenario_identity():
     table = _table({("A", "day"): 2.0})
     scores = [_score("A", "day", 0.37)]
-    assert aggregate_fs(scores, table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.37)
+    assert aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.37)
 
 
 def test_aggregate_fs_unnormalized_weights():
     table = _table({("A", "day"): 2.0, ("B", "day"): 1.0, ("C", "day"): 1.0})
     scores = [_score("A", "day", 1.0), _score("B", "day", 0.0), _score("C", "day", 0.0)]
-    assert aggregate_fs(scores, table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.5)
+    assert aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.5)
 
 
 def test_aggregate_excludes_na_and_renormalizes():
     table = _table({("A", "day"): 0.5, ("B", "day"): 0.5})
     scores = [_score("A", "day", 0.8), _score("B", "day", 0, na=True)]
-    assert aggregate_fs(scores, table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.8)
+    assert aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU).nominal == pytest.approx(0.8)
 
 
 def test_aggregate_zero_applicable_weight_rejected():
     table = _table({("A", "day"): 1.0, ("B", "day"): 0.0})
     scores = [_score("A", "day", 0, na=True), _score("B", "day", 0.5)]
     with pytest.raises(AggregationError, match="zero total applicable weight"):
-        aggregate_fs(scores, table, ScenarioGroup.C2VRU)
+        aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU)
 
 
 def test_aggregate_missing_instance_rejected():
     table = _table({("A", "day"): 1.0})
     with pytest.raises(AggregationError, match="no scenario score"):
-        aggregate_fs([], table, ScenarioGroup.C2VRU)
+        aggregate_fs({}, table, ScenarioGroup.C2VRU)
 
 
 def test_aggregate_fs_convex_combination_bounds():
@@ -87,7 +92,7 @@ def test_aggregate_fs_convex_combination_bounds():
         table = _table(weights)
         values = [rng.random() for _ in range(n)]
         scores = [_score(f"S{i}", "day", values[i]) for i in range(n)]
-        got = aggregate_fs(scores, table, ScenarioGroup.C2VRU).nominal
+        got = aggregate_fs(_index(scores), table, ScenarioGroup.C2VRU).nominal
         assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
 
@@ -95,28 +100,28 @@ def test_aggregate_mps_power_weighting():
     table = _table({("A", "day"): 1.0, ("B", "day"): 1.0})
     scores = [_score("A", "day", 0, mps=1.0), _score("B", "day", 0, mps=0.0)]
     powers = {("A", "day"): 3.0, ("B", "day"): 1.0}
-    assert aggregate_mps(scores, table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.75)
+    assert aggregate_mps(_index(scores), table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.75)
 
 
 def test_aggregate_mps_equal_powers_is_plain_mean():
     table = _table({("A", "day"): 1.0, ("B", "day"): 1.0})
     scores = [_score("A", "day", 0, mps=0.9), _score("B", "day", 0, mps=0.1)]
     powers = {("A", "day"): 7.0, ("B", "day"): 7.0}
-    assert aggregate_mps(scores, table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.5)
+    assert aggregate_mps(_index(scores), table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.5)
 
 
 def test_aggregate_mps_constant_scores():
     table = _table({("A", "day"): 1.0, ("B", "day"): 2.0})
     scores = [_score("A", "day", 0, mps=0.42), _score("B", "day", 0, mps=0.42)]
     powers = {("A", "day"): 5.0, ("B", "day"): 1.0}
-    assert aggregate_mps(scores, table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.42)
+    assert aggregate_mps(_index(scores), table, ScenarioGroup.C2VRU, powers).nominal == pytest.approx(0.42)
 
 
 def test_aggregate_mps_requires_positive_power():
     table = _table({("A", "day"): 1.0})
     scores = [_score("A", "day", 0, mps=0.5)]
     with pytest.raises(AggregationError, match="passive power"):
-        aggregate_mps(scores, table, ScenarioGroup.C2VRU, {("A", "day"): 0.0})
+        aggregate_mps(_index(scores), table, ScenarioGroup.C2VRU, {("A", "day"): 0.0})
 
 
 def test_relativity_values():
@@ -251,7 +256,7 @@ def test_aggregate_sums_left_to_right_on_every_python():
     weights = {("A", "day"): 1.0, ("B", "day"): 1.0, ("C", "day"): 1.0}
     scores = [_score("A", "day", 1.0), _score("B", "day", 1e16), _score("C", "day", -1e16)]
     for aggregate in (aggregate_fs, aggregate_mps):
-        args = (scores, _table(weights), ScenarioGroup.C2VRU)
+        args = (_index(scores), _table(weights), ScenarioGroup.C2VRU)
         if aggregate is aggregate_mps:
             args += (dict.fromkeys(weights, 1.0),)
         assert aggregate(*args).nominal == 0.0

@@ -354,6 +354,48 @@ def test_two_weight_tables_of_one_region_exit_2_before_any_report(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_two_regions_differing_only_in_case_exit_2_before_any_report(
+    fixture_log, tmp_path, capsys, command
+):
+    # Report file names spell a region in lower case, so 'eu' and 'EU' would share them.
+    first = DATA_DIR / "weights_eu_example.json"
+    doc = json.loads(first.read_text(encoding="utf-8"))
+    second = tmp_path / "eu_lower.json"
+    second.write_text(json.dumps({**doc, "region": "eu"}), encoding="utf-8")
+    out = tmp_path / "reports"
+    weights = ["--weights", str(first), "--weights", str(second)]
+    args = [command, *_protocol_args(), "--log", str(fixture_log), *weights, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: weight tables {first} and {second} have regions 'EU' and 'eu',"
+        " whose reports share file names\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("region", ["eu/x", "eu\\x", "eu\x00x"])
+def test_a_region_that_cannot_be_part_of_a_file_name_exits_2_before_any_report(
+    fixture_log, tmp_path, capsys, region
+):
+    doc = json.loads((DATA_DIR / "weights_eu_example.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad_region.json"
+    bad.write_text(json.dumps({**doc, "region": region}), encoding="utf-8")
+    out = tmp_path / "reports"
+    weights = ["--weights", str(DATA_DIR / "weights_us_example.json"), "--weights", str(bad)]
+    args = ["--log", str(fixture_log), *weights, "--out", str(out)]
+    for command in ("score", "compare"):
+        assert main([command, *_protocol_args(), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: weight table {bad}: region {region!r} cannot be in a file name\n"
+        )
+        assert not out.exists()
+
+
 def test_impact_model_config(fixture_log, tmp_path):
     config = tmp_path / "impact.json"
     config.write_text(

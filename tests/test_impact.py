@@ -5,16 +5,20 @@ import pytest
 
 from aebscore.impact import (
     DEFAULT_VUT_MASS,
+    KMH_TO_MS,
     ImpactModelError,
     ImpactPowerModel,
     InterventionSample,
+    impact_power,
     load_impact_config,
     mu_pow,
     passive_mu_pow,
+    power_terms,
     project_impact_speed,
     scenario_passive_power,
 )
 from aebscore.protocol import ScenarioGroup, enumerate_configs
+from reference import C2C_TG_MASS, energy
 
 
 def _config(protocol, code, light="day", **filters):
@@ -128,12 +132,51 @@ def test_invalid_inputs(protocol, model):
         ImpactPowerModel(geometry_rule="cubic").geometry_factor(50)
 
 
+@pytest.mark.parametrize("mass", [900.0, 1500.0, 2400.0])
+def test_power_terms_match_the_reference_energy_and_mu_pow(protocol, model, mass):
+    powers = protocol.compiled.passive_powers(model, mass)
+    for i, config in enumerate(protocol.compiled.configs):
+        terms = power_terms(model, config, mass)
+        assert powers.terms[i] == terms
+        assert powers.by_config[i] == passive_mu_pow(model, config, mass)
+        for speed in (0.0, 0.3 * config.vut_speed, 0.7 * config.vut_speed, config.vut_speed):
+            power = impact_power(terms, speed)
+            assert power == mu_pow(model, config, mass, speed)
+            assert power == pytest.approx(energy(config, mass, speed), rel=1e-12, abs=1e-12)
+            # The formula as one product, multiplied in the order it always was.
+            if config.scenario.group is ScenarioGroup.C2C:
+                effective = mass * C2C_TG_MASS / (mass + C2C_TG_MASS)
+            else:
+                effective = mass
+            closing = speed
+            if config.scenario.group is ScenarioGroup.C2C and not config.scenario.tg_crossing:
+                closing = max(0.0, speed - (config.tg_speed or 0.0))
+            v = closing * KMH_TO_MS
+            assert power == 0.5 * effective * v * v * (config.overlap / 100.0)
+
+
+def test_impact_power_rejects_a_negative_speed(protocol, model):
+    terms = power_terms(model, enumerate_configs(protocol)[0], 1500.0)
+    with pytest.raises(ImpactModelError, match="impact speed must be >= 0"):
+        impact_power(terms, -1e-9)
+
+
 def test_scenario_passive_power_average(protocol, model):
     configs = enumerate_configs(protocol, scenario="Pallets", light="day")
     powers = [passive_mu_pow(model, c, 1500.0) for c in configs]
-    assert scenario_passive_power(configs, model, 1500.0) == pytest.approx(
+    assert scenario_passive_power(configs, powers, 1500.0) == pytest.approx(
         sum(powers) / len(powers)
     )
+
+
+def test_instance_passive_power_is_the_in_order_mean_of_its_configs(protocol, model):
+    for mass in (900.0, 1500.0):
+        powers = protocol.compiled.passive_powers(model, mass)
+        for pair, part in protocol.compiled.instances.items():
+            total = 0.0
+            for config in part.configs:
+                total += passive_mu_pow(model, config, mass)
+            assert powers.by_instance[pair] == total / len(part.configs)
 
 
 def test_impact_config_defaults_and_fields():

@@ -195,15 +195,14 @@ def reference_score(log, records, model, masses):
                         )
                     )
                     continue
-                passive = compiled.passive_powers(model, mass).by_config
+                powers = compiled.passive_powers(model, mass)
                 fs, mps = _kernel(
                     part.configs,
                     part.series,
                     instance_outcomes,
                     None,
-                    passive[part.start:part.stop],
-                    model,
-                    mass,
+                    powers.by_config[part.start:part.stop],
+                    powers.terms[part.start:part.stop],
                 )
                 scores.append(ScenarioScore(vehicle, spec.code, light, fs, mps, len(part.configs)))
     return scores

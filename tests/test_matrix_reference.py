@@ -16,12 +16,14 @@ from pathlib import Path
 import pytest
 
 from aebscore import cli
-from aebscore.aggregate import METRIC_FREQ, AggregationError, GroupScore, build_matrix
+from aebscore.aggregate import (
+    METRIC_FREQ, AggregationError, GroupScore, build_matrix, relativity, relativity_row
+)
 from aebscore.cli import main
 from aebscore.protocol import ScenarioGroup, bundled_protocol_path
-from aebscore.report import matrix_table, render
+from aebscore.report import format_percent_cell, format_percent_row, matrix_table, render
 from aebscore.scoring import ScoreValue
-from reference import matrix_reference
+from reference import matrix_reference, percent_text, relativity_cell
 
 DATA_DIR = bundled_protocol_path().parent
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden" / "fixture_campaign.jsonl"
@@ -147,6 +149,35 @@ def test_matrix_table_matches_the_reference_cell_by_cell(values):
     assert [list(row) for _, row in table.rows] == texts
     shaded = [[(cells[(x, y)][2], cells[(x, y)][1]) for y in order] for x in order]
     assert _rendered_cells(table) == shaded
+
+
+ROW_CASES = {
+    "all-zero": {"a": 0.0, "b": 0.0, "c": 0.0},
+    "zero-among-positive": {"a": 0.3, "b": 0.0, "c": 0.7, "d": 1e-300},
+    "tied": {"a": 0.5, "b": 0.25, "c": 0.5, "d": 0.25, "e": 0.25},
+    "lone-negative": {"solo": -0.25},
+    "random": {str(i): random.Random(8).random() for i in range(1, 41)},
+}
+
+
+@pytest.mark.parametrize("values", list(ROW_CASES.values()), ids=list(ROW_CASES))
+def test_matrix_rows_built_and_formatted_a_row_at_a_time_match_the_reference(values):
+    order, cells = matrix_reference(values)
+    matrix = _matrix(values, "MP")
+    table = matrix_table(matrix)
+    assert list(matrix.order) == order
+    ranked = [values[v] for v in order]
+    for x, row, (label, texts) in zip(order, matrix.rows, table.rows):
+        assert label == x
+        assert row == tuple(cells[(x, y)][0] for y in order)
+        assert texts == tuple(cells[(x, y)][1] for y in order)
+        assert format_percent_row(row) == tuple(percent_text(v) for v in row)
+        if len(order) > 1:  # the row function itself, off the diagonal too
+            assert relativity_row(values[x], ranked) == tuple(
+                relativity_cell(values[x], y) for y in ranked
+            )
+            assert [relativity(values[x], y) for y in ranked] == list(row)
+            assert [format_percent_cell(v) for v in row] == list(texts)
 
 
 def test_cells_view_is_a_read_only_mapping_over_the_rows():

@@ -138,6 +138,53 @@ def test_markdown_and_html_render(protocol):
     assert "inf" in md_matrix
 
 
+def _markdown_cells(line):
+    """A markdown table row's cells, split at the pipes no backslash escapes, unescaped."""
+    assert line.startswith("| ") and line.endswith(" |")
+    cells, cell, escaped = [], "", False
+    for ch in line[1:-1]:  # each cell then has one space on either side
+        if escaped:
+            cell, escaped = cell + ch, False
+        elif ch == "\\":
+            escaped = True
+        elif ch == "|":
+            cells.append(cell)
+            cell = ""
+        else:
+            cell += ch
+    cells.append(cell)
+    return [c[1:-1].replace("<br>", "\n") for c in cells]
+
+
+MARKDOWN_IDS = ("A|B", "A\\|", "A\nB")
+
+
+def test_markdown_escapes_pipes_backslashes_and_line_breaks(protocol):
+    scores = [
+        ScenarioScore(v, "CCRs", "day", ScoreValue.constant(x), ScoreValue.constant(x), 1)
+        for v, x in zip(MARKDOWN_IDS, (0.5, 0.25, 0.0))
+    ]
+    group_scores = [
+        GroupScore(s.vehicle, ScenarioGroup.C2C, "EU", s.fs, s.mps) for s in scores
+    ]
+    for table in (
+        score_table(scores, protocol, "freq", "day", "EU"),
+        matrix_table(build_matrix(group_scores, "freq")),
+    ):
+        assert sorted(table.columns) == sorted(MARKDOWN_IDS)
+        lines = to_markdown(table).splitlines()
+        assert len(lines) == 4 + len(table.rows)
+        assert lines[3] == "|" + "---|" * (len(table.columns) + 1)
+        for line, expected in zip(
+            [lines[2], *lines[4:]],
+            [(table.corner, *table.columns), *((label, *cells) for label, cells in table.rows)],
+        ):
+            assert _markdown_cells(line) == list(expected)
+    text = to_markdown(table)
+    assert "| A|B |" not in text
+    assert "| A\\|B |" in text and "| A\\\\\\| |" in text and "| A<br>B |" in text
+
+
 def test_render_dispatch_and_unknown_format(protocol):
     table = score_table(_scores(), protocol, "freq", "day", "EU")
     assert render(table, "csv") == to_csv(table)

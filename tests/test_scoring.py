@@ -9,7 +9,7 @@ from aebscore.campaign import (
     TestOutcome,
     TestRecord,
 )
-from aebscore.impact import ImpactPowerModel
+from aebscore.impact import ImpactModelError, ImpactPowerModel
 from aebscore.protocol import TestConfig, enumerate_configs, load_protocol
 from aebscore.scoring import (
     ScoreValue,
@@ -285,6 +285,17 @@ def test_impacted_without_speed_rejected(protocol, model):
         mitigation_power_score(configs, outcomes, model, 1500.0)
 
 
+def test_negative_unshifted_impact_speed_raises_impact_model_error(protocol, model):
+    # Every test of the instance failed, so no boundary shifts (and clamps) the speed.
+    configs = enumerate_configs(protocol, scenario="CPLA", light="day")
+    bad = TestOutcome(OutcomeKind.IMPACTED, impact_speed=-1.0, intervention=True)
+    log = CampaignLog(protocol=protocol, records=tuple(TestRecord("V1", c, bad) for c in configs))
+    with pytest.raises(ImpactModelError, match="impact speed must be >= 0"):
+        score_campaign(log, model, validate=False)
+    with pytest.raises(ImpactModelError, match="impact speed must be >= 0"):
+        mitigation_power_score(configs, dict.fromkeys(configs, bad), model, 1500.0)
+
+
 def test_zero_passive_denominator_rejected(model):
     protocol = load_protocol(
         {
@@ -412,17 +423,18 @@ def test_score_campaign_config_weights_match_reference(protocol, model):
 def test_score_campaign_weighs_a_vehicle_missing_from_masses_1500_kg(
     protocol, model, monkeypatch, masses, used
 ):
-    # The mass cancels out of every score, so the masses the kernel gets are watched.
-    from aebscore import scoring
+    # The mass cancels out of every score, so the masses the kernel's power
+    # terms are built at are watched.
+    from aebscore.protocol import CompiledProtocol
 
     seen = set()
 
-    def kernel(*args):
-        seen.add(args[-1])
-        return original(*args)
+    def passive_powers(self, model, vut_mass):
+        seen.add(vut_mass)
+        return original(self, model, vut_mass)
 
-    original = scoring._kernel
-    monkeypatch.setattr(scoring, "_kernel", kernel)
+    original = CompiledProtocol.passive_powers
+    monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
     log, expected = _campaign_with_noise(protocol, random.Random(406))
     for s in score_campaign(log, model, validate=False, masses=masses):
         if not s.not_applicable:

@@ -326,3 +326,30 @@ def test_pretest_probe_is_one_object_per_light_for_every_vehicle(protocol, monke
         assert probes[("V2", code, light)] is probe
         assert pretest_config(protocol.scenario(code), light) is probe
         assert probe.vut_speed == protocol.scenario(code).pretest_speed()
+
+
+def test_avoided_and_judged_rows_at_one_position_share_one_entry():
+    protocol = load_protocol(bundled_protocol_path())
+    spec = load_simulation_spec(
+        {
+            "seed": 3,
+            "vehicles": [
+                {"id": vehicle, "oracle": {"type": oracle}}
+                for vehicle, oracle in (
+                    ("A1", "always_avoid"), ("A2", "always_avoid"),
+                    ("N1", "never_respond"), ("N2", "never_respond"),
+                )
+            ],
+        }
+    )
+    table = simulate_campaign(protocol, spec).records
+    for first, second, kind in (("A1", "A2", "avoided"), ("N1", "N2", "judged_failed")):
+        shared = 0
+        for a, b in zip(table.vehicles[first], table.vehicles[second]):
+            assert a == b
+            if a[2].kind.value == kind:
+                assert a is b
+                shared += 1
+            else:  # an impact is its own outcome, so its row keeps its own entry
+                assert a[2].kind is OutcomeKind.IMPACTED and a is not b
+        assert shared > 0
