@@ -56,15 +56,34 @@ class WeightTable(NamedTuple):
             ) from None
 
 
+# Report file names end in the region, spelled region.upper().lower(); the longest is
+# freq_score_mean_night_<region>.html (see report.py), and a name holds 255 bytes at most.
+MAX_REGION_BYTES = 255 - len("freq_score_mean_night_.html")
+
+
 def load_weight_table(source: str | Path | Mapping) -> WeightTable:
-    """Load and validate a weight table (a path or a mapping, see ``read_document``)."""
+    """Load and validate a weight table (a path or a mapping, see ``read_document``);
+    an error in a file's table starts with ``weight table <file>: ``."""
     doc = read_document(source, "weight table", WeightTableError)
+    try:
+        return _weight_table(doc)
+    except WeightTableError as exc:
+        if isinstance(source, Mapping):
+            raise
+        raise WeightTableError(f"weight table {source}: {exc}") from None
+
+
+def _weight_table(doc: Mapping) -> WeightTable:
     region = doc.get("region")
     if not isinstance(region, str) or not region:
         raise WeightTableError("'region' must be a non-empty string")
     if "/" in region or "\\" in region or "\0" in region:  # it names report files
-        where = "" if isinstance(source, Mapping) else f" {source}"
-        raise WeightTableError(f"weight table{where}: region {region!r} cannot be in a file name")
+        raise WeightTableError(f"region {region!r} cannot be in a file name")
+    size = len(region.upper().lower().encode("utf-8", "surrogatepass"))
+    if size > MAX_REGION_BYTES:
+        raise WeightTableError(
+            f"region is {size} bytes in a report file name, more than {MAX_REGION_BYTES}"
+        )
     raw_weights = doc.get("weights")
     if not isinstance(raw_weights, list) or not raw_weights:
         raise WeightTableError("'weights' must be a non-empty array")
@@ -117,7 +136,8 @@ def _instance(entry: Mapping, where: str) -> Instance:
 
 
 def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list[str]:
-    """Instances referenced by the table that the protocol does not license."""
+    """Instances referenced by the table that the protocol does not license, and
+    group instances whose scenario the protocol puts in another group."""
     licensed = set(protocol.licensed_pairs())
     problems = [
         f"weighted instance {i} is not licensed by the protocol"
@@ -129,6 +149,8 @@ def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list
                 problems.append(
                     f"group {group.value} instance {instance} is not licensed by the protocol"
                 )
+            elif (own := protocol.scenario(instance[0]).group) is not group:
+                problems.append(f"group {group.value} instance {instance} belongs to {own.value}")
             if instance not in table.weights:
                 problems.append(f"group {group.value} instance {instance} has no weight")
     return problems

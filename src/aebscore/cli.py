@@ -145,24 +145,21 @@ def cmd_stats(args) -> int:
 
 
 def _read_inputs(args):
-    """Score's and compare's inputs with each log vehicle's mass; None on log findings."""
+    """Score's and compare's inputs; None on log findings."""
     protocol = load_protocol(args.protocol)
-    model, vut_masses, default_mass = load_impact_config(args.impact_model or {})
+    model = load_impact_config(args.impact_model or {})
     log = read_log(args.log, protocol)
     diagnostics = validate_log(log)
     if diagnostics:
         for diagnostic in diagnostics:
             print(diagnostic, file=sys.stderr)
         return None
-    masses = {vehicle: vut_masses.get(vehicle, default_mass) for vehicle in log.records.vehicles}
     tables = [load_weight_table(p) for p in args.weights]
     seen = {}  # region as report file names spell it -> (weight table file, region)
     for path, table in zip(args.weights, tables):
         problems = check_weight_table(table, protocol)
         if problems:
-            raise WeightTableError(
-                f"weight table {table.region!r}: " + "; ".join(problems[:3])
-            )
+            raise WeightTableError(f"weight table {path}: " + "; ".join(problems[:3]))
         key = table.region.upper().lower()
         if key in seen:  # its reports would overwrite the other table's
             other, region = seen[key]
@@ -170,7 +167,7 @@ def _read_inputs(args):
                 f"have regions {region!r} and {table.region!r}, whose reports share file names")
             raise WeightTableError(f"weight tables {other} and {path} {clash}")
         seen[key] = (path, table.region)
-    return protocol, log, model, masses, tables
+    return protocol, log, model, tables
 
 
 def cmd_score(args) -> int:
@@ -178,8 +175,8 @@ def cmd_score(args) -> int:
     inputs = _read_inputs(args)
     if inputs is None:
         return EXIT_FINDINGS
-    protocol, log, model, masses, weight_tables = inputs
-    scores = score_campaign(log, model, validate=False, masses=masses)
+    protocol, log, model, weight_tables = inputs
+    scores = score_campaign(log, model, validate=False)
     # The grids of all regions are the same; each is built once and titled per region.
     first = weight_tables[0].region
     grids = {(li, m): score_table(scores, protocol, m, li, first) for li in LIGHTS for m in METRICS}
@@ -198,15 +195,12 @@ def cmd_compare(args) -> int:
     inputs = _read_inputs(args)
     if inputs is None:
         return EXIT_FINDINGS
-    protocol, log, model, masses, weight_tables = inputs
-    scores = score_campaign(log, model, validate=False, masses=masses)
+    protocol, log, model, weight_tables = inputs
+    scores = score_campaign(log, model, validate=False)
     by_vehicle: dict[str, dict] = {}  # vehicle -> (scenario, light) -> its score
     for s in scores:
         by_vehicle.setdefault(s.vehicle, {})[s.scenario, s.light] = s
-    passive_powers = {
-        vehicle: protocol.compiled.passive_powers(model, masses[vehicle]).by_instance
-        for vehicle in by_vehicle
-    }
+    by_instance = protocol.compiled.passive_powers(model).by_instance
     group_scores = [
         [
             GroupScore(
@@ -214,7 +208,7 @@ def cmd_compare(args) -> int:
                 group=group,
                 region=table.region,
                 fs=aggregate_fs(by_vehicle[vehicle], table, group),
-                mps=aggregate_mps(by_vehicle[vehicle], table, group, passive_powers[vehicle]),
+                mps=aggregate_mps(by_vehicle[vehicle], table, group, by_instance),
             )
             for vehicle in by_vehicle
         ]

@@ -62,13 +62,11 @@ class ImpactPowerModel(NamedTuple):
         return mass
 
 
-def load_impact_config(
-    source: str | Path | Mapping,
-) -> tuple[ImpactPowerModel, dict[str, float], float]:
+def load_impact_config(source: str | Path | Mapping) -> ImpactPowerModel:
     """Load an impact config (a path or a mapping, see ``protocol.read_document``).
 
-    Returns the model, the VUT mass per vehicle id and the default VUT mass.
-    Every mass, target or VUT, is a JSON number in (0, ``MAX_MAGNITUDE``].
+    Every mass, target or VUT, is a JSON number in (0, ``MAX_MAGNITUDE``]. VUT
+    masses are checked, not kept: they cancel out of every score (see ``scoring``).
     """
     doc = read_document(source, "impact model", ImpactModelError)
     unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
@@ -89,14 +87,12 @@ def load_impact_config(
     name = doc.get("name", "kinetic-energy-proxy")
     if not isinstance(name, str):
         raise ImpactModelError(f"impact model name: expected a string, got {name!r}")
+    for k, v in _masses(doc, "vut_masses").items():
+        _mass(v, f"vut_masses[{k!r}]")
+    _mass(doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass")
     if tg_masses:
-        model = ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
-    else:
-        model = ImpactPowerModel(name=name, geometry_rule=geometry_rule)
-    masses = _masses(doc, "vut_masses")
-    vut_masses = {str(k): _mass(v, f"vut_masses[{k!r}]") for k, v in masses.items()}
-    default_mass = _mass(doc.get("default_vut_mass", DEFAULT_VUT_MASS), "default_vut_mass")
-    return model, vut_masses, default_mass
+        return ImpactPowerModel(name=name, tg_masses=tg_masses, geometry_rule=geometry_rule)
+    return ImpactPowerModel(name=name, geometry_rule=geometry_rule)
 
 
 def _masses(doc: Mapping, key: str) -> Mapping:

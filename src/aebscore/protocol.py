@@ -13,8 +13,8 @@ ascending VUT speed, ascending TG speed.
 Each protocol is compiled once, when it is constructed: a ``CompiledProtocol``
 holds the canonical ``TestConfig`` objects in enumeration order, a key ->
 position index, one slice per licensed (scenario, light) instance with an
-escalation-series id per config, and passive impact powers per (impact
-model, VUT mass), computed on first use. The configs themselves are built
+escalation-series id per config, and passive impact powers per impact
+model, computed on first use. The configs themselves are built
 with each scenario's light settings. Enumeration, lookups, log parsing,
 simulation and scoring all resolve against them, so every licensed
 configuration exists as exactly one object. Before anything is built, the
@@ -252,7 +252,7 @@ class InstanceSlice(NamedTuple):
 
 
 class PassivePowers(NamedTuple):
-    """Impact-power terms and passive impact powers under one impact model and VUT mass.
+    """Impact-power terms and passive impact powers under one impact model.
 
     ``terms[i]`` (see ``impact.power_terms``) and ``by_config[i]`` belong to
     ``CompiledProtocol.configs[i]``; ``by_instance`` maps (scenario, light)
@@ -309,22 +309,23 @@ class CompiledProtocol:
         self.series_index = series_index
         self.series = tuple(table_series)
         self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
-        self._passive: dict[tuple, PassivePowers] = {}
+        self._passive: dict = {}  # impact model -> PassivePowers
 
-    def passive_powers(self, model, vut_mass: float) -> PassivePowers:
-        """Power terms and passive powers under ``model`` at ``vut_mass``, built on first use."""
-        cache_key = (model, vut_mass)
-        powers = self._passive.get(cache_key)
+    def passive_powers(self, model) -> PassivePowers:
+        """Power terms and passive powers under ``model``, built on first use, at
+        ``impact.DEFAULT_VUT_MASS``: the mass scales a scenario group's powers by
+        one factor, and weight tables keep each group to its own scenarios."""
+        powers = self._passive.get(model)
         if powers is None:
             # impact imports this module
-            from .impact import config_powers, scenario_passive_power
+            from .impact import DEFAULT_VUT_MASS, config_powers, scenario_passive_power
 
-            terms, by_config = config_powers(model, self.configs, vut_mass)
+            terms, by_config = config_powers(model, self.configs, DEFAULT_VUT_MASS)
             by_instance = {
-                pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], vut_mass)
+                pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], DEFAULT_VUT_MASS)
                 for pair, p in self.instances.items()
             }
-            powers = self._passive[cache_key] = PassivePowers(terms, by_config, by_instance)
+            powers = self._passive[model] = PassivePowers(terms, by_config, by_instance)
         return powers
 
 
@@ -420,20 +421,7 @@ def enumerate_configs(
 # ---------------------------------------------------------------------------
 # Loading / serialization
 
-_SCENARIO_KEYS = {
-    "code",
-    "group",
-    "vut_speed_ranges",
-    "tg_speeds",
-    "speed_step",
-    "overlaps",
-    "lights",
-    "description",
-    "tg_paired",
-    "tg_crossing",
-    "requires_pretest",
-    "night",
-}
+_SCENARIO_KEYS = frozenset(ScenarioSpec.__slots__[:-1])  # every field but the settings cache
 
 
 def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:

@@ -20,8 +20,11 @@ configs with their series ids, outcomes, passive powers and power terms as
 parallel sequences and makes one pass over them per shift. ``score_campaign``
 feeds it slices of each vehicle's outcomes laid out like the protocol's
 compiled table, and of the terms and powers the compiled protocol keeps per
-(model, mass); ``frequency_score`` and ``mitigation_power_score`` feed it
+impact model; ``frequency_score`` and ``mitigation_power_score`` feed it
 any config sequence with its outcome mapping.
+
+The VUT mass scales a scenario's realized and passive powers alike, so it
+cancels out of every score, and ``score_campaign`` takes none.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .campaign import (
     series_key,
     validate_log,
 )
-from .impact import DEFAULT_VUT_MASS, ImpactPowerModel, PowerTerms, config_powers, impact_power
+from .impact import ImpactPowerModel, PowerTerms, config_powers, impact_power
 from .protocol import LIGHTS, TestConfig
 
 UNCERTAINTY_SHIFT_KMH = 5.0
@@ -229,12 +232,9 @@ def score_campaign(
     model: ImpactPowerModel,
     config_weights: Mapping[TestConfig, float] | None = None,
     validate: bool = True,
-    *,
-    masses: Mapping[str, float] | None = None,
 ) -> list[ScenarioScore]:
     """Score every vehicle on every (scenario, light) instance of the protocol,
-    in ``vehicle_sort_key`` order, each at its mass in ``masses`` (kg) or at
-    ``DEFAULT_VUT_MASS`` if ``masses`` does not name it.
+    in ``vehicle_sort_key`` order.
 
     Instances the protocol does not license come back marked not applicable.
     A licensed instance with no records at all means the vehicle never got
@@ -252,11 +252,10 @@ def score_campaign(
             )
     table = log.records
     compiled = table.compiled
-    masses = masses or {}
     size = len(compiled.configs)
     scores: list[ScenarioScore] = []
+    powers = None
     for vehicle in log.vehicle_ids():
-        mass = masses.get(vehicle, DEFAULT_VUT_MASS)
         outcomes: list[TestOutcome | None] = [None] * size
         off_lattice = set()
         for pos, config, outcome, _ in table.vehicles[vehicle]:
@@ -264,7 +263,6 @@ def score_campaign(
                 off_lattice.add((config.code, config.light))
             else:  # a later duplicate replaces an earlier record
                 outcomes[pos] = outcome
-        powers = None
         for spec in log.protocol.scenarios:
             for light in LIGHTS:
                 part = compiled.instances.get((spec.code, light))
@@ -283,7 +281,7 @@ def score_campaign(
                     )
                     continue
                 if powers is None:
-                    powers = compiled.passive_powers(model, mass)
+                    powers = compiled.passive_powers(model)
                 fs, mps = _kernel(
                     part.configs, part.series, instance_outcomes, config_weights,
                     powers.by_config[part.start:part.stop], powers.terms[part.start:part.stop],

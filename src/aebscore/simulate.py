@@ -67,7 +67,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
             raise SimulationSpecError(f"{where}: 'id' must be a non-empty string")
         if vid in vehicles:
             raise SimulationSpecError(f"{where}: duplicate vehicle id {vid!r}")
-        # Checked, not kept, as the next three: scoring takes masses from the impact model.
+        # Checked, not kept, as the next three: a mass cancels out of every score.
         mass = entry.get("mass", 1.0)
         if not within(mass, 0, _FLOAT_MAX) or mass == 0:
             raise SimulationSpecError(f"{where}: 'mass' must be a number > 0")

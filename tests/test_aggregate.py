@@ -4,6 +4,7 @@ import random
 import pytest
 
 from aebscore.aggregate import (
+    MAX_REGION_BYTES,
     AggregationError,
     GroupScore,
     WeightTableError,
@@ -247,6 +248,61 @@ def test_check_weight_table_reports_unlicensed(protocol):
     table = _table({("CPLAs", "day"): 1.0})
     problems = check_weight_table(table, protocol)
     assert any("not licensed" in p for p in problems)
+
+
+def test_check_weight_table_reports_an_instance_of_another_group(protocol):
+    # A C2VRU scenario weighed into C2C would let the VUT mass change the group score.
+    table = _table({("CCRs", "day"): 1.0, ("CPNAO", "day"): 1.0}, group=ScenarioGroup.C2C)
+    assert check_weight_table(table, protocol) == [
+        "group C2C instance ('CPNAO', 'day') belongs to C2VRU"
+    ]
+
+
+def test_weight_table_errors_of_a_file_name_it(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"weights": [], "groups": {}}', encoding="utf-8")
+    with pytest.raises(WeightTableError) as raised:
+        load_weight_table(path)
+    assert str(raised.value) == f"weight table {path}: 'region' must be a non-empty string"
+    with pytest.raises(WeightTableError) as raised:  # a mapping has no file to name
+        load_weight_table({"weights": [], "groups": {}})
+    assert str(raised.value) == "'region' must be a non-empty string"
+
+
+def test_the_region_limit_leaves_every_report_file_name_within_255_bytes():
+    from aebscore.aggregate import METRICS, RelativityMatrix
+    from aebscore.protocol import LIGHTS
+    from aebscore.report import EXTENSIONS, matrix_table, score_title
+
+    region = "R" * MAX_REGION_BYTES
+    titles = [score_title(m, light, region) for m in METRICS for light in LIGHTS]
+    titles += [
+        matrix_table(RelativityMatrix(m, g, region, ("V",), {"V": 1.0}, ((0.0,),))).title
+        for m in METRICS for g in ScenarioGroup
+    ]
+    names = [f"{t.lower()}.{ext}".encode() for t in titles for ext in EXTENSIONS.values()]
+    assert max(len(name) for name in names) == 255
+
+
+@pytest.mark.parametrize(
+    "region, size",
+    [("R" * 228, None), ("R" * 229, 229), ("ß" * 114, None), ("ß" * 115, 230), ("é" * 115, 230)],
+)
+def test_a_region_longer_than_a_report_file_name_allows_is_rejected(region, size):
+    # File names spell the region region.upper().lower(): "ß" becomes "ss".
+    doc = {
+        "region": region,
+        "weights": [{"scenario": "CPLA", "light": "day", "w": 1}],
+        "groups": {"C2VRU": [{"scenario": "CPLA", "light": "day"}]},
+    }
+    if size is None:
+        assert load_weight_table(doc).region == region
+    else:
+        with pytest.raises(WeightTableError) as raised:
+            load_weight_table(doc)
+        assert str(raised.value) == (
+            f"region is {size} bytes in a report file name, more than 228"
+        )
 
 
 def test_aggregate_sums_left_to_right_on_every_python():

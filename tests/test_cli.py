@@ -396,6 +396,42 @@ def test_a_region_that_cannot_be_part_of_a_file_name_exits_2_before_any_report(
         assert not out.exists()
 
 
+def _without_region(doc):
+    del doc["region"]
+
+
+def _cpnao_in_c2c(doc):
+    doc["groups"]["C2C"].append({"scenario": "CPNAO", "light": "day"})
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without_region, "'region' must be a non-empty string"),
+        (
+            lambda doc: doc.update(region="R" * 300),
+            "region is 300 bytes in a report file name, more than 228",
+        ),
+        (_cpnao_in_c2c, "group C2C instance ('CPNAO', 'day') belongs to C2VRU"),
+    ],
+    ids=["no-region", "region-300-characters", "cpnao-in-c2c"],
+)
+def test_a_bad_second_weight_table_exits_2_naming_its_file_before_any_report(
+    fixture_log, tmp_path, capsys, command, edit, message
+):
+    doc = json.loads((DATA_DIR / "weights_eu_example.json").read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "reports"
+    weights = ["--weights", str(DATA_DIR / "weights_us_example.json"), "--weights", str(bad)]
+    args = [command, *_protocol_args(), "--log", str(fixture_log), *weights, "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: weight table {bad}: {message}\n")
+    assert not out.exists()
+
+
 def test_impact_model_config(fixture_log, tmp_path):
     config = tmp_path / "impact.json"
     config.write_text(
@@ -855,34 +891,43 @@ def test_stats_orders_an_id_of_5000_digits_without_int(tmp_path, capsys):
     assert not err
 
 
-def test_score_and_compare_take_each_vehicles_mass_from_the_impact_model(
-    tmp_path, capsys, monkeypatch
-):
+def test_no_vut_or_target_mass_changes_a_score_or_compare_byte(tmp_path, capsys, monkeypatch):
+    # A vehicle's mass scales a scenario group's powers by one factor, so it
+    # cancels; the powers are built once per model, at no vehicle's mass.
     from aebscore.protocol import CompiledProtocol
 
-    calls = {"score_campaign": [], "passive_powers": set()}
+    models = set()
 
-    def scoring(*args, masses, **kwargs):
-        calls["score_campaign"].append(masses)
-        return score_campaign(*args, masses=masses, **kwargs)
+    def passive_powers(self, model):
+        models.add(model)
+        return original(self, model)
 
-    def passive_powers(self, model, vut_mass):
-        calls["passive_powers"].add(vut_mass)
-        return original(self, model, vut_mass)
-
-    score_campaign, original = cli.score_campaign, CompiledProtocol.passive_powers
-    monkeypatch.setattr(cli, "score_campaign", scoring)
+    original = CompiledProtocol.passive_powers
     monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
     config = tmp_path / "impact.json"
-    config.write_text(json.dumps({"vut_masses": {"1A": 900, "6": 2400}, "default_vut_mass": 1700}))
-    for command in ("score", "compare"):
-        args = ["--log", str(GOLDEN_LOG), "--impact-model", str(config), "--out", str(tmp_path)]
-        args += ["--weights", str(DATA_DIR / "weights_eu_example.json")]
-        assert main([command, *_protocol_args(), *args]) == 0
+    config.write_text(
+        json.dumps(
+            {
+                "vut_masses": {"1A": 900, "6": 2400},
+                "default_vut_mass": 1700,
+                "tg_masses": {"C2C": 3000},
+            }
+        )
+    )
+    trees = []
+    for impact in ([], ["--impact-model", str(config)]):
+        out = tmp_path / f"reports{len(trees)}"
+        for command in ("score", "compare"):
+            args = ["--log", str(GOLDEN_LOG), *impact, "--out", str(out / command)]
+            args += ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+            args += ["--weights", str(DATA_DIR / "weights_us_example.json")]
+            args += ["--format", "csv,markdown,html"]
+            assert main([command, *_protocol_args(), *args]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     capsys.readouterr()
-    masses = {"1A": 900.0, "2": 1700.0, "6": 2400.0, "7B": 1700.0}
-    assert calls["score_campaign"] == [masses, masses]
-    assert calls["passive_powers"] == {900.0, 1700.0, 2400.0}
+    assert len(trees[0]) == 3 * (8 + 12)  # 4 score and 6 matrix tables per region
+    assert trees[1] == trees[0]
+    assert len(models) == 2  # the default model and the one with a 3000 kg target
 
 
 _LONE = "A\\ud800"  # a JSON escape that decodes to a lone surrogate

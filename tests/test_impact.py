@@ -134,11 +134,11 @@ def test_invalid_inputs(protocol, model):
 
 @pytest.mark.parametrize("mass", [900.0, 1500.0, 2400.0])
 def test_power_terms_match_the_reference_energy_and_mu_pow(protocol, model, mass):
-    powers = protocol.compiled.passive_powers(model, mass)
+    powers = protocol.compiled.passive_powers(model)  # at the default mass, whatever ``mass`` is
     for i, config in enumerate(protocol.compiled.configs):
         terms = power_terms(model, config, mass)
-        assert powers.terms[i] == terms
-        assert powers.by_config[i] == passive_mu_pow(model, config, mass)
+        assert powers.terms[i] == power_terms(model, config, DEFAULT_VUT_MASS)
+        assert powers.by_config[i] == passive_mu_pow(model, config, DEFAULT_VUT_MASS)
         for speed in (0.0, 0.3 * config.vut_speed, 0.7 * config.vut_speed, config.vut_speed):
             power = impact_power(terms, speed)
             assert power == mu_pow(model, config, mass, speed)
@@ -170,22 +170,35 @@ def test_scenario_passive_power_average(protocol, model):
 
 
 def test_instance_passive_power_is_the_in_order_mean_of_its_configs(protocol, model):
+    # One set per model, at the default mass. At another mass every instance
+    # of a scenario group scales by one factor, so no group score moves.
+    powers = protocol.compiled.passive_powers(model)
+    assert protocol.compiled.passive_powers(ImpactPowerModel()) is powers
     for mass in (900.0, 1500.0):
-        powers = protocol.compiled.passive_powers(model, mass)
+        factors = {}  # scenario group -> the factor of its first instance
         for pair, part in protocol.compiled.instances.items():
             total = 0.0
             for config in part.configs:
                 total += passive_mu_pow(model, config, mass)
-            assert powers.by_instance[pair] == total / len(part.configs)
+            mean, power = total / len(part.configs), powers.by_instance[pair]
+            if mass == DEFAULT_VUT_MASS:
+                assert power == mean
+            factor = factors.setdefault(protocol.scenario(pair[0]).group, mean / power)
+            assert mean == pytest.approx(factor * power, rel=1e-12)
 
 
 def test_impact_config_defaults_and_fields():
-    assert load_impact_config({}) == (ImpactPowerModel(), {}, DEFAULT_VUT_MASS)
-    model, vut_masses, default_mass = load_impact_config(
+    # VUT masses are checked and kept nowhere: the model is all a config gives.
+    assert load_impact_config({}) == ImpactPowerModel()
+    assert load_impact_config({"vut_masses": {"1A": 1620}, "default_vut_mass": 900}) == (
+        ImpactPowerModel()
+    )
+    model = load_impact_config(
         {"tg_masses": {"C2C": 1400}, "vut_masses": {"1A": 1620}, "default_vut_mass": 10**3}
     )
     assert model == ImpactPowerModel(tg_masses={ScenarioGroup.C2C: 1400.0})
-    assert vut_masses == {"1A": 1620.0} and default_mass == 1000.0
-    assert isinstance(default_mass, float)
+    assert isinstance(model.tg_masses[ScenarioGroup.C2C], float)
     with pytest.raises(ImpactModelError, match="default_vut_mass: expected a finite number"):
         load_impact_config({"default_vut_mass": "1500"})
+    with pytest.raises(ImpactModelError, match=r"vut_masses\['1A'\]: must be > 0"):
+        load_impact_config({"vut_masses": {"1A": 0}})

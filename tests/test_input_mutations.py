@@ -6,8 +6,9 @@ of ``VALUES``. It then runs ``compare`` on the golden log, or ``simulate`` for
 the spec, in-process. Whatever the input, ``main`` must return 0, 1 or 2
 without raising, and no file it writes may hold a NaN. A seeded sample of at
 most ``SAMPLE`` mutations per document runs; the ``PINNED`` cases, inputs
-that once gave a traceback, a NaN or a silent exit 0, always run and must
-exit 2. Stdlib only.
+that once gave a traceback, a NaN, a silent exit 0 or a report that
+depended on a vehicle's mass, always run and must exit 2 before writing any
+file. Stdlib only.
 """
 
 import json
@@ -75,6 +76,8 @@ PINNED = [
     ("protocol", ("scenarios", 5, "requires_pretest"), "no", "protocol-requires-pretest-string"),
     ("impact", ("tg_masses", "C2C"), 0, "impact-tg-mass-zero"),
     ("impact", ("tg_masses", "C2O"), -1, "impact-tg-mass-c2o-negative"),
+    ("weights", ("groups", "C2C", 0, "scenario"), "CPNAO", "weights-c2c-group-names-cpnao"),
+    ("weights", ("region",), "R" * 300, "weights-region-300-characters"),
 ]
 
 
@@ -137,3 +140,4 @@ def test_mutated_input_exits_0_1_or_2_and_writes_no_nan(tmp_path, capsys, name, 
 @pytest.mark.parametrize("name, path, value", [pytest.param(*c[:3], id=c[3]) for c in PINNED])
 def test_pinned_mutation_exits_2(tmp_path, capsys, name, path, value):
     assert _run(tmp_path, name, path, value) == 2
+    assert not any((tmp_path / "out").iterdir())

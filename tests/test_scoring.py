@@ -10,7 +10,7 @@ from aebscore.campaign import (
     TestRecord,
 )
 from aebscore.impact import ImpactModelError, ImpactPowerModel
-from aebscore.protocol import TestConfig, enumerate_configs, load_protocol
+from aebscore.protocol import ScenarioGroup, TestConfig, enumerate_configs, load_protocol
 from aebscore.scoring import (
     ScoreValue,
     ScoringError,
@@ -390,9 +390,10 @@ def _campaign_with_noise(protocol, rng):
 
 
 def test_score_campaign_unvalidated_matches_reference(protocol, model):
+    # The reference weighs the vehicle 1720 kg; score_campaign takes no mass.
     rng = random.Random(404)
     log, expected = _campaign_with_noise(protocol, rng)
-    scores = score_campaign(log, model, validate=False, masses={"V": 1720.0})
+    scores = score_campaign(log, model, validate=False)
     assert len(scores) == 2 * len(protocol.scenarios)
     for s in scores:
         if s.not_applicable:
@@ -408,8 +409,7 @@ def test_score_campaign_config_weights_match_reference(protocol, model):
     rng = random.Random(405)
     log, expected = _campaign_with_noise(protocol, rng)
     weights = {c: rng.uniform(0.1, 3.0) for c in enumerate_configs(protocol)}
-    masses = {"V": 1380.0}
-    for s in score_campaign(log, model, config_weights=weights, validate=False, masses=masses):
+    for s in score_campaign(log, model, config_weights=weights, validate=False):
         if s.not_applicable:
             continue
         configs, outcomes = expected[(s.scenario, s.light)]
@@ -417,30 +417,31 @@ def test_score_campaign_config_weights_match_reference(protocol, model):
         _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1380.0, weights))
 
 
-@pytest.mark.parametrize(
-    "masses, used", [(None, 1500.0), ({}, 1500.0), ({"W": 900.0}, 1500.0), ({"V": 900.0}, 900.0)]
-)
-def test_score_campaign_weighs_a_vehicle_missing_from_masses_1500_kg(
-    protocol, model, monkeypatch, masses, used
+@pytest.mark.parametrize("mass", [600.0, 900.0, 1500.0, 3500.0])
+@pytest.mark.parametrize("tg_mass", [800.0, 3000.0])
+def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
+    protocol, monkeypatch, mass, tg_mass
 ):
-    # The mass cancels out of every score, so the masses the kernel's power
-    # terms are built at are watched.
+    # The masses cancel out of every score: the reference, at a ``mass`` kg
+    # vehicle and a 1500 kg target, agrees with score_campaign under a
+    # ``tg_mass`` kg target, which builds one set of passive powers per model.
     from aebscore.protocol import CompiledProtocol
 
-    seen = set()
+    seen = []
 
-    def passive_powers(self, model, vut_mass):
-        seen.add(vut_mass)
-        return original(self, model, vut_mass)
+    def passive_powers(self, model):
+        seen.append(model)
+        return original(self, model)
 
     original = CompiledProtocol.passive_powers
     monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
+    model = ImpactPowerModel(tg_masses={ScenarioGroup.C2C: tg_mass})
     log, expected = _campaign_with_noise(protocol, random.Random(406))
-    for s in score_campaign(log, model, validate=False, masses=masses):
+    for s in score_campaign(log, model, validate=False):
         if not s.not_applicable:
             configs, outcomes = expected[(s.scenario, s.light)]
-            _assert_triple(s.mps, mitigation_triple(configs, outcomes, used))
-    assert seen == {used}
+            _assert_triple(s.mps, mitigation_triple(configs, outcomes, mass))
+    assert seen == [model]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
