@@ -45,7 +45,7 @@ class ImpactPowerModel(NamedTuple):
     geometry_rule: str = "linear"
 
     def __hash__(self) -> int:
-        # Compiled protocols cache passive powers per model; tg_masses is a mapping.
+        # A value type like any NamedTuple, though tg_masses is a mapping.
         return hash((self.name, frozenset(self.tg_masses.items()), self.geometry_rule))
 
     def geometry_factor(self, overlap: float) -> float:

@@ -13,15 +13,16 @@ with few distinct outcomes. ``read_log`` therefore checks each distinct row
 once per call. Rows that differ only in their vehicle share one entry, and
 only the first of them goes through the checks; the rest cost a lookup and
 an append.
-A row is looked up by its text with the vehicle cut out, before it is
-split or decoded. A CSV file whose only ``vehicle`` column is its first,
-with no quote, carriage return or NUL and no line beyond
-``csv.field_size_limit()``, is one ``csv.reader`` would split on commas
-alone: each line is keyed on its text after the first comma. Other CSV
-files go through ``csv.reader``, keyed on the cells. A CSV row that misses
-looks its config cells and its outcome cells up in two memos of parts of
-rows that passed the checks. No check spans both parts, so a row of two
-known parts is not checked again; any other row takes the full check.
+A JSON line, or a line of a plain CSV file, is looked up by its text with
+the vehicle cut out, before it is split or decoded. A CSV file is plain if
+its only ``vehicle`` column is its first and it holds no quote, carriage
+return, NUL or line beyond ``csv.field_size_limit()``: ``csv.reader`` would
+split it on commas alone, so a line is keyed on its text after the first
+comma. Other CSV files go through ``csv.reader``. A CSV row that reaches its
+cells is keyed on them with the vehicle and impact-speed cells emptied, as
+each impact has its own measured speed. A match shares the checked row's
+entry, or all of it but a new impact speed, parsed alone: no check spans it
+and another field. Any other row takes the full check.
 A JSON line is keyed on its text around the body of the first string after
 the first ``"vehicle"``, which json's own string scanner reads, escapes
 included. The line becomes a key only when that string is the decoded
@@ -53,7 +54,6 @@ import io
 import json
 import math
 from json.decoder import scanstring
-from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
@@ -75,9 +75,6 @@ LOG_COLUMNS = (
     "pre_test",
 )
 _COLUMNS = frozenset(LOG_COLUMNS)
-# A CSV row's config cells and its outcome cells: no check spans both.
-_CONFIG_CELLS = ("scenario", "light", "vut_speed", "tg_speed", "overlap")
-_OUTCOME_CELLS = ("outcome", "impact_speed", "intervention", "projected", "pre_test")
 _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
 # Characters per read of a JSON-lines file, and lines per write of a log.
@@ -260,52 +257,42 @@ def _read_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
 
 
 def _read_plain_csv(lines: list[str], rows: _CsvRows) -> Iterator[tuple]:
-    memo = rows.memo
+    memo: dict[str, tuple] = {}  # line without its vehicle cell -> entry
     for line, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        vehicle, _, key = raw.partition(",")  # the key is the line without its vehicle cell
+        vehicle, _, key = raw.partition(",")
         shared = memo.get(key)
         if shared is not None and vehicle:  # an empty vehicle takes the checks
             yield vehicle, shared
             continue
         try:
-            entry = rows.entry(raw.split(","), key)
+            vehicle, shared = rows.entry(raw.split(","))
         except LogFormatError as exc:
             raise LogFormatError(f"line {line}: {exc}") from None
-        yield entry
+        memo[key] = shared
+        yield vehicle, shared
 
 
 def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
     reader = csv.reader(io.StringIO(text, newline=""))  # "\r\n", "\r" and "\n" end a line
     try:
         rows = _CsvRows(next(reader, []), protocol)
-        memo, at = rows.memo, rows.vehicle
         for cells in reader:
             if not cells:
                 continue
-            key = None
-            if len(cells) > at and cells[at]:  # the key is the row with its vehicle emptied
-                vehicle, cells[at] = cells[at], ""
-                key = tuple(cells)
-                shared = memo.get(key)
-                if shared is not None:
-                    yield vehicle, shared
-                    continue
-                cells[at] = vehicle
             try:
-                entry = rows.entry(cells, key)
+                yield rows.entry(cells)
             except LogFormatError as exc:
                 # The physical line the row starts on: quoted cells may span lines.
                 breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells)
                 raise LogFormatError(f"line {reader.line_num - breaks}: {exc}") from None
-            yield entry
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
         raise LogFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 class _CsvRows:
-    """A CSV log's header and the memos of one read (see the module docstring)."""
+    """A CSV log's header and the memo of one read (see the module docstring)."""
 
     def __init__(self, header: list[str], protocol: ProtocolDefinition):
         unknown = set(header) - _COLUMNS
@@ -313,55 +300,39 @@ class _CsvRows:
             raise LogFormatError(f"unknown column(s) {sorted(unknown)}")
         self.header, self.protocol, self.width = header, protocol, len(header)
         columns = dict(zip(header, range(len(header))))  # the last of equal names wins
-        # A missing column reads the empty cell that entry() appends to a row.
+        # A missing column reads the empty cell that entry() appends to a row's key.
         self.vehicle = columns.get("vehicle", len(header))
-        self.config_cells = itemgetter(*(columns.get(n, len(header)) for n in _CONFIG_CELLS))
-        self.outcome_cells = itemgetter(*(columns.get(n, len(header)) for n in _OUTCOME_CELLS))
-        self.memo: dict = {}  # row key -> (position, config, outcome, pre_test)
-        self.configs: dict[tuple, tuple] = {}  # config cells -> (position, config)
-        self.outcomes: dict[tuple, tuple] = {}  # outcome cells -> (outcome, pre_test)
+        self.impact = columns.get("impact_speed", len(header))
+        self.memo: dict = {}  # cells, vehicle and impact emptied -> (entry, impact cell)
 
-    def entry(self, cells: list[str], key) -> tuple:
-        """Check one non-blank row; its table entry, kept under ``key`` unless None."""
+    def entry(self, cells: list[str]) -> tuple:
+        """Check one non-blank row, leaving ``cells`` as they are; ``(vehicle, entry)``."""
         if len(cells) > self.width:
             raise LogFormatError(f"unknown field(s): {len(cells)} cells for {self.width} columns")
-        cells += [""] * (self.width + 1 - len(cells))  # an empty cell is a missing value
-        config_cells, outcome_cells = self.config_cells(cells), self.outcome_cells(cells)
-        config = self.configs.get(config_cells)
-        outcome = self.outcomes.get(outcome_cells)
-        if config is not None and outcome is None:
-            outcome = _outcome_part(*outcome_cells)
-        vehicle = cells[self.vehicle]
-        if config is None or outcome is None or not vehicle:
-            row = {k: v for k, v in dict(zip(self.header, cells)).items() if v}
-            vehicle, shared = _entry_from_row(row, self.protocol)
-            config = self.configs[config_cells] = shared[:2]
-            outcome = shared[2:]
-        self.outcomes[outcome_cells] = outcome
-        shared = config + outcome
-        if key is not None:
-            self.memo[key] = shared
+        key = cells + [""] * (self.width + 1 - len(cells))  # an empty cell is a missing value
+        vehicle, impact = key[self.vehicle], key[self.impact]
+        key[self.vehicle] = key[self.impact] = ""
+        key = tuple(key)
+        seen = self.memo.get(key)
+        if seen is not None and vehicle:  # an empty vehicle takes the checks
+            shared, cell = seen
+            return vehicle, shared if cell == impact else _with_impact(shared, impact)
+        row = {k: v for k, v in dict(zip(self.header, cells)).items() if v}
+        vehicle, shared = _entry_from_row(row, self.protocol)
+        self.memo[key] = shared, impact
         return vehicle, shared
 
 
-def _outcome_part(outcome, impact_speed, intervention, projected, pre_test) -> tuple | None:
-    """``(outcome, pre_test)`` from a CSV row's outcome cells; None if a check fails."""
-    kind = _KINDS.get(outcome)
-    if kind is None or (pre_test and pre_test not in _PRE_TESTS):
-        return None
-    try:
-        impact_speed = _parse_number(impact_speed, "impact_speed") if impact_speed else None
-        flags = _parse_bool(intervention or None, ""), _parse_bool(projected or None, "")
-    except LogFormatError:
-        return None
-    return TestOutcome(kind, impact_speed, *flags), pre_test or None
+def _with_impact(shared: tuple, cell: str) -> tuple:
+    """A checked entry with the impact speed of ``cell``, None if empty; no check
+    spans the impact speed and another field, so only its number check applies."""
+    pos, config, outcome, pre_test = shared
+    speed = _parse_number(cell, "impact_speed") if cell else None
+    return pos, config, outcome._replace(impact_speed=speed), pre_test
 
 
 def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
-    """Check one decoded row; ``(vehicle, (position, config, outcome, pre_test))``.
-
-    A rule on the outcome fields must also go into ``_outcome_part``.
-    """
+    """Check one decoded row; ``(vehicle, (position, config, outcome, pre_test))``."""
     unknown = row.keys() - _COLUMNS
     if unknown:
         raise LogFormatError(f"unknown field(s) {sorted(unknown)}")

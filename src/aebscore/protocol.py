@@ -309,23 +309,26 @@ class CompiledProtocol:
         self.series_index = series_index
         self.series = tuple(table_series)
         self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
-        self._passive: dict = {}  # impact model -> PassivePowers
+        self._passive: dict[str, PassivePowers] = {}  # geometry rule -> its powers
 
     def passive_powers(self, model) -> PassivePowers:
-        """Power terms and passive powers under ``model``, built on first use, at
-        ``impact.DEFAULT_VUT_MASS``: the mass scales a scenario group's powers by
-        one factor, and weight tables keep each group to its own scenarios."""
-        powers = self._passive.get(model)
+        """Power terms and passive powers under ``model``'s geometry rule, at the
+        default masses, built on first use: a mass scales a scenario group's powers
+        by one factor, and weight tables keep each group to its own scenarios."""
+        rule = model.geometry_rule
+        powers = self._passive.get(rule)
         if powers is None:
-            # impact imports this module
-            from .impact import DEFAULT_VUT_MASS, config_powers, scenario_passive_power
+            from .impact import (  # impact imports this module
+                DEFAULT_VUT_MASS, ImpactPowerModel, config_powers, scenario_passive_power,
+            )
 
-            terms, by_config = config_powers(model, self.configs, DEFAULT_VUT_MASS)
+            default_masses = ImpactPowerModel(geometry_rule=rule)
+            terms, by_config = config_powers(default_masses, self.configs, DEFAULT_VUT_MASS)
             by_instance = {
                 pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], DEFAULT_VUT_MASS)
                 for pair, p in self.instances.items()
             }
-            powers = self._passive[model] = PassivePowers(terms, by_config, by_instance)
+            powers = self._passive[rule] = PassivePowers(terms, by_config, by_instance)
         return powers
 
 

@@ -20,11 +20,11 @@ configs with their series ids, outcomes, passive powers and power terms as
 parallel sequences and makes one pass over them per shift. ``score_campaign``
 feeds it slices of each vehicle's outcomes laid out like the protocol's
 compiled table, and of the terms and powers the compiled protocol keeps per
-impact model; ``frequency_score`` and ``mitigation_power_score`` feed it
+geometry rule; ``frequency_score`` and ``mitigation_power_score`` feed it
 any config sequence with its outcome mapping.
 
-The VUT mass scales a scenario's realized and passive powers alike, so it
-cancels out of every score, and ``score_campaign`` takes none.
+A VUT or target mass scales a scenario's realized and passive powers alike,
+so it cancels out of every score, and ``score_campaign`` uses the defaults.
 """
 
 from __future__ import annotations

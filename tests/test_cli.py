@@ -892,30 +892,33 @@ def test_stats_orders_an_id_of_5000_digits_without_int(tmp_path, capsys):
 
 
 def test_no_vut_or_target_mass_changes_a_score_or_compare_byte(tmp_path, capsys, monkeypatch):
-    # A vehicle's mass scales a scenario group's powers by one factor, so it
-    # cancels; the powers are built once per model, at no vehicle's mass.
+    # A vehicle's or target's mass scales a scenario group's powers by one
+    # factor, so it cancels; the powers are built at the default masses, once
+    # per geometry rule, so even a target whose powers would round to zero
+    # gives the default reports.
     from aebscore.protocol import CompiledProtocol
 
-    models = set()
+    caches = set()
 
     def passive_powers(self, model):
-        models.add(model)
-        return original(self, model)
+        powers = original(self, model)
+        caches.add(tuple(self._passive))
+        return powers
 
     original = CompiledProtocol.passive_powers
     monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
-    config = tmp_path / "impact.json"
-    config.write_text(
-        json.dumps(
-            {
-                "vut_masses": {"1A": 900, "6": 2400},
-                "default_vut_mass": 1700,
-                "tg_masses": {"C2C": 3000},
-            }
-        )
-    )
+    configs = [
+        {"vut_masses": {"1A": 900, "6": 2400}, "default_vut_mass": 1700},
+        {"tg_masses": {"C2C": 3000}},
+        {"tg_masses": {"C2C": 5e-324}},
+    ]
+    impacts = [[]]
+    for i, doc in enumerate(configs):
+        config = tmp_path / f"impact{i}.json"
+        config.write_text(json.dumps(doc))
+        impacts.append(["--impact-model", str(config)])
     trees = []
-    for impact in ([], ["--impact-model", str(config)]):
+    for impact in impacts:
         out = tmp_path / f"reports{len(trees)}"
         for command in ("score", "compare"):
             args = ["--log", str(GOLDEN_LOG), *impact, "--out", str(out / command)]
@@ -926,8 +929,8 @@ def test_no_vut_or_target_mass_changes_a_score_or_compare_byte(tmp_path, capsys,
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     capsys.readouterr()
     assert len(trees[0]) == 3 * (8 + 12)  # 4 score and 6 matrix tables per region
-    assert trees[1] == trees[0]
-    assert len(models) == 2  # the default model and the one with a 3000 kg target
+    assert trees[1:] == trees[:1] * 3
+    assert caches == {("linear",)}
 
 
 _LONE = "A\\ud800"  # a JSON escape that decodes to a lone surrogate

@@ -387,34 +387,86 @@ def _count_checks(monkeypatch):
     return calls
 
 
+def _quote_first_row(lines):
+    """The lines with one cell of the first row quoted: the csv.reader loop reads them."""
+    return [lines[0], lines[1].replace("CCRm", '"CCRm"'), *lines[2:]]
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
-def test_row_of_parts_seen_in_two_rows_shares_them_without_a_check(
+def test_row_differing_only_in_vehicle_and_impact_shares_the_checked_entry(
     protocol, tmp_path, monkeypatch, quoted
 ):
     calls = _count_checks(monkeypatch)
     lines = [
         HEADER,
-        _csv_line("A", vut_speed=65),
-        _csv_line("B", impact_speed=41, pre_test="passed"),
-        _csv_line("C", vut_speed=65, impact_speed=41, pre_test="passed"),
-        _csv_line("D", vut_speed=65, impact_speed=41, pre_test="passed"),
-        _csv_line("E", vut_speed=65, impact_speed=12.5),  # a new outcome: helpers only
-        _csv_line("F", impact_speed=12.5),
+        _csv_line("A"),
+        _csv_line("B", impact_speed=41),  # a new impact speed: parsed alone
+        _csv_line("C"),
+        _csv_line("D", impact_speed=""),
+        _csv_line("E", vut_speed=65, pre_test="passed"),  # new cells: checked
+        _csv_line("F", vut_speed=65, pre_test="passed", impact_speed=12.5),
     ]
-    if quoted:
-        lines[1] = lines[1].replace("CCRm", '"CCRm"')
+    path, text = _write(tmp_path, _quote_first_row(lines) if quoted else lines)
+    log = read_log(path, protocol)
+    assert log.records == _csv_reference(text, protocol)
+    assert calls == ["A", "E"]
+    entries = [log.records.vehicles[v][0] for v in "ABCDEF"]
+    a, b, c, d, e, f = log.records
+    assert entries[2] is entries[0]  # the same impact text: the same entry
+    for first, later in ((a, b), (a, d), (e, f)):
+        assert later.config is first.config and later.pre_test == first.pre_test
+        assert later.outcome._replace(impact_speed=None) == first.outcome._replace(
+            impact_speed=None
+        )
+    assert (b.outcome.impact_speed, d.outcome.impact_speed, f.outcome.impact_speed) == (
+        41.0, None, 12.5
+    )
+
+
+# An impact-speed cell on a row that differs from a checked row only there
+# and in its vehicle: no full check, but its value or first error.
+CUT_IMPACTS = {
+    "negative-zero": ("-0", 0.0),
+    "empty": ("", None),
+    "overflow": ("1e400", "line 3: impact_speed must be a finite number, got '1e400'"),
+    "negative-overflow": ("-1e400", "line 3: impact_speed must be a finite number, got '-1e400'"),
+    "huge-integer": (
+        "9" * 5000, f"line 3: impact_speed must be a finite number, got '{'9' * 5000}'"
+    ),
+}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("cell, expected", CUT_IMPACTS.values(), ids=CUT_IMPACTS.keys())
+def test_impact_cell_after_a_cut_hit_reads_as_the_full_check_does(
+    protocol, tmp_path, monkeypatch, quoted, cell, expected
+):
+    calls = _count_checks(monkeypatch)
+    lines = [HEADER, _csv_line("B"), _csv_line("A", impact_speed=cell)]
+    path, text = _write(tmp_path, _quote_first_row(lines) if quoted else lines)
+    got = _read(path, protocol)
+    assert calls == ["B"]
+    assert got == _csv_reference(text, protocol)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert repr(got[1].outcome.impact_speed) == repr(expected)
+
+
+def test_line_spanning_impact_cell_after_a_cut_hit_names_the_line_its_row_starts_on(
+    protocol, tmp_path, monkeypatch
+):
+    calls = _count_checks(monkeypatch)
+    lines = [HEADER, _csv_line("B"), _csv_line("C"), _csv_line("A", impact_speed='"3\r\n0\n1"')]
     path, text = _write(tmp_path, lines)
-    records = read_log(path, protocol).records
-    assert records == _csv_reference(text, protocol)
-    assert calls == ["A", "B"]
-    a, b, c, d, e, f = records
-    assert c.config is a.config and c.outcome is b.outcome and c.pre_test == "passed"
-    assert d.config is a.config and d.outcome is b.outcome
-    assert f.config is b.config and f.outcome is e.outcome
+    got = _read(path, protocol)
+    assert calls == ["B"]
+    assert got == _csv_reference(text, protocol)
+    assert got == "line 4: impact_speed must be a number, got '3\\r\\n0\\n1'"
 
 
 # A good row, then a row with bad cells; it keeps the first error of a full check.
-BAD_PARTS = {
+BAD_CELLS = {
     "outcome": ({"outcome": "meh"}, "line 3: unknown outcome 'meh'"),
     "impact-speed": ({"impact_speed": "x"}, "line 3: impact_speed must be a number, got 'x'"),
     "impact-speed-inf": (
@@ -441,22 +493,24 @@ BAD_PARTS = {
 }
 
 
-@pytest.mark.parametrize("cells, expected", BAD_PARTS.values(), ids=BAD_PARTS.keys())
+@pytest.mark.parametrize("cells, expected", BAD_CELLS.values(), ids=BAD_CELLS.keys())
 def test_bad_cells_after_a_good_row_keep_their_first_error(protocol, tmp_path, cells, expected):
     path, text = _write(tmp_path, [HEADER, _csv_line("B"), _csv_line("A", **cells)])
     assert _read(path, protocol) == _csv_reference(text, protocol) == expected
 
 
-def test_rows_of_seen_parts_never_reach_the_row_check(protocol, golden, tmp_path, monkeypatch):
+def test_rows_differing_only_in_vehicle_and_impact_never_reach_the_row_check(
+    protocol, golden, tmp_path, monkeypatch
+):
     _, cells = golden
-    configs = sorted({tuple(row[1:6]) for row in cells})
-    outcomes = sorted({tuple(row[6:]) for row in cells})
+    at = LOG_COLUMNS.index("impact_speed")
+    impacts = sorted({row[at] for row in cells}) + ["-0", "0", "12.25", ""]
     lines = [HEADER, *(",".join(row) for row in cells)]
-    # Every seen config with every seen outcome, under new vehicles: each
-    # part passed in some row above, so none of these takes the check.
+    # Every row again under a new vehicle, with some seen or new impact
+    # speed: each row above passed the check, so none of these takes it.
     lines += [
-        ",".join((f"N{i}", *configs[i % len(configs)], *outcome))
-        for i, outcome in enumerate(outcomes * 3)
+        ",".join((f"N{i}", *row[1:at], impacts[i % len(impacts)], *row[at + 1:]))
+        for i, row in enumerate(cells)
     ]
     calls = _count_checks(monkeypatch)
     path, text = _write(tmp_path, lines)
@@ -464,6 +518,8 @@ def test_rows_of_seen_parts_never_reach_the_row_check(protocol, golden, tmp_path
     assert records == _csv_reference(text, protocol)
     assert not any(str(v).startswith("N") for v in calls)
     assert len(calls) < len(cells)
+    for old, new in zip(records, records[len(cells):]):
+        assert new.config is old.config and new.pre_test == old.pre_test
 
 
 def test_random_plain_csv_files_read_like_the_reference(protocol, golden, tmp_path):

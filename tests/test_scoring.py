@@ -10,7 +10,13 @@ from aebscore.campaign import (
     TestRecord,
 )
 from aebscore.impact import ImpactModelError, ImpactPowerModel
-from aebscore.protocol import ScenarioGroup, TestConfig, enumerate_configs, load_protocol
+from aebscore.protocol import (
+    ScenarioGroup,
+    TestConfig,
+    bundled_protocol_path,
+    enumerate_configs,
+    load_protocol,
+)
 from aebscore.scoring import (
     ScoreValue,
     ScoringError,
@@ -424,7 +430,7 @@ def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
 ):
     # The masses cancel out of every score: the reference, at a ``mass`` kg
     # vehicle and a 1500 kg target, agrees with score_campaign under a
-    # ``tg_mass`` kg target, which builds one set of passive powers per model.
+    # ``tg_mass`` kg target, which scores at the default masses.
     from aebscore.protocol import CompiledProtocol
 
     seen = []
@@ -442,6 +448,21 @@ def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
             configs, outcomes = expected[(s.scenario, s.light)]
             _assert_triple(s.mps, mitigation_triple(configs, outcomes, mass))
     assert seen == [model]
+
+
+def test_models_differing_only_in_target_mass_share_one_set_of_passive_powers():
+    protocol = load_protocol(bundled_protocol_path())  # a cache no other test has filled
+    log, _ = _campaign_with_noise(protocol, random.Random(406))
+    light = ImpactPowerModel(tg_masses={ScenarioGroup.C2C: 800.0})
+    heavy = ImpactPowerModel(name="heavy", tg_masses={ScenarioGroup.C2C: 3000.0})
+    assert score_campaign(log, light, validate=False) == score_campaign(
+        log, heavy, validate=False
+    )
+    compiled = protocol.compiled
+    assert list(compiled._passive) == ["linear"]
+    assert compiled.passive_powers(light) is compiled.passive_powers(ImpactPowerModel())
+    compiled.passive_powers(ImpactPowerModel(geometry_rule="unit"))
+    assert list(compiled._passive) == ["linear", "unit"]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
