@@ -13,12 +13,14 @@ with few distinct outcomes. ``read_log`` therefore checks each distinct row
 once per call. Rows that differ only in their vehicle share one entry, and
 only the first of them goes through the checks; the rest cost a lookup and
 an append.
-A JSON line, or a line of a plain CSV file, is looked up by its text with
-the vehicle cut out, before it is split or decoded. A CSV file is plain if
-its only ``vehicle`` column is its first and it holds no quote, carriage
-return, NUL or line beyond ``csv.field_size_limit()``: ``csv.reader`` would
-split it on commas alone, so a line is keyed on its text after the first
-comma. Other CSV files go through ``csv.reader``. A CSV row that reaches its
+A JSON line, or a plain CSV line, is looked up by its text with the vehicle
+cut out, before it is split or decoded. A CSV line is plain if it holds no
+quote or NUL and is within ``csv.field_size_limit()``: ``csv.reader`` would
+split it on its commas alone. While the header's first column is its only
+``vehicle`` column and each line is plain, a line is keyed on its text after
+the first comma; a line that matches a key splits alike if its vehicle cell
+is one a checked line had. From the first other line on, ``csv.reader`` reads
+the rest of the file. A CSV row that reaches its
 cells is keyed on them with the vehicle and impact-speed cells emptied, as
 each impact has its own measured speed. A match shares the checked row's
 entry, or all of it but a new impact speed, parsed alone: no check spans it
@@ -30,29 +32,27 @@ vehicle, ``"vehicle"`` occurs once and no backslash lies outside the
 string; then every other quote is a delimiter, and lines with the same key
 decode to the same row but for the vehicle. Other lines, and lines equal
 only once decoded (``1`` and ``1.0``, another key order), take the full
-parse. A vehicle is a non-empty string or an integer. Only ``\n`` ends a
-JSON line.
+parse. A vehicle is a non-empty string or an integer. In both formats
+``\n``, ``\r\n`` and ``\r`` alone end a line, and nothing else does.
 ``write_log`` works the other way round: it walks the table's runs of rows
 and splices each vehicle's cell into its rows, encoding each distinct row
 and each vehicle cell the first time a line needs it. The memos are locals
 of one call; nothing is cached between calls. CSV errors name the physical
 line a row starts on.
 
-Neither direction holds a JSONL file whole. ``read_log`` reads a JSON-lines
-file in chunks of ``_READ_CHUNK`` characters and parses each line as it
-arrives, keeping per row only its entry in the table. ``write_log`` keeps
-one text per distinct row and per vehicle, and writes ``_WRITE_BATCH``
-lines per call to the file's ``write``. A CSV file is still read whole: its
-plain path checks the whole text first.
+Neither direction holds a log whole. ``read_log`` iterates the lines of the
+open file and checks each as it arrives, keeping per row only its entry in
+the table. ``write_log`` keeps one text per distinct row and per vehicle, and
+writes ``_WRITE_BATCH`` lines per call to the file's ``write``.
 Every error names the file, as in ``log <file>: line N: ...``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from itertools import chain
 from json.decoder import scanstring
 from pathlib import Path
 from types import SimpleNamespace
@@ -77,8 +77,7 @@ LOG_COLUMNS = (
 _COLUMNS = frozenset(LOG_COLUMNS)
 _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
-# Characters per read of a JSON-lines file, and lines per write of a log.
-_READ_CHUNK = 1 << 16
+# Lines per write of a log.
 _WRITE_BATCH = 256
 
 
@@ -166,14 +165,11 @@ def read_log(path: str | Path, protocol: ProtocolDefinition) -> CampaignLog:
     Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)
+    read = _read_csv if path.suffix.lower() == ".csv" else _read_jsonl
     try:
-        if path.suffix.lower() == ".csv":
-            # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
-            entries = _read_csv(read_text(path, "log", newline=""), protocol)
-            table = LogTable(protocol.compiled, entries)
-        else:
-            with open(path, encoding="utf-8") as file:
-                table = LogTable(protocol.compiled, _read_jsonl(_lines(file), protocol))
+        # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
+        with open(path, encoding="utf-8", newline="" if read is _read_csv else None) as file:
+            table = LogTable(protocol.compiled, read(file, protocol))
     except (LogFormatError, UnicodeDecodeError) as exc:
         read_text(path, "log")  # a file that is not UTF-8 text is reported as such
         raise LogFormatError(f"log {path}: {exc}") from None
@@ -183,29 +179,10 @@ def read_log(path: str | Path, protocol: ProtocolDefinition) -> CampaignLog:
     return CampaignLog(protocol, table)
 
 
-def _lines(file) -> Iterator[str]:
-    """A text file's lines, split at line feeds alone and read a chunk at a time.
-
-    ``str.splitlines()`` would also split inside a JSON string holding a raw
-    U+2028, U+0085 or another such character.
-    """
-    head: list[str] = []  # the start of a line that spans chunks
-    while chunk := file.read(_READ_CHUNK):
-        lines = chunk.split("\n")
-        if len(lines) > 1:
-            head.append(lines[0])
-            lines[0] = "".join(head)
-            head = [lines.pop()]
-            yield from lines
-        else:
-            head.append(chunk)
-    yield "".join(head)
-
-
-def _read_jsonl(lines: Iterable[str], protocol: ProtocolDefinition) -> Iterator[tuple]:
+def _read_jsonl(file: Iterable[str], protocol: ProtocolDefinition) -> Iterator[tuple]:
     decode = json.JSONDecoder().decode
     memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
-    for line, raw in enumerate(lines, start=1):
+    for line, raw in enumerate(file, start=1):
         if not raw.strip():
             continue
         key = vehicle = None
@@ -222,8 +199,8 @@ def _read_jsonl(lines: Iterable[str], protocol: ProtocolDefinition) -> Iterator[
                 if shared is not None and vehicle:  # an empty vehicle takes the checks
                     yield vehicle, shared
                     continue
-        try:
-            row = decode(raw)
+        try:  # without its line end, which would move the position an error names
+            row = decode(raw.rstrip("\n"))
         except (ValueError, RecursionError) as exc:  # also a big integer or deep nesting
             raise LogFormatError(f"line {line}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict):  # the decoder makes every object a dict
@@ -243,41 +220,43 @@ def _read_jsonl(lines: Iterable[str], protocol: ProtocolDefinition) -> Iterator[
         yield vehicle, shared
 
 
-def _read_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
-    # csv.reader splits each line of a file with no quote, carriage return or
-    # NUL and no line beyond its field limit on the commas alone.
-    if '"' not in text and "\r" not in text and "\0" not in text:
-        lines = text.split("\n")
-        header = lines[0].split(",")
-        # The plain loop takes the vehicle from before a line's first comma.
-        if header[0] == "vehicle" and header.count("vehicle") == 1:
-            if max(map(len, lines)) <= csv.field_size_limit():
-                return _read_plain_csv(lines, _CsvRows(header, protocol))
-    return _read_quoted_csv(text, protocol)
-
-
-def _read_plain_csv(lines: list[str], rows: _CsvRows) -> Iterator[tuple]:
-    memo: dict[str, tuple] = {}  # line without its vehicle cell -> entry
-    for line, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        vehicle, _, key = raw.partition(",")
-        shared = memo.get(key)
-        if shared is not None and vehicle:  # an empty vehicle takes the checks
+def _read_csv(file: Iterator[str], protocol: ProtocolDefinition) -> Iterator[tuple]:
+    limit = csv.field_size_limit()
+    head = next(file, "")  # the first line csv.reader reads, if it runs
+    header = head.rstrip("\r\n").split(",")
+    line, rows = 1, None
+    # The keyed loop takes the vehicle from before a line's first comma.
+    if '"' not in head and "\0" not in head and len(head) <= limit and (
+        header[0] == "vehicle" and header.count("vehicle") == 1
+    ):
+        rows = _CsvRows(header, protocol)
+        memo: dict[str, tuple] = {}  # line after its vehicle cell -> entry
+        vehicles = set()  # vehicle cells of checked lines: a hit on one is plain too
+        for line, head in enumerate(file, start=2):
+            vehicle, _, key = head.partition(",")
+            shared = memo.get(key)
+            if shared is not None and vehicle in vehicles:
+                yield vehicle, shared
+                continue
+            if '"' in head or "\0" in head or len(head) > limit:
+                break
+            cells = head.rstrip("\r\n").split(",")
+            if cells == [""]:
+                continue
+            try:
+                vehicle, shared = rows.entry(cells)
+            except LogFormatError as exc:
+                raise LogFormatError(f"line {line}: {exc}") from None
+            memo[key] = shared
+            vehicles.add(vehicle)
             yield vehicle, shared
-            continue
-        try:
-            vehicle, shared = rows.entry(raw.split(","))
-        except LogFormatError as exc:
-            raise LogFormatError(f"line {line}: {exc}") from None
-        memo[key] = shared
-        yield vehicle, shared
-
-
-def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]:
-    reader = csv.reader(io.StringIO(text, newline=""))  # "\r\n", "\r" and "\n" end a line
+        else:
+            return
+    reader = csv.reader(chain((head,), file))
+    before = line - 1  # reader.line_num counts from the line it starts on
     try:
-        rows = _CsvRows(next(reader, []), protocol)
+        if rows is None:
+            rows = _CsvRows(next(reader, []), protocol)
         for cells in reader:
             if not cells:
                 continue
@@ -286,9 +265,9 @@ def _read_quoted_csv(text: str, protocol: ProtocolDefinition) -> Iterator[tuple]
             except LogFormatError as exc:
                 # The physical line the row starts on: quoted cells may span lines.
                 breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in cells)
-                raise LogFormatError(f"line {reader.line_num - breaks}: {exc}") from None
+                raise LogFormatError(f"line {before + reader.line_num - breaks}: {exc}") from None
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
-        raise LogFormatError(f"line {reader.line_num}: {exc}") from None
+        raise LogFormatError(f"line {before + reader.line_num}: {exc}") from None
 
 
 class _CsvRows:

@@ -460,11 +460,11 @@ def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:
     return protocol
 
 
-def read_text(path: str | Path, kind: str, newline: str | None = None) -> str:
-    """The text of a UTF-8 input file, read with ``open``'s ``newline``; bytes
-    that do not decode are an error naming the file and its kind."""
+def read_text(path: str | Path, kind: str) -> str:
+    """The text of a UTF-8 input file, with universal newlines; bytes that
+    do not decode are an error naming the file and its kind."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as file:
+        with open(path, encoding="utf-8") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{kind} {path}: not UTF-8 text ({exc})") from None

@@ -456,8 +456,9 @@ def test_jsonl_with_crlf_line_ends_reads_with_the_same_line_numbers(protocol, tm
             read_log(path, protocol)
 
 
-# Streaming: a JSON-lines log is read logio._READ_CHUNK characters at a time,
-# and a log is written logio._WRITE_BATCH lines at a time.
+# Streaming: a log is read a line at a time from its open file, which reads
+# _CHUNK bytes at a time, and written logio._WRITE_BATCH lines at a time.
+_CHUNK = 8192  # io.TextIOWrapper's read size
 _LINE = '{"vehicle":%s,"scenario":"CCRs","light":"day","vut_speed":55,"overlap":100,"outcome":"%s"}'
 
 
@@ -477,6 +478,11 @@ def _read_or_error(path, protocol):
         return str(exc)
 
 
+def _padded(data, at):
+    """``data`` after one blank line that puts its byte ``at`` first in the file's second read."""
+    return b" " * (_CHUNK - at - 1) + b"\n" + data
+
+
 _OK, _BAD = "avoided", "meh"
 STREAM_CASES = {
     "crlf": (_jsonl(("V1", _OK), ("V2", _OK), None, ("V3", _BAD), end="\r\n"), 4),
@@ -492,21 +498,24 @@ STREAM_CASES = {
 
 
 @pytest.mark.parametrize("case", STREAM_CASES)
-def test_jsonl_reads_alike_at_every_chunk_size(protocol, tmp_path, monkeypatch, case):
-    # Every chunk size from one character to the whole file: chunk ends fall
-    # between the "\r" and the "\n" of a line end, and inside every line.
+def test_jsonl_reads_alike_wherever_a_read_of_the_file_ends(protocol, tmp_path, case):
+    # The file's first read ends before each byte of the case in turn: between
+    # the "\r" and the "\n" of a line end, inside every line and inside every
+    # multibyte character. The blank line in front moves each line down by one.
     text, expected = STREAM_CASES[case]
     path = tmp_path / "log.jsonl"
-    path.write_bytes(text.encode("utf-8"))
+    data = text.encode("utf-8")
     if isinstance(expected, int):  # the line of the row with the bad outcome
-        expected = f"log {path}: line {expected}: unknown outcome 'meh'"
-    for size in range(1, len(text) + 2):
-        monkeypatch.setattr(logio, "_READ_CHUNK", size)
-        assert _read_or_error(path, protocol) == expected, size
+        expected = f"log {path}: line {expected + 1}: unknown outcome 'meh'"
+    with open(path, "w") as file:
+        assert file._CHUNK_SIZE == _CHUNK
+    for at in range(len(data) + 1):
+        path.write_bytes(_padded(data, at))
+        assert _read_or_error(path, protocol) == expected, at
 
 
 def test_jsonl_line_longer_than_several_chunks(protocol, tmp_path):
-    long = "L" * (3 * logio._READ_CHUNK + 17)
+    long = "L" * (3 * _CHUNK + 17)
     path = tmp_path / "log.jsonl"
     path.write_text(_jsonl(("V1", _OK), (long, _OK), ("V3", _OK)), encoding="utf-8")
     assert _read_or_error(path, protocol) == ["V1", long, "V3"]
@@ -521,7 +530,7 @@ def test_log_of_several_chunks_writes_back_byte_for_byte(protocol, tmp_path, suf
     write_log(log, first)
     data = first.read_bytes()
     assert data == _reference_write(log.records, first)
-    assert len(data) > logio._READ_CHUNK and data.count(b"\n") > 2 * logio._WRITE_BATCH
+    assert len(data) > 2 * _CHUNK and data.count(b"\n") > 2 * logio._WRITE_BATCH
     again_log = read_log(first, protocol)
     assert again_log.records == log.records
     write_log(again_log, again)
@@ -531,20 +540,26 @@ def test_log_of_several_chunks_writes_back_byte_for_byte(protocol, tmp_path, suf
 @pytest.mark.parametrize("bad_row", [True, False], ids=["after-a-bad-row", "alone"])
 def test_non_utf8_byte_in_a_later_chunk_is_reported_as_such(protocol, tmp_path, bad_row):
     # The bad row comes first, but the file is not UTF-8 text, and the message
-    # names the byte's position in the file, not in its chunk.
-    good = _jsonl(("V1", _OK)).encode()
-    head = good + (b"{not json\n" if bad_row else b"")
-    data = head + good * (2 * logio._READ_CHUNK // len(good)) + b"\xff\n" + good
-    path = tmp_path / "log.jsonl"
-    path.write_bytes(data)
-    with pytest.raises(ValueError) as info:
-        read_log(path, protocol)
-    assert not isinstance(info.value, LogFormatError)
-    at = data.index(b"\xff")
-    assert str(info.value) == (
-        f"log {path}: not UTF-8 text "
-        f"('utf-8' codec can't decode byte 0xff in position {at}: invalid start byte)"
-    )
+    # names the byte's position in the file, not in its read. The bad bytes
+    # lie several reads in, at or across the end of a read.
+    for suffix, header, good in (
+        (".jsonl", b"", _jsonl(("V1", _OK)).encode()),
+        (".csv", ",".join(LOG_COLUMNS).encode() + b"\n", b"V1,CCRs,day,55,,100,avoided,,,,\n"),
+    ):
+        path = tmp_path / f"log{suffix}"
+        head = header + good + (b"{not json\n" if bad_row else b"")
+        head += good * (2 * _CHUNK // len(good))
+        for at, bad in ((1, b"\xff"), (0, b"\xff"), (-1, b"\xc3("), (-2, b"\xe2\x9c")):
+            # a blank line puts the bad bytes at byte `at` of the file's fourth read
+            blank = b" " * (3 * _CHUNK + at - len(head) - 1) + b"\n"
+            data = head + blank + bad + b"\n" + good
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as info:
+                read_log(path, protocol)
+            assert not isinstance(info.value, LogFormatError)
+            with pytest.raises(UnicodeDecodeError) as decoding:
+                data.decode("utf-8")
+            assert str(info.value) == f"log {path}: not UTF-8 text ({decoding.value})"
 
 
 @pytest.fixture(scope="module")
@@ -591,6 +606,25 @@ def test_log_io_holds_less_than_half_the_file(protocol, fleet_jsonl, tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == fleet_jsonl.read_bytes()
     assert read_held < size / 2
     assert write_held < size / 2
+
+
+@pytest.mark.parametrize("copy", ["plain", "quoted", "crlf"])
+def test_csv_read_holds_less_than_the_file(protocol, fleet_jsonl, tmp_path, copy):
+    # Holding the text whole, its lines, or a StringIO of it (4 B per
+    # character) would each take at least the file's size.
+    log = read_log(fleet_jsonl, protocol)
+    path = tmp_path / "fleet.csv"
+    write_log(log, path)
+    if copy == "quoted":
+        with open(path, encoding="utf-8", newline="") as file:
+            rows = list(csv.reader(file))
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            csv.writer(file, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    elif copy == "crlf":
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    again, held = _held(lambda: read_log(path, protocol))
+    assert again.records == log.records
+    assert held < path.stat().st_size
 
 
 def _retained(call):

@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -233,7 +234,7 @@ def test_lines_that_differ_only_in_an_escaped_vehicle_share_one_parse(protocol, 
 
 
 # ---------------------------------------------------------------------------
-# Quote-free CSV files, read by their line text
+# CSV files, read by their line text while each line is plain
 
 
 def _csv_line(vehicle="A", columns=LOG_COLUMNS, **cells):
@@ -247,8 +248,8 @@ HEADER = ",".join(LOG_COLUMNS)
 REORDERED = ("scenario", "outcome", "vut_speed", "vehicle", "light", "overlap", "tg_speed",
              "impact_speed", "intervention")
 NO_OPTIONAL = ("vehicle", "scenario", "light", "vut_speed", "overlap", "outcome")
-# Each file holds no quote, no carriage return, no NUL and no long line, and
-# its first column is its only vehicle column.
+# No line holds a quote or NUL or is beyond the field limit, and the first
+# column is the only vehicle column.
 PLAIN_CASES = {
     "short-rows": [
         HEADER,
@@ -276,6 +277,9 @@ PLAIN_CASES = {
         _csv_line(" A\t"),
         _csv_line("A\u2028B", light="day\u2028"),
     ],
+    # "\r\n" and a lone "\r" end a line as "\n" does
+    "crlf": [HEADER + "\r", _csv_line("B") + "\r", "\r", _csv_line("A", outcome="meh") + "\r"],
+    "lone-cr": [HEADER, _csv_line("B") + "\r" + _csv_line("A"), _csv_line("A")],
 }
 
 
@@ -286,13 +290,30 @@ def _write(tmp_path, lines, end="\n"):
     return path, text
 
 
+def _spy_csv_reader(monkeypatch):
+    """The list of the lines ``csv.reader`` starts on, one per call."""
+    calls = []
+    reader = csv.reader
+
+    def spied(lines, *args, **kwargs):
+        lines = iter(lines)
+        first = next(lines, None)
+        calls.append(first)
+        return reader(chain([] if first is None else [first], lines), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spied)
+    return calls
+
+
 @pytest.mark.parametrize("lines", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
 def test_plain_csv_reads_like_the_reference_without_csv_reader(
     protocol, tmp_path, monkeypatch, lines
 ):
-    monkeypatch.setattr(logio, "_read_quoted_csv", None)  # would fail if called
     path, text = _write(tmp_path, lines)
-    assert _read(path, protocol) == _csv_reference(text, protocol)
+    expected = _csv_reference(text, protocol)
+    calls = _spy_csv_reader(monkeypatch)
+    assert _read(path, protocol) == expected
+    assert calls == []
 
 
 def test_empty_csv_file_reads_as_an_empty_log(protocol, tmp_path):
@@ -305,7 +326,8 @@ def test_csv_line_numbers_count_blank_lines(protocol, tmp_path):
     assert _read(path, protocol) == "line 7: unknown outcome 'meh'"
 
 
-# One trigger each: the text takes the csv.reader loop.
+# One trigger each: csv.reader reads the file from the first line that is not
+# plain, or from the header when its first column is not its only vehicle column.
 LONG = "0" * 70_000 + "30"  # a line beyond the field limit, each cell within it
 FALLBACK_CASES = {
     "quote-in-a-cell": [HEADER, _csv_line("B"), _csv_line('"A"'), _csv_line("C")],
@@ -313,22 +335,34 @@ FALLBACK_CASES = {
     "quoted-then-empty-vehicle": [
         HEADER, _csv_line("B", scenario='"CCRm"'), _csv_line("", scenario='"CCRm"')
     ],
-    "crlf": [HEADER + "\r", _csv_line("B") + "\r", "\r", _csv_line("A", outcome="meh") + "\r"],
-    "lone-cr": [HEADER, _csv_line("B") + "\r" + _csv_line("A"), _csv_line("A")],
     # quoted cells that span lines at "\r" and "\r\n": the bad row starts on line 6
     "quoted-carriage-returns": [
         HEADER, _csv_line('"A\rB"'), _csv_line('"C\r\nD"'), _csv_line("E", outcome="meh")
+    ],
+    # the same after plain lines: the switch comes mid-file, the bad row is on line 9
+    "late-quoted-carriage-returns": [
+        HEADER, _csv_line("B"), "", _csv_line("A"), _csv_line('"A\rB"'), _csv_line('"C\r\nD"'),
+        _csv_line("E", outcome="meh"),
+    ],
+    # lines that equal a checked line after its vehicle cell, which is quoted
+    "quoted-vehicle-on-a-hit": [
+        HEADER, _csv_line("B"), _csv_line("A"), _csv_line('"B"'), _csv_line('"A"x'),
+        _csv_line("C", outcome="meh"),
     ],
     "nul": [HEADER, _csv_line("B"), _csv_line("A\0")],
     "line-beyond-the-field-limit": [
         HEADER, _csv_line("B"), _csv_line("A" * 70_000, impact_speed=LONG), _csv_line("C")
     ],
+    "quoted-header": ['"vehicle"' + HEADER[7:], _csv_line("B"), _csv_line("A", outcome="meh")],
     # Headers whose first column is not their only vehicle column.
     "blank-first-line": ["", HEADER, _csv_line("B")],
     "vehicle-not-first": [
         ",".join(REORDERED),
         *(_csv_line(v, REORDERED) for v in "BAB"),
         _csv_line("", REORDERED),
+    ],
+    "vehicle-not-first-then-a-bad-row": [
+        ",".join(REORDERED), _csv_line("B", REORDERED), _csv_line("A", REORDERED, outcome="meh")
     ],
     "vehicle-last-and-short-rows": [
         ",".join(LOG_COLUMNS[1:] + ("vehicle",)),
@@ -345,21 +379,28 @@ FALLBACK_CASES = {
     ],
     "no-vehicle-column": [",".join(NO_OPTIONAL[1:]), "CCRm,day,55,100,avoided"],
 }
+# The physical line csv.reader starts on where that is not the header.
+SWITCH_LINES = {
+    "quote-in-a-cell": 3,
+    "quote-only-in-a-late-row": 3,
+    "quoted-then-empty-vehicle": 2,
+    "quoted-carriage-returns": 2,
+    "late-quoted-carriage-returns": 5,
+    "quoted-vehicle-on-a-hit": 4,
+    "nul": 3,
+    "line-beyond-the-field-limit": 3,
+}
 
 
-@pytest.mark.parametrize("lines", FALLBACK_CASES.values(), ids=FALLBACK_CASES.keys())
-def test_csv_text_with_a_trigger_takes_the_csv_reader_loop(protocol, monkeypatch, lines):
-    calls = []
-    quoted = logio._read_quoted_csv
-    monkeypatch.setattr(logio, "_read_quoted_csv", lambda *a: calls.append(1) or quoted(*a))
-    monkeypatch.setattr(logio, "_read_plain_csv", None)  # would fail if called
-    text = "".join(line + "\n" for line in lines)
-    try:
-        got = tuple(TestRecord(v, *shared[1:]) for v, shared in logio._read_csv(text, protocol))
-    except LogFormatError as exc:
-        got = str(exc)
-    assert got == _csv_reference(text, protocol)
-    assert calls == [1]
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_csv_text_with_a_trigger_takes_the_csv_reader_loop(protocol, tmp_path, monkeypatch, case):
+    lines = FALLBACK_CASES[case]
+    path, text = _write(tmp_path, lines)
+    expected = _csv_reference(text, protocol)
+    calls = _spy_csv_reader(monkeypatch)
+    assert _read(path, protocol) == expected
+    physical = io.StringIO(text, newline="").readlines()  # each ends at "\n", "\r\n" or "\r"
+    assert calls == [physical[SWITCH_LINES.get(case, 1) - 1]]
 
 
 def test_line_ends_inside_quoted_cells_count_in_the_error_line(protocol, tmp_path):
