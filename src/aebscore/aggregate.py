@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .campaign import vehicle_sort_key
@@ -257,22 +258,6 @@ def relativity(score_x: float, score_y: float) -> float:
     return relativity_row(score_x, (score_y,))[0]
 
 
-class _Cells(Mapping):
-    """Read-only (x, y) -> relativity view over a matrix's ranked rows."""
-
-    def __init__(self, matrix: RelativityMatrix):
-        self._matrix = matrix
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        return self._matrix.cell(*key)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return ((x, y) for x in self._matrix.order for y in self._matrix.order)
-
-    def __len__(self) -> int:
-        return len(self._matrix.order) ** 2
-
-
 class RelativityMatrix(NamedTuple):
     """Ranked pairwise relative-score matrix for one metric, group, region."""
 
@@ -285,7 +270,11 @@ class RelativityMatrix(NamedTuple):
 
     @property
     def cells(self) -> Mapping[tuple[str, str], float]:
-        return _Cells(self)
+        """Read-only (x, y) -> relativity map, built from ``rows`` on each read."""
+        order = self.order
+        return MappingProxyType(
+            {(x, y): value for x, row in zip(order, self.rows) for y, value in zip(order, row)}
+        )
 
     def cell(self, x: str, y: str) -> float:
         if x not in self.scores or y not in self.scores:

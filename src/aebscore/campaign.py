@@ -8,21 +8,20 @@ driven. Night tests whose daylight counterpart failed are likewise judged
 without execution. Scenarios outside standardized protocols get a low-speed
 pre-test first; no response there fails the whole scenario.
 
-A campaign log is its rows: ``LogTable`` keeps, per vehicle, its
+A campaign log is its rows: ``CampaignLog`` keeps, per vehicle, its
 ``(position, config, outcome, pre_test)`` entries in row order, where the
 position indexes the protocol's compiled table, and the vehicle column as
 runs of consecutive rows. Validation, completion statistics, night
 expansion, scoring and log writing read each vehicle's entries, with the
 compiled series numbers and the night-to-day position pairs;
-``log.records`` builds ``TestRecord`` objects, in row order, only when
-something reads them.
+``log.records`` builds ``TestRecord`` objects, in row order, on each read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator
 from enum import Enum
 from typing import NamedTuple
 
@@ -43,7 +42,7 @@ class OutcomeKind(str, Enum):
 
 
 EXECUTED_KINDS = (OutcomeKind.AVOIDED, OutcomeKind.IMPACTED)
-# The loops over a log's table compare kinds with these: looking a member up
+# The loops over a log's entries compare kinds with these: looking a member up
 # on its Enum class costs about 0.2 us on Python 3.11.
 _IMPACTED_KIND, _JUDGED_KIND = OutcomeKind.IMPACTED, OutcomeKind.JUDGED_FAILED
 
@@ -145,26 +144,45 @@ class TestRecord(NamedTuple):
 _NO_VEHICLE = object()
 
 
-class LogTable(Sequence):
-    """A campaign log's records, stored per vehicle in row order.
+class CampaignLog:
+    """All records of a campaign against one protocol, stored per vehicle in row order.
 
-    Built in one pass from ``(vehicle, (position, config, outcome,
-    pre_test))`` entries in row order, where the position indexes
-    ``compiled.configs`` or is None off the lattice. ``vehicles`` maps each
-    vehicle, in order of first appearance, to its entries in row order;
-    rows that read alike may share one entry tuple. The vehicle column is
-    kept as runs of consecutive rows with one vehicle: ``run_lengths[i]``
-    rows of ``run_vehicles[i]``, the table's own key string. With ``base``,
-    the entries are rows after the base's own: the new table shares the
-    base's vehicles and copies only those the entries touch.
-
-    As a sequence it is the log's records in row order, built on first
-    access; its length is known without building them.
+    ``vehicles`` maps each vehicle, in order of first appearance, to its
+    ``(position, config, outcome, pre_test)`` entries in row order, where the
+    position indexes the protocol's compiled ``configs`` or is None off the
+    lattice; rows that read alike may share one entry tuple. The vehicle
+    column is kept as runs of consecutive rows with one vehicle:
+    ``run_lengths[i]`` rows of ``run_vehicles[i]``, the log's own key string.
+    ``records``, given as any iterable of ``TestRecord``, is indexed once,
+    here; reading ``records`` builds them again, in row order.
     """
 
-    def __init__(
-        self, compiled: CompiledProtocol, entries: Iterable[tuple], base: LogTable | None = None
-    ):
+    __slots__ = ("protocol", "vehicles", "run_vehicles", "run_lengths", "size")
+
+    def __init__(self, protocol: ProtocolDefinition, records: Iterable[TestRecord] = ()):
+        index = protocol.compiled.index
+        self._fill(
+            protocol,
+            (
+                (r.vehicle, (index.get(r.config.key()), r.config, r.outcome, r.pre_test))
+                for r in records
+            ),
+        )
+
+    @classmethod
+    def _of_entries(
+        cls, protocol: ProtocolDefinition, entries: Iterable[tuple], base: CampaignLog | None = None
+    ) -> CampaignLog:
+        """A log of ``(vehicle, entry)`` rows in row order. With ``base``, the
+        rows come after the base's own: the new log shares the base's vehicles
+        and copies only those the entries touch."""
+        log = cls.__new__(cls)
+        log._fill(protocol, entries, base)
+        return log
+
+    def _fill(
+        self, protocol: ProtocolDefinition, entries: Iterable[tuple], base: CampaignLog | None = None
+    ) -> None:
         vehicles: dict[str, list[tuple]] = {} if base is None else dict(base.vehicles)
         names = {vehicle: vehicle for vehicle in vehicles}  # a vehicle -> its key string
         run_vehicles = [] if base is None else base.run_vehicles[:]
@@ -187,27 +205,11 @@ class LogTable(Sequence):
             append(entry)
         if rows is not None:
             run_lengths.append(len(rows) - start)
-        self.compiled = compiled
+        self.protocol = protocol
         self.vehicles = vehicles
         self.run_vehicles: list[str] = run_vehicles
         self.run_lengths: list[int] = run_lengths
         self.size = sum(run_lengths)
-        self._records: tuple[TestRecord, ...] | None = None
-
-    @classmethod
-    def of_records(cls, compiled: CompiledProtocol, records: Iterable[TestRecord]) -> LogTable:
-        """Index records by position; the table keeps them as its sequence."""
-        records = tuple(records)
-        index = compiled.index
-        table = cls(
-            compiled,
-            (
-                (r.vehicle, (index.get(r.config.key()), r.config, r.outcome, r.pre_test))
-                for r in records
-            ),
-        )
-        table._records = records
-        return table
 
     def runs(self) -> Iterator[tuple[str, list[tuple]]]:
         """The rows in row order, as ``(vehicle, entries)`` runs."""
@@ -218,61 +220,17 @@ class LogTable(Sequence):
             taken[vehicle] = start + length
             yield vehicle, vehicles[vehicle][start : start + length]
 
-    def _tuple(self) -> tuple[TestRecord, ...]:
-        if self._records is None:
-            self._records = tuple(
-                TestRecord(vehicle, config, outcome, pre_test)
-                for vehicle, entries in self.runs()
-                for _, config, outcome, pre_test in entries
-            )
-        return self._records
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, LogTable):
-            other = other._tuple()
-        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __add__(self, other):
-        return self._tuple() + tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
-
-
-class CampaignLog:
-    """All records of a campaign against one protocol.
-
-    ``records`` may be given as any sequence of ``TestRecord``; it is
-    indexed once, here, into a ``LogTable`` against the protocol's compiled
-    table, and read back as that table. A ``LogTable`` of the same protocol
-    is kept as it is, so a log built from another log's table shares it.
-    """
-
-    __slots__ = ("protocol", "records")
-
-    def __init__(self, protocol: ProtocolDefinition, records: Iterable[TestRecord] = ()):
-        compiled = protocol.compiled
-        if not (isinstance(records, LogTable) and records.compiled is compiled):
-            records = LogTable.of_records(compiled, records)
-        self.protocol = protocol
-        self.records: LogTable = records
+    @property
+    def records(self) -> tuple[TestRecord, ...]:
+        """The log's records in row order, built anew on each read."""
+        return tuple(
+            TestRecord(vehicle, config, outcome, pre_test)
+            for vehicle, entries in self.runs()
+            for _, config, outcome, pre_test in entries
+        )
 
     def vehicle_ids(self) -> list[str]:
-        return sorted(self.records.vehicles, key=vehicle_sort_key)
+        return sorted(self.vehicles, key=vehicle_sort_key)
 
 
 # A braking oracle answers one configuration deterministically.
@@ -403,20 +361,19 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     records are never touched, and applying the expansion twice changes
     nothing.
     """
-    table = log.records
-    compiled = table.compiled
+    compiled = log.protocol.compiled
     configs = compiled.configs
     judged = TestOutcome.judged()
     added = []
     for vehicle in log.vehicle_ids():
-        entries = table.vehicles[vehicle]
+        entries = log.vehicles[vehicle]
         nights = list(judged_nights(compiled, entries, compiled.night_pairs))
         if nights:
             held = {entry[0] for entry in entries}
             added += [(vehicle, (n, configs[n], judged, None)) for n in nights if n not in held]
     if not added:
         return log
-    return CampaignLog(log.protocol, LogTable(compiled, added, base=table))
+    return CampaignLog._of_entries(log.protocol, added, base=log)
 
 
 class Diagnostic(NamedTuple):
@@ -444,12 +401,11 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     come in row order, those about a series last, one series after another
     in order of its first row.
     """
-    table = log.records
-    compiled = table.compiled
+    compiled = log.protocol.compiled
     checked: dict[tuple, list[str]] = {}  # (position, id(outcome)) -> its problems
     # (vehicle, entry index, entry index of its series' first row or None, code, config, message)
     findings = []
-    for vehicle, entries in table.vehicles.items():
+    for vehicle, entries in log.vehicles.items():
         seen = set()  # positions, and keys off the lattice
         stops: dict = {}  # series -> lowest judged or unbraked-impact speed
         for i, (pos, config, outcome, _) in enumerate(entries):
@@ -493,9 +449,9 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
             findings.append((vehicle, i, first[series], "executed-above-failure", config, message))
     if not findings:
         return []
-    rows: dict[str, list[int]] = {vehicle: [] for vehicle in table.vehicles}
+    rows: dict[str, list[int]] = {vehicle: [] for vehicle in log.vehicles}
     row = 0
-    for vehicle, length in zip(table.run_vehicles, table.run_lengths):
+    for vehicle, length in zip(log.run_vehicles, log.run_lengths):
         rows[vehicle] += range(row, row + length)
         row += length
 
@@ -522,11 +478,10 @@ class CompletionStats(NamedTuple):
 def completion_stats(log: CampaignLog) -> dict[str, CompletionStats]:
     """Per-vehicle expected/executed/judged counts and completion percentage."""
     expected = log.protocol.config_count()
-    table = log.records
     stats: dict[str, CompletionStats] = {}
     for vehicle in log.vehicle_ids():
         executed = judged = 0
-        for _, _, outcome, _ in table.vehicles[vehicle]:
+        for _, _, outcome, _ in log.vehicles[vehicle]:
             kind = outcome.kind
             if kind is _JUDGED_KIND:
                 judged += 1

@@ -100,7 +100,8 @@ def _common(parser, log=False, weights=False, out=False, formats=False) -> None:
 
 
 def _formats(args) -> list[str]:
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    """The requested formats, each once, in the order first given."""
+    formats = list(dict.fromkeys(f.strip() for f in args.format.split(",") if f.strip()))
     if not formats:
         raise ValueError("at least one output format is required")
     for fmt in formats:
@@ -228,7 +229,7 @@ def cmd_simulate(args) -> int:
         spec = spec._replace(seed=args.seed)
     log = simulate_campaign(protocol, spec, stop_on_impact=not args.continue_past_impact)
     write_log(log, args.out)
-    print(f"{args.out}: {len(log.records)} records for {len(spec.vehicles)} vehicles")
+    print(f"{args.out}: {log.size} records for {len(spec.vehicles)} vehicles")
     return EXIT_OK
 
 

@@ -5,9 +5,9 @@ vut_speed, tg_speed, overlap, outcome, impact_speed, intervention, projected,
 pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
 
-``read_log`` streams rows straight into the log's table (see
-``campaign.LogTable``): each row appends its entry, the compiled position of
-its config with the config, outcome and pre-test, to its vehicle's entries.
+``read_log`` streams rows straight into the log (see ``campaign.CampaignLog``):
+each row appends its entry, the compiled position of its config with the
+config, outcome and pre-test, to its vehicle's entries.
 Campaign logs repeat themselves: every vehicle runs the same configurations
 with few distinct outcomes. ``read_log`` therefore checks each distinct row
 once per call. Rows that differ only in their vehicle share one entry, and
@@ -34,7 +34,7 @@ decode to the same row but for the vehicle. Other lines, and lines equal
 only once decoded (``1`` and ``1.0``, another key order), take the full
 parse. A vehicle is a non-empty string or an integer. In both formats
 ``\n``, ``\r\n`` and ``\r`` alone end a line, and nothing else does.
-``write_log`` works the other way round: it walks the table's runs of rows
+``write_log`` works the other way round: it walks the log's runs of rows
 and splices each vehicle's cell into its rows, encoding each distinct row
 and each vehicle cell the first time a line needs it. The memos are locals
 of one call; nothing is cached between calls. CSV errors name the physical
@@ -42,13 +42,16 @@ line a row starts on.
 
 Neither direction holds a log whole. ``read_log`` iterates the lines of the
 open file and checks each as it arrives, keeping per row only its entry in
-the table. ``write_log`` keeps one text per distinct row and per vehicle, and
-writes ``_WRITE_BATCH`` lines per call to the file's ``write``.
+the log; a read that fails reads the file again in ``_CHECK_CHUNK``-byte
+parts, to tell a byte that is not UTF-8 from a bad row. ``write_log`` keeps
+one text per distinct row and per vehicle, and writes ``_WRITE_BATCH`` lines
+per call to the file's ``write``.
 Every error names the file, as in ``log <file>: line N: ...``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -58,7 +61,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
 
-from .campaign import CampaignLog, LogTable, OutcomeKind, TestOutcome
+from .campaign import CampaignLog, OutcomeKind, TestOutcome
 from .protocol import LIGHTS, ProtocolDefinition, TestConfig, _plain, has_lone_surrogate, read_text
 
 LOG_COLUMNS = (
@@ -79,6 +82,8 @@ _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
 # Lines per write of a log.
 _WRITE_BATCH = 256
+# Bytes per read when a failed read checks the file's encoding.
+_CHECK_CHUNK = 1 << 16
 
 
 class LogFormatError(ValueError):
@@ -104,7 +109,7 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
         if as_csv:
             file.write(encode(LOG_COLUMNS)[:-2] + "\n")
         lines = []
-        for vehicle, entries in log.records.runs():
+        for vehicle, entries in log.runs():
             cell = cells.get(vehicle)
             if cell is None:
                 if as_csv:  # quoted as inside a row; a lone empty cell would print as ""
@@ -161,7 +166,7 @@ def read_log(path: str | Path, protocol: ProtocolDefinition) -> CampaignLog:
     Rows naming a scenario the protocol does not know are rejected here;
     rows whose settings are not licensed parse fine and are reported by
     ``validate_log`` instead. A licensed row resolves to the protocol's
-    canonical ``TestConfig`` object in its entry in the log's table.
+    canonical ``TestConfig`` object in its entry in the log.
     Each distinct row is checked once per call (see the module docstring).
     """
     path = Path(path)
@@ -169,14 +174,28 @@ def read_log(path: str | Path, protocol: ProtocolDefinition) -> CampaignLog:
     try:
         # CSV keeps its line ends as they are: a quoted cell may hold a "\r".
         with open(path, encoding="utf-8", newline="" if read is _read_csv else None) as file:
-            table = LogTable(protocol.compiled, read(file, protocol))
+            log = CampaignLog._of_entries(protocol, read(file, protocol))
     except (LogFormatError, UnicodeDecodeError) as exc:
-        read_text(path, "log")  # a file that is not UTF-8 text is reported as such
+        if not _decodes(path):  # a file that is not UTF-8 text is reported as such
+            read_text(path, "log")
         raise LogFormatError(f"log {path}: {exc}") from None
-    for vehicle in table.vehicles:
+    for vehicle in log.vehicles:
         if has_lone_surrogate(vehicle):
             raise LogFormatError(f"log {path}: vehicle {vehicle!r} holds a lone surrogate")
-    return CampaignLog(protocol, table)
+    return log
+
+
+def _decodes(path: Path) -> bool:
+    """Whether the file is UTF-8 text, checked a chunk at a time."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        with open(path, "rb") as file:
+            while chunk := file.read(_CHECK_CHUNK):
+                decode(chunk)
+        decode(b"", True)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _read_jsonl(file: Iterable[str], protocol: ProtocolDefinition) -> Iterator[tuple]:

@@ -381,10 +381,9 @@ def _union_lattice(ranges: Iterable[SpeedRange], step: float) -> tuple[float, ..
 
 
 def speed_lattice(spec: ScenarioSpec, light: str | None = None) -> list[float]:
-    """Ascending, de-duplicated VUT speeds across the scenario's ranges."""
-    ranges = spec.vut_speed_ranges
-    if light == NIGHT and spec.night is not None and spec.night.vut_speed_ranges:
-        ranges = spec.night.vut_speed_ranges
+    """Ascending, de-duplicated VUT speeds across the scenario's ranges: its base
+    ranges, or those under ``light``, which must be licensed, with overrides applied."""
+    ranges = spec.vut_speed_ranges if light is None else spec._light_fields(light)[0]
     return list(_union_lattice(ranges, spec.speed_step))
 
 

@@ -250,15 +250,14 @@ def score_campaign(
             raise ScoringError(
                 f"log has {len(diagnostics)} validation finding(s); first: {diagnostics[0]}"
             )
-    table = log.records
-    compiled = table.compiled
+    compiled = log.protocol.compiled
     size = len(compiled.configs)
     scores: list[ScenarioScore] = []
     powers = None
     for vehicle in log.vehicle_ids():
         outcomes: list[TestOutcome | None] = [None] * size
         off_lattice = set()
-        for pos, config, outcome, _ in table.vehicles[vehicle]:
+        for pos, config, outcome, _ in log.vehicles[vehicle]:
             if pos is None:
                 off_lattice.add((config.code, config.light))
             else:  # a later duplicate replaces an earlier record

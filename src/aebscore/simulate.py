@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .campaign import CampaignLog, LogTable, TestOutcome, judged_nights, run_scenario, series_key
+from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario, series_key
 from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
@@ -268,4 +268,4 @@ def simulate_campaign(
                         entries.append((vehicle, entry))
                         if light != NIGHT:
                             day.append(entry)
-    return CampaignLog(protocol, LogTable(compiled, entries))
+    return CampaignLog._of_entries(protocol, entries)

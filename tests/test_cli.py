@@ -152,6 +152,28 @@ def test_score_builds_each_grid_once_and_titles_it_per_region(
         assert us.read_text() == eu.read_text().replace(title, us.stem.upper())
 
 
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_a_format_given_twice_is_written_once(tmp_path, capsys, monkeypatch, command):
+    rendered = []
+    render = cli.render
+    monkeypatch.setattr(cli, "render", lambda t, fmt: rendered.append(fmt) or render(t, fmt))
+    args = [command, *_protocol_args(), "--log", str(GOLDEN_LOG)]
+    args += ["--weights", str(DATA_DIR / "weights_eu_example.json")]
+    runs = {}  # formats -> (formats rendered, file names printed, tree written)
+    for formats in ("csv", "csv,csv", "markdown,csv, markdown"):
+        out = tmp_path / str(len(runs))
+        rendered.clear()
+        assert main([*args, "--format", formats, "--out", str(out)]) == 0
+        printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+        tree = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(set(printed)) == len(printed) == len(rendered) == len(tree)
+        runs[formats] = (rendered[:], printed, tree)
+    assert runs["csv,csv"] == runs["csv"]
+    formats, _, tree = runs["markdown,csv, markdown"]
+    assert formats == ["markdown", "csv"] * len(runs["csv"][0])  # in the order first given
+    assert {name: data for name, data in tree.items() if name.endswith(".csv")} == runs["csv"][2]
+
+
 def test_compare_writes_matrices(fixture_log, tmp_path):
     out = tmp_path / "matrices"
     code = main(

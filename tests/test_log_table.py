@@ -1,10 +1,10 @@
 """The indexed campaign log against record-walking references.
 
 ``validate_log``, ``completion_stats``, ``expand_night_judgements``,
-``score_campaign`` and ``write_log`` read a log's ``LogTable``: per vehicle,
-its entries in row order, with the vehicle column kept as runs of rows. The
-references below walk the records one at a time, with tuple-keyed dicts, as
-those stages did before the table; they are the oracles. Each seeded log
+``score_campaign`` and ``write_log`` read a ``CampaignLog``'s entries: per
+vehicle, its entries in row order, with the vehicle column kept as runs of
+rows. The references below walk the records one at a time, with tuple-keyed
+dicts, as those stages did before the log was indexed; they are the oracles. Each seeded log
 mixes shuffled rows, interleaved vehicles, duplicates, off-lattice rows,
 invalid outcomes, executed-above-failure rows, existing night rows and
 partial instances, and is checked as built from records and as read back
@@ -427,31 +427,29 @@ def test_stages_of_a_read_log_build_no_records(protocol, tmp_path, monkeypatch):
         assert main(["score", *common, "--log", str(path), *weights, "--out", str(out)]) == 0
         assert main(["compare", *common, "--log", str(path), *weights, "--out", str(out)]) == 0
         log = read_log(messy, protocol)
-        assert len(log.records) == len(records)
+        assert log.size == len(records)
         validate_log(log)
         completion_stats(log)
         expanded = expand_night_judgements(log)
-        assert len(expanded.records) > len(log.records)
-        kept = CampaignLog(log.protocol, log.records)
-        assert kept.records is log.records
+        assert expanded.size > log.size
         assert calls == []
         monkeypatch.setattr(TestRecord, "__init__", original)
-        assert log.records == tuple(records)  # the view, built on first access
+        assert log.records == tuple(records)  # built on each read
+        assert log.records is not log.records
         assert calls == []
 
 
 @pytest.mark.parametrize("shape", ["grouped", "interleaved"])
-def test_runs_hold_the_tables_own_vehicle_strings_and_rebuild_the_row_order(
+def test_runs_hold_the_logs_own_vehicle_strings_and_rebuild_the_row_order(
     protocol, tmp_path, shape
 ):
     records = messy_records(protocol, 4, shape, complete=False)
     for _, log in _forms(protocol, records, tmp_path):
-        table = log.records
-        keys = {vehicle: vehicle for vehicle in table.vehicles}
-        assert all(keys[vehicle] is vehicle for vehicle in table.run_vehicles)
-        assert sum(table.run_lengths) == len(table) == len(records)
-        rows = [(v, e[1], e[2], e[3]) for v, entries in table.runs() for e in entries]
+        keys = {vehicle: vehicle for vehicle in log.vehicles}
+        assert all(keys[vehicle] is vehicle for vehicle in log.run_vehicles)
+        assert sum(log.run_lengths) == log.size == len(records)
+        rows = [(v, e[1], e[2], e[3]) for v, entries in log.runs() for e in entries]
         assert rows == [tuple(r) for r in records]
-        expanded = expand_night_judgements(log).records
-        assert expanded.run_vehicles[: len(table.run_vehicles)] == table.run_vehicles
-        assert list(expanded.runs())[: len(table.run_lengths)] == list(table.runs())
+        expanded = expand_night_judgements(log)
+        assert expanded.run_vehicles[: len(log.run_vehicles)] == log.run_vehicles
+        assert list(expanded.runs())[: len(log.run_lengths)] == list(log.runs())

@@ -425,7 +425,7 @@ def test_csv_vehicle_holding_a_carriage_return_round_trips(protocol, tmp_path, c
     write_log(log, jsonl_path)
     assert b'"A\rB"' in csv_path.read_bytes() and b'"A\r\nB"' in csv_path.read_bytes()
     assert read_log(csv_path, protocol).records == records
-    assert list(read_log(csv_path, protocol).records.vehicles) == vehicles
+    assert list(read_log(csv_path, protocol).vehicles) == vehicles
     # validate reads both files alike: same findings, same exit code, no input error
     outputs = []
     for path in (csv_path, jsonl_path):
@@ -627,6 +627,32 @@ def test_csv_read_holds_less_than_the_file(protocol, fleet_jsonl, tmp_path, copy
     assert held < path.stat().st_size
 
 
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_a_failed_read_holds_less_than_the_file(protocol, fleet_jsonl, tmp_path, suffix):
+    # The read stops at line 2. Telling the bad row from a byte that is not
+    # UTF-8 reads the file again a part at a time; reading it whole would
+    # take at least the file's size.
+    path = tmp_path / f"fleet{suffix}"
+    write_log(read_log(fleet_jsonl, protocol), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if suffix == ".csv":
+        cells = lines[1].split(",")
+        lines[1] = ",".join([cells[0], "Nowhere", *cells[2:]])
+    else:
+        lines[1] = json.dumps({**json.loads(lines[1]), "scenario": "Nowhere"}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    message = _located(path, "line 2: unknown scenario 'Nowhere'$")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogFormatError, match=message):
+            read_log(path, protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
 def _retained(call):
     """The result of ``call`` and the traced memory it still holds on return."""
     gc.collect()
@@ -642,7 +668,7 @@ def _retained(call):
 
 @pytest.mark.parametrize("shape, limit", [("grouped", 48), ("alternating", 60)])
 def test_read_log_table_retains_few_bytes_per_row(protocol, fleet_jsonl, tmp_path, shape, limit):
-    # The table keeps per row one reference to an entry that rows reading
+    # The log keeps per row one reference to an entry that rows reading
     # alike share, and per run of one vehicle's rows a length and the
     # vehicle's key string: about 35 B per row grouped by vehicle, 53 B with
     # a run per row. Keeping row numbers per row, or each row's own vehicle
@@ -655,6 +681,6 @@ def test_read_log_table_retains_few_bytes_per_row(protocol, fleet_jsonl, tmp_pat
         path = tmp_path / "alternating.jsonl"
         path.write_text("".join(map("".join, zip(*by_vehicle.values()))), encoding="utf-8")
     log, retained = _retained(lambda: read_log(path, protocol))
-    assert len(log.records) == 22_400
+    assert log.size == 22_400
     assert retained / 22_400 <= limit
-    assert len(log.records.run_lengths) == (100 if shape == "grouped" else 22_400)
+    assert len(log.run_lengths) == (100 if shape == "grouped" else 22_400)

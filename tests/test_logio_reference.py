@@ -451,7 +451,7 @@ def test_row_differing_only_in_vehicle_and_impact_shares_the_checked_entry(
     log = read_log(path, protocol)
     assert log.records == _csv_reference(text, protocol)
     assert calls == ["A", "E"]
-    entries = [log.records.vehicles[v][0] for v in "ABCDEF"]
+    entries = [log.vehicles[v][0] for v in "ABCDEF"]
     a, b, c, d, e, f = log.records
     assert entries[2] is entries[0]  # the same impact text: the same entry
     for first, later in ((a, b), (a, d), (e, f)):

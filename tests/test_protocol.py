@@ -112,6 +112,29 @@ def test_speed_lattice_dual_range_union(protocol):
     assert speed_lattice(spec) == [35, 45, 55, 65, 75, 85, 95]
 
 
+def test_speed_lattice_under_a_light_reads_the_light_settings(protocol):
+    for spec in protocol.scenarios:
+        for light in spec.lights:
+            speeds = {s for v in spec.settings(light).variants for s in v.speeds}
+            assert speed_lattice(spec, light) == sorted(speeds), (spec.code, light)
+    pallets = protocol.scenario("Pallets")  # night overrides the speed ranges
+    assert speed_lattice(pallets, "night") != speed_lattice(pallets, "day")
+    assert speed_lattice(pallets) == speed_lattice(pallets, "day")
+
+
+def test_speed_lattice_of_an_unknown_light_is_rejected(protocol):
+    with pytest.raises(ProtocolError, match="not licensed for 'dusk'"):
+        speed_lattice(protocol.scenario("CCRs"), "dusk")
+
+
+def test_speed_lattice_of_an_unlicensed_light_is_rejected(protocol):
+    spec = protocol.scenario("CBNA")
+    assert spec.lights == ("day",)
+    with pytest.raises(ProtocolError, match="not licensed for 'night'"):
+        speed_lattice(spec, "night")
+    assert speed_lattice(spec) == speed_lattice(spec, "day")
+
+
 def test_paired_tg_enumeration(protocol):
     configs = enumerate_configs(protocol, scenario="CCscp left", light="day")
     assert len(configs) == 11

@@ -342,10 +342,10 @@ def test_avoided_and_judged_rows_at_one_position_share_one_entry():
             ],
         }
     )
-    table = simulate_campaign(protocol, spec).records
+    log = simulate_campaign(protocol, spec)
     for first, second, kind in (("A1", "A2", "avoided"), ("N1", "N2", "judged_failed")):
         shared = 0
-        for a, b in zip(table.vehicles[first], table.vehicles[second]):
+        for a, b in zip(log.vehicles[first], log.vehicles[second]):
             assert a == b
             if a[2].kind.value == kind:
                 assert a is b
