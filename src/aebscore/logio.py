@@ -12,7 +12,8 @@ Campaign logs repeat themselves: every vehicle runs the same configurations
 with few distinct outcomes. ``read_log`` therefore checks each distinct row
 once per call. Rows that differ only in their vehicle share one entry, and
 only the first of them goes through the checks; the rest cost a lookup and
-an append.
+an append. A row that differs from a checked row also in its impact speed
+shares all of its entry but that speed, which is parsed alone.
 A JSON line, or a plain CSV line, is looked up by its text with the vehicle
 cut out, before it is split or decoded. A CSV line is plain if it holds no
 quote or NUL and is within ``csv.field_size_limit()``: ``csv.reader`` would
@@ -30,9 +31,18 @@ the first ``"vehicle"``, which json's own string scanner reads, escapes
 included. The line becomes a key only when that string is the decoded
 vehicle, ``"vehicle"`` occurs once and no backslash lies outside the
 string; then every other quote is a delimiter, and lines with the same key
-decode to the same row but for the vehicle. Other lines, and lines equal
-only once decoded (``1`` and ``1.0``, another key order), take the full
-parse. A vehicle is a non-empty string or an integer. In both formats
+decode to the same row but for the vehicle. A line that misses is looked
+up once more with the number after its ``"impact_speed":`` cut out of its
+key too (``_IMPACT``: json's ``NUMBER_RE`` in ASCII digits, as the decoder
+reads a number); a match shares the checked row's entry with that number
+for its impact speed, parsed alone as a CSV cell is, and keys the line's
+new entry on its text as a checked line's is. Only a checked line
+that is a key, holds ``"impact_speed"`` once and decoded to that number
+gives such a key. A number that is not finite, any other value (``null``,
+``NaN``, a string), an empty vehicle and every other line take the full
+parse, as do lines equal only once decoded (``1`` and ``1.0``, another key
+order). A blank line holds no ``"vehicle"``, so only a miss tests for one.
+A vehicle is a non-empty string or an integer. In both formats
 ``\n``, ``\r\n`` and ``\r`` alone end a line, and nothing else does.
 ``write_log`` works the other way round: it walks the log's runs of rows
 and splices each vehicle's cell into its rows, encoding each distinct row
@@ -55,8 +65,10 @@ import codecs
 import csv
 import json
 import math
+import re
 from itertools import chain
 from json.decoder import scanstring
+from json.scanner import NUMBER_RE
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
@@ -80,6 +92,10 @@ LOG_COLUMNS = (
 _COLUMNS = frozenset(LOG_COLUMNS)
 _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
+# What follows an "impact_speed" key up to the end of its value, when that is
+# a number as the decoder reads it: json.scanner's NUMBER_RE with ASCII digits
+# only, as the C scanner reads them (float() takes any).
+_IMPACT = re.compile(r'[ \t\n\r]*:[ \t\n\r]*(%s)' % NUMBER_RE.pattern, re.ASCII)
 # Lines per write of a log.
 _WRITE_BATCH = 256
 # Bytes per read when a failed read checks the file's encoding.
@@ -201,10 +217,9 @@ def _decodes(path: Path) -> bool:
 def _read_jsonl(file: Iterable[str], protocol: ProtocolDefinition) -> Iterator[tuple]:
     decode = json.JSONDecoder().decode
     memo: dict[str, tuple] = {}  # line with its vehicle string's body cut out -> shared parse
+    cuts: dict[str, tuple] = {}  # that key with its impact number cut out too -> shared parse
     for line, raw in enumerate(file, start=1):
-        if not raw.strip():
-            continue
-        key = vehicle = None
+        key = vehicle = impact = None
         at = raw.find('"vehicle"')
         start = raw.find('"', at + 9) if at >= 0 else -1
         if start >= 0:
@@ -218,6 +233,21 @@ def _read_jsonl(file: Iterable[str], protocol: ProtocolDefinition) -> Iterator[t
                 if shared is not None and vehicle:  # an empty vehicle takes the checks
                     yield vehicle, shared
                     continue
+                speed_at = key.find('"impact_speed"')
+                impact = _IMPACT.match(key, speed_at + 14) if speed_at >= 0 else None
+                if impact is not None:
+                    cut = key[: impact.start(1)] + key[impact.end() :]
+                    shared = cuts.get(cut)
+                    if shared is not None and vehicle:
+                        try:
+                            shared = memo[key] = _with_impact(shared, impact[1])
+                        except LogFormatError:  # not finite: the checks below report it
+                            pass
+                        else:
+                            yield vehicle, shared
+                            continue
+        elif not raw.strip():  # a blank line holds no "vehicle"
+            continue
         try:  # without its line end, which would move the position an error names
             row = decode(raw.rstrip("\n"))
         except (ValueError, RecursionError) as exc:  # also a big integer or deep nesting
@@ -236,6 +266,14 @@ def _read_jsonl(file: Iterable[str], protocol: ProtocolDefinition) -> Iterator[t
             raise LogFormatError(f"line {line}: {exc}") from None
         if key is not None:
             memo[key] = shared
+            # The cut number is a key only if it is the row's one impact speed:
+            # "impact_speed" occurs once, none after this first one.
+            if (
+                impact is not None
+                and key.find('"impact_speed"', impact.end()) < 0
+                and row.get("impact_speed") == float(impact[1])
+            ):
+                cuts[cut] = shared
         yield vehicle, shared
 
 
@@ -322,8 +360,9 @@ class _CsvRows:
 
 
 def _with_impact(shared: tuple, cell: str) -> tuple:
-    """A checked entry with the impact speed of ``cell``, None if empty; no check
-    spans the impact speed and another field, so only its number check applies."""
+    """A checked entry with the impact speed of ``cell`` (a CSV cell or a JSON
+    number's text), None if empty; no check spans the impact speed and another
+    field, so only its number check applies."""
     pos, config, outcome, pre_test = shared
     speed = _parse_number(cell, "impact_speed") if cell else None
     return pos, config, outcome._replace(impact_speed=speed), pre_test

@@ -21,7 +21,12 @@ parallel sequences and makes one pass over them per shift. ``score_campaign``
 feeds it slices of each vehicle's outcomes laid out like the protocol's
 compiled table, and of the terms and powers the compiled protocol keeps per
 geometry rule; ``frequency_score`` and ``mitigation_power_score`` feed it
-any config sequence with its outcome mapping.
+any config sequence with its outcome mapping. Within one ``score_campaign``
+call the kernel runs once per distinct input: vehicles whose outcomes in an
+instance are the same objects (``read_log`` shares them between rows that
+read alike) share its result. The key is the instance and the identities of
+its outcomes, not their values, which in a log built in code may be ``-0.0``
+or ``nan``. Nothing is cached between calls.
 
 A VUT or target mass scales a scenario's realized and passive powers alike,
 so it cancels out of every score, and ``score_campaign`` uses the defaults.
@@ -254,6 +259,9 @@ def score_campaign(
     size = len(compiled.configs)
     scores: list[ScenarioScore] = []
     powers = None
+    # (instance start, identities of its outcomes) -> (fs, mps). The log holds
+    # every outcome for the call, so an identity names one object throughout.
+    scored: dict[tuple, tuple] = {}
     for vehicle in log.vehicle_ids():
         outcomes: list[TestOutcome | None] = [None] * size
         off_lattice = set()
@@ -279,12 +287,16 @@ def score_campaign(
                         )
                     )
                     continue
-                if powers is None:
-                    powers = compiled.passive_powers(model)
-                fs, mps = _kernel(
-                    part.configs, part.series, instance_outcomes, config_weights,
-                    powers.by_config[part.start:part.stop], powers.terms[part.start:part.stop],
-                )
+                key = (part.start, *map(id, instance_outcomes))
+                result = scored.get(key)
+                if result is None:
+                    if powers is None:
+                        powers = compiled.passive_powers(model)
+                    result = scored[key] = _kernel(
+                        part.configs, part.series, instance_outcomes, config_weights,
+                        powers.by_config[part.start:part.stop], powers.terms[part.start:part.stop],
+                    )
+                fs, mps = result
                 scores.append(
                     ScenarioScore(vehicle, spec.code, light, fs, mps, len(part.configs))
                 )

@@ -3,10 +3,13 @@
 The reference decodes and checks every line on its own, with no memo. The
 memo-soundness cases put each tricky JSON line after a line that differs
 from it only in the vehicle, where a wrong memo key would hand back the
-earlier row. The mutation cases perturb one field of one row of the golden
-campaign log, and of a CSV export of it, in seeded ways (non-finite, wrong
-type, empty, null, escaped, duplicated key) and require the same records or
-the same located error, plus a clean exit from ``validate``.
+earlier row; the impact-cut cases put each impact text after a line that
+differs from it only in the vehicle and the impact speed. The mutation
+cases perturb one field of one row of the golden campaign log, and of a CSV
+export of it, in seeded ways (non-finite, wrong type, empty, null, escaped,
+duplicated key) and require the same records or the same located error,
+plus a clean exit from ``validate``; a mutated JSON row that was impacted
+also gets a new impact speed, so each of its mutations crosses the cut.
 """
 
 import csv
@@ -118,6 +121,11 @@ def _vehicle_first(**fields):
     return json.dumps({"vehicle": row.pop("vehicle"), **row})
 
 
+def _impact(text):
+    """ROW with ``text`` for its impact speed."""
+    return ROW.replace('"impact_speed": 30', '"impact_speed": ' + text)
+
+
 MEMO_CASES = {
     "escaped-key": (
         [ROW % '"B"', ROW.replace('"vehicle"', '"vehicl\\u0065"') % '"A"', ROW % '"C"'],
@@ -209,7 +217,37 @@ MEMO_CASES = {
         [ROW % '"1.5"', ROW % "1.5"],
         "line 2: vehicle must be a non-empty string or an integer, got 1.5",
     ),
+    # Lines whose "impact_speed" number is no key: each takes the full parse.
+    "duplicate-impact-key": (
+        [ROW % '"B"', ROW % '"A", "impact_speed": 30', _impact("12") % '"C", "impact_speed": 30'],
+        ["B", "A", "C"],
+    ),
+    "escaped-impact-key": (
+        [ROW % '"B"', _impact("41").replace('"impact_speed"', '"impact_spee\\u0064"') % '"A"'],
+        ["B", "A"],
+    ),
+    "spaced-impact-key": (
+        [
+            ROW.replace('"impact_speed": 30', '"impact_speed" :\t12 ') % '"B"',
+            ROW.replace('"impact_speed": 30', '"impact_speed" :\t41 ') % '"A"',
+            ROW.replace('"impact_speed": 30', '"impact_speed" : 41') % '"C"',
+        ],
+        ["B", "A", "C"],
+    ),
+    "empty-vehicle-new-impact": (
+        [ROW % '"B"', _impact("41") % '""'],
+        "line 2: vehicle must be a non-empty string or an integer, got ''",
+    ),
+    "impact-text-in-a-string": (
+        [ROW % '"B"', _impact("41").replace('"day"', '"day \\"impact_speed\\": 5"') % '"A"'],
+        "line 2: unknown light 'day \"impact_speed\": 5'",
+    ),
 }
+# The MEMO_CASES above that take the full parse on every line.
+FULL_PARSE_CASES = (
+    "duplicate-impact-key", "escaped-impact-key", "empty-vehicle-new-impact",
+    "impact-text-in-a-string",
+)
 
 
 @pytest.mark.parametrize("lines, expected", MEMO_CASES.values(), ids=MEMO_CASES.keys())
@@ -223,6 +261,114 @@ def test_jsonl_memo_matches_a_line_by_line_parse(protocol, tmp_path, lines, expe
         assert got == expected
     else:
         assert [r.vehicle for r in got] == expected
+
+
+@pytest.mark.parametrize("case", FULL_PARSE_CASES)
+def test_jsonl_lines_with_no_impact_key_take_the_full_parse(protocol, tmp_path, monkeypatch, case):
+    lines, _ = MEMO_CASES[case]
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    calls = _count_checks(monkeypatch)
+    _read(path, protocol)
+    assert len(calls) == len(lines)
+
+
+# An impact-speed text on a line after a checked line that differs from it
+# only there and in its vehicle: the checked entry with the number parsed
+# alone, or, for a text that is not a finite number, the full parse and its
+# first error. Each case: the texts; their impact speeds, or the error (None
+# where its text depends on the Python version); whether line 2 takes the full
+# parse.
+JSONL_CUT_IMPACTS = {
+    "negative-zero": (["-0"], [0.0], False),
+    "integer-then-float": (["30", "30.0"], [30.0, 30.0], False),
+    "exponent": (["3e1"], [30.0], False),
+    "upper-exponent": (["1E1"], [10.0], False),
+    "overflow": (["1e400"], "line 2: impact_speed must be a finite number, got inf", True),
+    "negative-overflow": (
+        ["-1e400"], "line 2: impact_speed must be a finite number, got -inf", True
+    ),
+    # invalid JSON where the decoder limits integer digits (Python 3.11 on)
+    "huge-integer": (["9" * 5000], None, True),
+    "nan": (["NaN"], "line 2: impact_speed must be a finite number, got nan", True),
+    "infinity": (["Infinity"], "line 2: impact_speed must be a finite number, got inf", True),
+    "null": (["null"], [None], True),
+    "string": (['"30"'], [30.0], True),
+    # float() reads any Unicode digit; the decoder only ASCII ones
+    "arabic-indic-digit": (["3\u0660"], None, True),
+}
+
+
+@pytest.mark.parametrize(
+    "texts, expected, checked", JSONL_CUT_IMPACTS.values(), ids=JSONL_CUT_IMPACTS.keys()
+)
+def test_jsonl_impact_after_a_cut_hit_reads_as_the_full_parse_does(
+    protocol, tmp_path, monkeypatch, texts, expected, checked
+):
+    calls = _count_checks(monkeypatch)
+    lines = [_impact("12.5") % '"B"'] + [_impact(t) % f'"A{i}"' for i, t in enumerate(texts)]
+    path = tmp_path / "log.jsonl"
+    text = "".join(line + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
+    got = _read(path, protocol)
+    assert got == _jsonl_reference(text, protocol)
+    if expected is None:
+        assert got.startswith("line 2: "), got
+    elif isinstance(expected, str):
+        assert got == expected
+    else:
+        assert [repr(r.outcome.impact_speed) for r in got[1:]] == list(map(repr, expected))
+    # A line that fails to decode never reaches the checks.
+    decoded = not (isinstance(got, str) and "invalid JSON" in got)
+    assert calls == ["B"] + (["A0"] if checked and decoded else [])
+
+
+def test_jsonl_lines_that_differ_only_in_impact_share_all_but_the_outcome(
+    protocol, tmp_path, monkeypatch
+):
+    calls = _count_checks(monkeypatch)
+    lines = [
+        _impact("12.5") % '"B"',
+        _impact("41") % '"A"',  # a new impact speed: parsed alone
+        _impact("41") % '"C"',  # as A's line but for the vehicle: A's entry
+        _compact(vehicle="D", impact_speed=41),  # another key text: checked
+        _compact(vehicle="E", impact_speed=7.25),
+    ]
+    path = tmp_path / "log.jsonl"
+    text = "".join(line + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
+    log = read_log(path, protocol)
+    assert log.records == _jsonl_reference(text, protocol)
+    assert calls == ["B", "D"]
+    b, a, c, d, e = (log.vehicles[v][0] for v in "BACDE")
+    assert c is a and a is not b and e is not d
+    for first, later in ((b, a), (d, e)):
+        assert later[0] == first[0] and later[1] is first[1] and later[3] == first[3]
+        assert later[2]._replace(impact_speed=None) == first[2]._replace(impact_speed=None)
+    assert [x[2].impact_speed for x in (b, a, d, e)] == [12.5, 41.0, 41.0, 7.25]
+
+
+class _Line(str):
+    """A line that counts the calls of its ``strip``."""
+
+    strips = 0
+
+    def strip(self, *args):
+        _Line.strips += 1
+        return super().strip(*args)
+
+
+def test_jsonl_blank_test_runs_only_on_a_memo_miss(protocol, monkeypatch):
+    monkeypatch.setattr(_Line, "strips", 0)
+    bad = ROW.replace('"CCRm"', '"CCRx"') % '"E"'
+    lines = [ROW % '"B"', ROW % '"A"', _impact("41") % '"C"', "", " \t", ROW % '"D"', bad]
+    rows = logio._read_jsonl((_Line(line + "\n") for line in lines), protocol)
+    assert [next(rows)[0] for _ in range(4)] == ["B", "A", "C", "D"]
+    assert _Line.strips == 2  # the two blank lines
+    with pytest.raises(LogFormatError) as error:
+        next(rows)
+    text = "".join(line + "\n" for line in lines)
+    assert str(error.value) == _jsonl_reference(text, protocol) == "line 7: unknown scenario 'CCRx'"
 
 
 def test_lines_that_differ_only_in_an_escaped_vehicle_share_one_parse(protocol, tmp_path):
@@ -630,7 +776,8 @@ def _pick(rng, rows, field):
     """Indices of seeded base rows, and of one of them to copy and mutate.
 
     The copy gets another vehicle, so before its mutation it differs from a
-    base row only there; it has ``field`` where some base row does.
+    base row only there (and, in JSON, in an impact speed); it has ``field``
+    where some base row does.
     """
     base = rng.sample(range(len(rows)), BASE_ROWS)
     with_field = [i for i in base if field in rows[i]] or base
@@ -699,7 +846,10 @@ def _mutated_logs(golden, fmt, field):
     base, target = _pick(random.Random(f"{fmt}-{field}"), rows, field)
     if fmt == "jsonl":
         head = "".join(json.dumps(rows[i]) + "\n" for i in base)
-        mutations = _json_mutations(dict(rows[target], vehicle="Z9"), field)
+        copy = dict(rows[target], vehicle="Z9")
+        if copy["outcome"] == "impacted":  # each mutation crosses the impact cut
+            copy["impact_speed"] /= 2
+        mutations = _json_mutations(copy, field)
         return [(name, head + line + "\n") for name, line in mutations]
     return _csv_mutations([cells[i] for i in base] + [["Z9"] + cells[target][1:]], field)
 

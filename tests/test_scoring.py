@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from aebscore import scoring
 from aebscore.campaign import (
     CampaignLog,
     OutcomeKind,
@@ -10,6 +11,7 @@ from aebscore.campaign import (
     TestRecord,
 )
 from aebscore.impact import ImpactModelError, ImpactPowerModel
+from aebscore.logio import read_log, write_log
 from aebscore.protocol import (
     ScenarioGroup,
     TestConfig,
@@ -490,3 +492,126 @@ def test_off_lattice_record_alone_still_covers_its_instance(protocol, model):
     log = CampaignLog(protocol=protocol, records=(TestRecord("V1", rogue, TestOutcome.avoided()),))
     with pytest.raises(ScoringError, match="missing outcome"):
         score_campaign(log, model, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# One kernel run per distinct (instance, outcome identities) within a call
+
+
+def _fleet(protocol, rng, vehicles, variants):
+    """Per vehicle and licensed instance, one of ``variants`` random outcome
+    sets: vehicles that draw the same set hold the same outcome objects."""
+    drawn = {
+        (code, light): [
+            random_escalation_outcomes(
+                enumerate_configs(protocol, scenario=code, light=light), rng
+            )
+            for _ in range(variants)
+        ]
+        for code, light in protocol.licensed_pairs()
+    }
+    return {v: {pair: rng.choice(sets) for pair, sets in drawn.items()} for v in vehicles}
+
+
+def _log_of(protocol, fleet):
+    return CampaignLog(
+        protocol,
+        (
+            TestRecord(vehicle, config, outcome)
+            for vehicle, instances in fleet.items()
+            for outcomes in instances.values()
+            for config, outcome in outcomes.items()
+        ),
+    )
+
+
+def _spy_kernel(monkeypatch):
+    """The outcomes the kernel is called with, one entry per call."""
+    calls = []
+    kernel = scoring._kernel
+
+    def spied(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(scoring, "_kernel", spied)
+    return calls
+
+
+def _distinct_inputs(log):
+    """How many distinct (instance, identities of its outcomes) a log holds."""
+    keys = set()
+    for entries in log.vehicles.values():
+        outcomes = {config: outcome for _, config, outcome, _ in entries}
+        for code, light in log.protocol.licensed_pairs():
+            configs = enumerate_configs(log.protocol, scenario=code, light=light)
+            keys.add((code, light, *(id(outcomes[c]) for c in configs)))
+    return len(keys)
+
+
+def _assert_fleet_matches_reference(scores, fleet):
+    for s in scores:
+        if s.not_applicable:
+            continue
+        outcomes = fleet[s.vehicle][(s.scenario, s.light)]
+        configs = list(outcomes)
+        _assert_triple(s.fs, frequency_triple(configs, outcomes))
+        _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1500.0))
+
+
+def _read_back(log, path):
+    write_log(log, path)
+    return read_log(path, log.protocol)
+
+
+def test_vehicles_repeating_instances_share_kernel_runs(protocol, model, monkeypatch, tmp_path):
+    fleet = _fleet(protocol, random.Random(2020), [f"V{i}" for i in range(6)], 2)
+    log = _read_back(_log_of(protocol, fleet), tmp_path / "fleet.jsonl")
+    calls = _spy_kernel(monkeypatch)
+    scores = score_campaign(log, model)
+    _assert_fleet_matches_reference(scores, fleet)
+    distinct = _distinct_inputs(log)
+    assert len(calls) == distinct <= 2 * len(protocol.licensed_pairs())
+    assert score_campaign(log, model) == scores  # a second call runs the kernel again
+    assert len(calls) == 2 * distinct
+
+
+def test_vehicles_differing_in_one_impact_speed_share_the_other_instances(
+    protocol, model, monkeypatch, tmp_path
+):
+    fleet = _fleet(protocol, random.Random(2021), ["V1"], 1)
+    instances = dict(fleet["V1"])
+    pair, outcomes = next(
+        (pair, outcomes)
+        for pair, outcomes in instances.items()
+        if any(o.kind is OutcomeKind.IMPACTED for o in outcomes.values())
+    )
+    config, hit = next((c, o) for c, o in outcomes.items() if o.kind is OutcomeKind.IMPACTED)
+    instances[pair] = {**outcomes, config: hit._replace(impact_speed=hit.impact_speed / 2)}
+    fleet["V2"] = instances
+    log = _read_back(_log_of(protocol, fleet), tmp_path / "fleet.jsonl")
+    calls = _spy_kernel(monkeypatch)
+    scores = score_campaign(log, model)
+    _assert_fleet_matches_reference(scores, fleet)
+    assert len(calls) == _distinct_inputs(log) == len(protocol.licensed_pairs()) + 1
+
+
+def test_kernel_runs_follow_outcome_identities_not_values(protocol, model, monkeypatch):
+    fleet = _fleet(protocol, random.Random(2022), ["V1"], 1)
+    # V2 holds V1's values in other objects; V3 and V4 differ from V1 in one
+    # instance, impacted at +0.0 and at -0.0, which compare equal.
+    fleet["V2"] = {
+        pair: {c: TestOutcome(*o) for c, o in outcomes.items()}
+        for pair, outcomes in fleet["V1"].items()
+    }
+    configs = enumerate_configs(protocol, scenario="CCRm", light="day")
+    fleet["V3"] = dict(fleet["V1"])
+    fleet["V4"] = dict(fleet["V1"])
+    fleet["V3"][("CCRm", "day")] = {c: TestOutcome.impacted(0.0) for c in configs}
+    fleet["V4"][("CCRm", "day")] = {c: TestOutcome.impacted(-0.0) for c in configs}
+    log = _log_of(protocol, fleet)
+    calls = _spy_kernel(monkeypatch)
+    scores = score_campaign(log, model, validate=False)
+    _assert_fleet_matches_reference(scores, fleet)
+    pairs = len(protocol.licensed_pairs())
+    assert len(calls) == _distinct_inputs(log) == 2 * pairs + 2
