@@ -10,15 +10,15 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "aggregate": "GroupScore RelativityMatrix WeightTable aggregate_fs aggregate_mps build_matrix"
-    " load_weight_table relativity",
+    "aggregate": "GroupScore RelativityMatrix ScoreValue WeightTable aggregate_fs aggregate_mps"
+    " build_matrix load_weight_table relativity",
     "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord completion_stats"
     " expand_night_judgements run_scenario validate_log",
     "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
     "logio": "read_log write_log",
     "protocol": "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"
     " enumerate_configs load_protocol speed_lattice",
-    "scoring": "ScenarioScore ScoreValue frequency_score mitigation_power_score score_campaign",
+    "scoring": "ScenarioScore frequency_score mitigation_power_score score_campaign",
     "simulate": "load_simulation_spec simulate_campaign",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -6,7 +6,10 @@ region's accident statistics. Frequency scores aggregate as a weighted
 average; mitigation scores additionally weight each instance by its passive
 impact power, so scenarios with more energy at stake count for more.
 
-Both read a vehicle's scores by (scenario, light), indexed once per vehicle.
+Both read a vehicle's scores by (scenario, light), indexed once per vehicle,
+and give a ``ScoreValue``. That class lives here, where the weighted mean
+builds it, and ``scoring`` imports it from here: loading a weight table
+loads neither ``scoring`` nor ``impact``.
 
 Relative scores compare two vehicles: their score ratio minus one. Ranked
 pairwise matrices of these relativities are the campaign's primary output,
@@ -18,13 +21,15 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .campaign import vehicle_sort_key
 from .protocol import (
     LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_document, within
 )
-from .scoring import ScenarioScore, ScoreValue
+
+if TYPE_CHECKING:  # scoring imports this module, for ScoreValue
+    from .scoring import ScenarioScore
 
 METRIC_FREQ = "freq"
 METRIC_MP = "MP"
@@ -155,6 +160,40 @@ def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list
             if instance not in table.weights:
                 problems.append(f"group {group.value} instance {instance} has no weight")
     return problems
+
+
+class ScoreValue(NamedTuple):
+    """A score with its evaluations at the shifted failure speeds.
+
+    ``lower``/``upper`` are the re-evaluations with the failure speed moved
+    5 km/h down/up; they bracket the nominal value. ``mean`` and ``std`` are
+    the average and population standard deviation of the three evaluations.
+    """
+
+    nominal: float
+    lower: float
+    upper: float
+
+    @property
+    def mean(self) -> float:
+        return (self.lower + self.nominal + self.upper) / 3.0
+
+    @property
+    def std(self) -> float:
+        if self.lower == self.nominal == self.upper:
+            return 0.0
+        m = self.mean
+        return math.sqrt(
+            ((self.lower - m) ** 2 + (self.nominal - m) ** 2 + (self.upper - m) ** 2) / 3.0
+        )
+
+    @staticmethod
+    def zero() -> "ScoreValue":
+        return ScoreValue(0.0, 0.0, 0.0)
+
+    @staticmethod
+    def constant(value: float) -> "ScoreValue":
+        return ScoreValue(value, value, value)
 
 
 class GroupScore(NamedTuple):

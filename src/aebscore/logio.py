@@ -4,6 +4,11 @@ Logs are line-delimited records with the columns ``vehicle, scenario, light,
 vut_speed, tg_speed, overlap, outcome, impact_speed, intervention, projected,
 pre_test``, accepted as JSON lines (``.jsonl``) or CSV with identical column
 names. Missing optional values are omitted (JSON) or left empty (CSV).
+A number reads alike in both formats: a CSV cell, or a JSON string in a
+number field, must be a JSON number in full (``_NUMBER``), so ``5_5``,
+`` 3e1 ``, ``+5``, ``.5``, ``05`` and non-ASCII digits are not numbers, though
+``float()`` reads them. A text ``float()`` reads as infinite or NaN is "not
+a finite number", as a JSON ``NaN`` or ``1e400`` is.
 
 ``read_log`` streams rows straight into the log (see ``campaign.CampaignLog``):
 each row appends its entry, the compiled position of its config with the
@@ -92,9 +97,10 @@ LOG_COLUMNS = (
 _COLUMNS = frozenset(LOG_COLUMNS)
 _KINDS = {kind.value: kind for kind in OutcomeKind}
 _PRE_TESTS = ("passed", "failed")
-# What follows an "impact_speed" key up to the end of its value, when that is
-# a number as the decoder reads it: json.scanner's NUMBER_RE with ASCII digits
-# only, as the C scanner reads them (float() takes any).
+# A number as the decoder reads it, which a text value must be: json.scanner's
+# NUMBER_RE with ASCII digits only, as the C scanner reads them (float() takes any).
+_NUMBER = re.compile(NUMBER_RE.pattern, re.ASCII)
+# What follows an "impact_speed" key up to the end of its value, when that is a number.
 _IMPACT = re.compile(r'[ \t\n\r]*:[ \t\n\r]*(%s)' % NUMBER_RE.pattern, re.ASCII)
 # Lines per write of a log.
 _WRITE_BATCH = 256
@@ -363,9 +369,10 @@ def _with_impact(shared: tuple, cell: str) -> tuple:
     """A checked entry with the impact speed of ``cell`` (a CSV cell or a JSON
     number's text), None if empty; no check spans the impact speed and another
     field, so only its number check applies."""
-    pos, config, outcome, pre_test = shared
+    pos, config, (kind, _, intervention, projected), pre_test = shared
     speed = _parse_number(cell, "impact_speed") if cell else None
-    return pos, config, outcome._replace(impact_speed=speed), pre_test
+    # Built directly: _replace costs twice as much, on every cut hit.
+    return pos, config, TestOutcome(kind, speed, intervention, projected), pre_test
 
 
 def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
@@ -422,16 +429,20 @@ def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
 
 
 def _parse_number(value, name: str) -> float:
+    """A finite number, or text (a CSV cell, a JSON string) that is a JSON number."""
     if isinstance(value, bool):
         raise LogFormatError(f"{name} must be a number")
     try:
-        num = float(value if isinstance(value, (int, float)) else str(value))
+        num = float(value if isinstance(value, (int, float, str)) else str(value))
     except ValueError:
         raise LogFormatError(f"{name} must be a number, got {value!r}") from None
     except OverflowError:  # an integer beyond float range
         num = math.inf
     if not math.isfinite(num):
         raise LogFormatError(f"{name} must be a finite number, got {value!r}")
+    # float() also reads "5_5", " 3e1 ", "+5", ".5", "05" and non-ASCII digits.
+    if isinstance(value, str) and _NUMBER.fullmatch(value) is None:
+        raise LogFormatError(f"{name} must be a number, got {value!r}")
     # -0.0 == 0.0 but prints as "-0"; adding 0.0 gives +0.0, so rows whose
     # values compare equal parse to equal values and may share a parse.
     return num + 0.0

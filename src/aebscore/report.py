@@ -21,10 +21,10 @@ from itertools import zip_longest
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple
 
-from .aggregate import METRIC_FREQ, RelativityMatrix
+from .aggregate import METRIC_FREQ, RelativityMatrix, ScoreValue
 from .campaign import CompletionStats, vehicle_sort_key
 from .protocol import ProtocolDefinition
-from .scoring import ScenarioScore, ScoreValue
+from .scoring import ScenarioScore
 
 FORMATS = ("csv", "markdown", "html")
 EXTENSIONS = {"csv": "csv", "markdown": "md", "html": "html"}

@@ -34,9 +34,9 @@ so it cancels out of every score, and ``score_campaign`` uses the defaults.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, NamedTuple, Sequence
 
+from .aggregate import ScoreValue
 from .campaign import (
     CampaignLog,
     OutcomeKind,
@@ -55,40 +55,6 @@ _AVOIDED, _IMPACTED = OutcomeKind.AVOIDED, OutcomeKind.IMPACTED
 
 class ScoringError(ValueError):
     """Raised when score inputs violate their preconditions."""
-
-
-class ScoreValue(NamedTuple):
-    """A score with its evaluations at the shifted failure speeds.
-
-    ``lower``/``upper`` are the re-evaluations with the failure speed moved
-    5 km/h down/up; they bracket the nominal value. ``mean`` and ``std`` are
-    the average and population standard deviation of the three evaluations.
-    """
-
-    nominal: float
-    lower: float
-    upper: float
-
-    @property
-    def mean(self) -> float:
-        return (self.lower + self.nominal + self.upper) / 3.0
-
-    @property
-    def std(self) -> float:
-        if self.lower == self.nominal == self.upper:
-            return 0.0
-        m = self.mean
-        return math.sqrt(
-            ((self.lower - m) ** 2 + (self.nominal - m) ** 2 + (self.upper - m) ** 2) / 3.0
-        )
-
-    @staticmethod
-    def zero() -> "ScoreValue":
-        return ScoreValue(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def constant(value: float) -> "ScoreValue":
-        return ScoreValue(value, value, value)
 
 
 class ScenarioScore(NamedTuple):

@@ -13,7 +13,6 @@ for that vehicle.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import sys
 from pathlib import Path
@@ -151,6 +150,10 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
 
 
 def _stable_rng(*parts) -> random.Random:
+    # Imported here, not at the top: loading a spec never hashes, and hashlib
+    # loads OpenSSL. A repeated import statement costs about 0.1 us.
+    import hashlib
+
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

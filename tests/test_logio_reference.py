@@ -15,11 +15,12 @@ also gets a new impact speed, so each of its mutations crosses the cut.
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, cycle
 from pathlib import Path
 
 import pytest
@@ -57,11 +58,39 @@ def _jsonl_reference(text, protocol):
     return tuple(records)
 
 
+NUMBER_COLUMNS = frozenset({"vut_speed", "tg_speed", "overlap", "impact_speed"})
+
+
+class _NotANumber(str):
+    """A number cell that ``float()`` reads as a finite number but JSON does
+    not read as a number: the row check reads no number in it."""
+
+    def __float__(self):
+        raise ValueError(self)
+
+
+def _float_only(cell):
+    """Whether ``float()`` reads the cell as a finite number and ``json.loads``
+    does not read it, as it stands, as a number."""
+    try:
+        if not math.isfinite(float(cell)):
+            return False
+    except ValueError:
+        return False
+    try:
+        value = json.loads(cell)
+    except ValueError:
+        return True
+    return cell != cell.strip(" \t\n\r") or type(value) not in (int, float)
+
+
 def _csv_reference(text, protocol):
     """Records of a CSV log, each row checked on its own.
 
     The last of two equal column names wins, an empty cell is a missing
     value, and a row may not have more cells than the header has columns.
+    A number cell is a JSON number in full: a cell that ``float()`` reads as
+    a finite number but ``json.loads`` does not read as one is no number.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
@@ -86,6 +115,9 @@ def _csv_reference(text, protocol):
         if len(cells) > len(header):
             return f"line {line}: unknown field(s): {len(cells)} cells for {len(header)} columns"
         row = {k: v for k, v in dict(zip(header, cells)).items() if v}
+        for k in NUMBER_COLUMNS & row.keys():
+            if _float_only(row[k]):
+                row[k] = _NotANumber(row[k])
         try:
             records.append(_record_from_row(row, protocol))
         except LogFormatError as exc:
@@ -296,6 +328,8 @@ JSONL_CUT_IMPACTS = {
     "string": (['"30"'], [30.0], True),
     # float() reads any Unicode digit; the decoder only ASCII ones
     "arabic-indic-digit": (["3\u0660"], None, True),
+    # a string reads as a number only if it is a JSON number
+    "string-with-underscore": (['"5_5"'], "line 2: impact_speed must be a number, got '5_5'", True),
 }
 
 
@@ -610,6 +644,17 @@ def test_row_differing_only_in_vehicle_and_impact_shares_the_checked_entry(
     )
 
 
+# Cells float() reads as a finite number that are no JSON number.
+NOT_JSON_NUMBERS = {
+    "underscore": "5_5",
+    "spaces": " 3e1 ",
+    "arabic-indic-digits": "\u0663\u0660",
+    "ascii-then-arabic-indic-digit": "3\u0660",  # [1-9] is ASCII; a later \d is not
+    "plus-sign": "+5",
+    "leading-point": ".5",
+    "leading-zero": "05",
+}
+
 # An impact-speed cell on a row that differs from a checked row only there
 # and in its vehicle: no full check, but its value or first error.
 CUT_IMPACTS = {
@@ -620,6 +665,11 @@ CUT_IMPACTS = {
     "huge-integer": (
         "9" * 5000, f"line 3: impact_speed must be a finite number, got '{'9' * 5000}'"
     ),
+    "exponent": ("3e1", 30.0),
+    **{
+        name: (cell, f"line 3: impact_speed must be a number, got {cell!r}")
+        for name, cell in NOT_JSON_NUMBERS.items()
+    },
 }
 
 
@@ -677,6 +727,13 @@ BAD_CELLS = {
     "pre-test-before-scenario": (
         {"scenario": "CCRx", "pre_test": "x"}, "line 3: pre_test must be 'passed' or 'failed'"
     ),
+    # each cell in one of the other number columns in turn
+    **{
+        f"{column}-{name}": ({column: cell}, f"line 3: {column} must be a number, got {cell!r}")
+        for (name, cell), column in zip(
+            NOT_JSON_NUMBERS.items(), cycle(("vut_speed", "tg_speed", "overlap"))
+        )
+    },
 }
 
 

@@ -2,9 +2,12 @@
 
 ``import aebscore`` imports no submodule; its names are looked up in their
 modules on access. Loading the inputs of a run (protocol, weight tables,
-simulation spec) loads neither ``dataclasses`` nor the log reader, and the
-CLI module does not load ``dataclasses`` either. Untimed: these are checks of
-what is imported, in a fresh interpreter.
+simulation spec) loads ``aebscore.protocol``, ``campaign``, ``aggregate`` and
+``simulate`` and no other module of the package, and neither ``dataclasses``
+nor ``hashlib``; the first simulation loads ``hashlib``. The CLI module does
+not load ``dataclasses`` either. Each module imports first in a fresh
+interpreter, so no import cycle hides behind another module imported before
+it. Untimed: these are checks of what is imported, in a fresh interpreter.
 """
 
 import importlib
@@ -46,25 +49,59 @@ EXPORTS = {
 SETUP = """
 import json, sys
 import aebscore
-aebscore.load_protocol(sys.argv[1])
+protocol = aebscore.load_protocol(sys.argv[1])
 aebscore.load_weight_table(sys.argv[2])
 aebscore.load_weight_table(sys.argv[3])
-aebscore.load_simulation_spec(sys.argv[4])
-after_setup = [m for m in ("dataclasses", "aebscore.logio") if m in sys.modules]
+spec = aebscore.load_simulation_spec(sys.argv[4])
+package = sorted(m for m in sys.modules if m.split(".")[0] == "aebscore")
+after_setup = [m for m in sys.argv[5:] if m in sys.modules]
+records = len(aebscore.simulate_campaign(protocol, spec).records)
+hashlib = "hashlib" in sys.modules
 import aebscore.cli
-print(json.dumps({"after_setup": after_setup, "cli_dataclasses": "dataclasses" in sys.modules}))
+print(json.dumps({
+    "package": package, "after_setup": after_setup, "records": records, "hashlib": hashlib,
+    "cli_dataclasses": "dataclasses" in sys.modules,
+}))
 """
+# Modules a run's set-up does not call, so it must not load them.
+NOT_AT_SETUP = (
+    "dataclasses", "hashlib", "aebscore.logio", "aebscore.scoring", "aebscore.impact",
+    "aebscore.report", "aebscore.cli",
+)
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def test_setup_and_cli_import_load_neither_dataclasses_nor_the_log_reader():
-    args = [
-        sys.executable, "-c", SETUP, str(DATA / "protocol_swissre.json"),
-        str(DATA / "weights_eu_example.json"), str(DATA / "weights_us_example.json"),
-        str(ROOT / "tests" / "data" / "fixture_sim.json"),
-    ]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(done.stdout) == {"after_setup": [], "cli_dataclasses": False}
+    inputs = (
+        DATA / "protocol_swissre.json", DATA / "weights_eu_example.json",
+        DATA / "weights_us_example.json", ROOT / "tests" / "data" / "fixture_sim.json",
+    )
+    args = [sys.executable, "-c", SETUP, *map(str, inputs), *NOT_AT_SETUP]
+    done = subprocess.run(args, env=ENV, capture_output=True, text=True, timeout=60, check=True)
+    simulated = aebscore.simulate_campaign(
+        aebscore.load_protocol(inputs[0]), aebscore.load_simulation_spec(inputs[3])
+    )
+    assert json.loads(done.stdout) == {
+        "package": [
+            "aebscore", "aebscore.aggregate", "aebscore.campaign", "aebscore.protocol",
+            "aebscore.simulate",
+        ],
+        "after_setup": [],
+        "records": len(simulated.records),
+        "hashlib": True,  # loaded by the first draw
+        "cli_dataclasses": False,
+    }
+
+
+@pytest.mark.parametrize("module", ["scoring", "aggregate", "report", "impact", "simulate", "cli"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # In one process the first test to import a module hides a cycle that
+    # only breaks when another module of the cycle is imported first.
+    code = f"import aebscore.{module} as m; print(m.__name__)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"aebscore.{module}\n", "")
 
 
 def test_every_export_resolves_to_its_module_object():
