@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "aggregate": "GroupScore RelativityMatrix ScoreValue WeightTable aggregate_fs aggregate_mps"
-    " build_matrix load_weight_table relativity",
+    " build_matrix load_weight_table",
     "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord completion_stats"
     " expand_night_judgements run_scenario validate_log",
-    "impact": "ImpactPowerModel InterventionSample mu_pow passive_mu_pow project_impact_speed",
+    "impact": "ImpactPowerModel",
     "logio": "read_log write_log",
     "protocol": "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"
-    " enumerate_configs load_protocol speed_lattice",
+    " enumerate_configs load_protocol",
     "scoring": "ScenarioScore frequency_score mitigation_power_score score_campaign",
     "simulate": "load_simulation_spec simulate_campaign",
 }

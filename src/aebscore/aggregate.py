@@ -290,13 +290,6 @@ def relativity_row(score_x: float, scores: Iterable[float]) -> tuple[float, ...]
     return tuple([score_x / y - 1.0 if y else math.inf for y in scores])
 
 
-def relativity(score_x: float, score_y: float) -> float:
-    """The relativity of x against y (see ``relativity_row``)."""
-    if score_x < 0 or score_y < 0:
-        raise AggregationError(_NEGATIVE)
-    return relativity_row(score_x, (score_y,))[0]
-
-
 class RelativityMatrix(NamedTuple):
     """Ranked pairwise relative-score matrix for one metric, group, region."""
 

@@ -242,11 +242,6 @@ def series_key(config: TestConfig) -> tuple:
     return (config.scenario.code, config.light, config.overlap, config.tg_speed)
 
 
-def pretest_config(spec: ScenarioSpec, light: str) -> TestConfig:
-    """Low-speed probe configuration outside the scenario's speed range."""
-    return spec.settings(light).pretest
-
-
 def pretest_passes(outcome: TestOutcome) -> bool:
     """A pre-test passes when the braking system shows any response."""
     if outcome.kind is OutcomeKind.AVOIDED:
@@ -281,7 +276,7 @@ def run_scenario(
 
     pre_test = None
     if requires_pretest:
-        probe = oracle(pretest_config(spec, light))
+        probe = oracle(settings.pretest)
         pre_test = PRETEST_PASSED if pretest_passes(probe) else PRETEST_FAILED
 
     records: list[TestRecord] = []

@@ -1,4 +1,4 @@
-"""Impact-power model: collision energy proxy and intervention speed projection.
+"""Impact-power model: a collision energy proxy and the passive powers it gives.
 
 The published scoring framework never discloses its impact-power formula, so
 this module supplies a documented, pluggable default: a kinetic-energy proxy.
@@ -11,7 +11,6 @@ mitigation scores, so any overall constant cancels downstream.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -112,31 +111,6 @@ def _mass(value, where: str) -> float:
     return float(value)
 
 
-class InterventionSample(NamedTuple):
-    """Vehicle state at the moment a safety driver took over."""
-
-    speed_at_intervention: float  # km/h
-    deceleration: float  # m/s^2, braking already applied
-    distance_to_target: float  # m
-
-
-def project_impact_speed(sample: InterventionSample) -> float:
-    """Impact speed (km/h) projected from the dynamics before a takeover.
-
-    Constant deceleration over the remaining distance; 0 means the projection
-    predicts full avoidance.
-    """
-    for name in ("speed_at_intervention", "deceleration", "distance_to_target"):
-        value = getattr(sample, name)
-        if not math.isfinite(value):
-            raise ImpactModelError(f"{name} must be finite")
-        if value < 0:
-            raise ImpactModelError(f"{name} must be >= 0")
-    v_ms = sample.speed_at_intervention * KMH_TO_MS
-    remaining = v_ms * v_ms - 2.0 * sample.deceleration * sample.distance_to_target
-    return math.sqrt(max(0.0, remaining)) / KMH_TO_MS
-
-
 PowerTerms = tuple  # (half the effective mass, same-axis TG speed or None, geometry factor)
 
 
@@ -170,23 +144,11 @@ def impact_power(terms: PowerTerms, impact_speed: float) -> float:
     return half_mass * v_ms * v_ms * geometry
 
 
-def mu_pow(
-    model: ImpactPowerModel, config: TestConfig, vut_mass: float, impact_speed: float
-) -> float:
-    """Impact-power proxy (J) of ``config`` at ``impact_speed`` km/h (see ``power_terms``)."""
-    return impact_power(power_terms(model, config, vut_mass), impact_speed)
-
-
 def config_powers(model: ImpactPowerModel, configs: Sequence[TestConfig], vut_mass: float) -> tuple:
     """Each config's power terms and passive power: the impact power of a
     vehicle that never brakes, so hits at the test speed."""
     terms = tuple(power_terms(model, c, vut_mass) for c in configs)
     return terms, tuple(impact_power(t, c.vut_speed) for t, c in zip(terms, configs))
-
-
-def passive_mu_pow(model: ImpactPowerModel, config: TestConfig, vut_mass: float) -> float:
-    """Passive impact power of one config (see ``config_powers``)."""
-    return config_powers(model, (config,), vut_mass)[1][0]
 
 
 def scenario_passive_power(

@@ -8,7 +8,9 @@ A number reads alike in both formats: a CSV cell, or a JSON string in a
 number field, must be a JSON number in full (``_NUMBER``), so ``5_5``,
 `` 3e1 ``, ``+5``, ``.5``, ``05`` and non-ASCII digits are not numbers, though
 ``float()`` reads them. A text ``float()`` reads as infinite or NaN is "not
-a finite number", as a JSON ``NaN`` or ``1e400`` is.
+a finite number", as a JSON ``NaN`` or ``1e400`` is. A boolean is a JSON
+``true`` or ``false``, or a CSV cell or JSON string that is exactly one of
+them: ``TRUE``, `` yes ``, ``1`` and a JSON ``1`` are not booleans.
 
 ``read_log`` streams rows straight into the log (see ``campaign.CampaignLog``):
 each row appends its entry, the compiled position of its config with the
@@ -449,13 +451,9 @@ def _parse_number(value, name: str) -> float:
 
 
 def _parse_bool(value, name: str) -> bool | None:
-    if value is None:
-        return None
-    if isinstance(value, bool):
+    """A JSON boolean, or text (a CSV cell, a JSON string) that is ``true`` or ``false``."""
+    if value is None or isinstance(value, bool):
         return value
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
+    if value == "true" or value == "false":
+        return value == "true"
     raise LogFormatError(f"{name} must be a boolean, got {value!r}")

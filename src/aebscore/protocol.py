@@ -200,7 +200,7 @@ class ScenarioSpec:
             for rng, tg in zip(ranges, tg_speeds):
                 merged.setdefault(tg, set()).update(rng.lattice(self.speed_step))
         else:
-            union = _union_lattice(ranges, self.speed_step)
+            union = {speed for rng in ranges for speed in rng.lattice(self.speed_step)}
             for tg in tg_speeds or (None,):
                 merged.setdefault(tg, set()).update(union)
         return tuple(
@@ -371,20 +371,6 @@ class ProtocolDefinition:
 
 def _tg_key(tg: float | None) -> float:
     return float("-inf") if tg is None else tg
-
-
-def _union_lattice(ranges: Iterable[SpeedRange], step: float) -> tuple[float, ...]:
-    speeds: set[float] = set()
-    for rng in ranges:
-        speeds.update(rng.lattice(step))
-    return tuple(sorted(speeds))
-
-
-def speed_lattice(spec: ScenarioSpec, light: str | None = None) -> list[float]:
-    """Ascending, de-duplicated VUT speeds across the scenario's ranges: its base
-    ranges, or those under ``light``, which must be licensed, with overrides applied."""
-    ranges = spec.vut_speed_ranges if light is None else spec._light_fields(light)[0]
-    return list(_union_lattice(ranges, spec.speed_step))
 
 
 def enumerate_configs(

@@ -53,10 +53,6 @@ def format_percent_row(values: Iterable[float]) -> tuple[str, ...]:
     return tuple([INF_CELL if v in _INFINITIES else "%.2f%%" % (v * 100.0) for v in values])
 
 
-def format_percent_cell(value: float) -> str:
-    return format_percent_row((value,))[0]
-
-
 class Table(NamedTuple):
     """A rendered-table skeleton: title, corner label, headers, rows."""
 

@@ -13,7 +13,7 @@ from aebscore.aggregate import (
     build_matrix,
     check_weight_table,
     load_weight_table,
-    relativity,
+    relativity_row,
 )
 from aebscore.protocol import ScenarioGroup
 from aebscore.scoring import ScenarioScore, ScoreValue
@@ -126,13 +126,12 @@ def test_aggregate_mps_requires_positive_power():
 
 
 def test_relativity_values():
-    assert relativity(0.37, 0.37) == 0.0
-    assert relativity(0.5, 0.4) == pytest.approx(0.25)
-    assert relativity(0.0, 0.0) == 0.0
-    assert relativity(0.3, 0.0) == math.inf
-    assert relativity(0.0, 0.3) == -1.0
-    with pytest.raises(AggregationError):
-        relativity(-0.1, 0.5)
+    assert relativity_row(0.37, (0.37,)) == (0.0,)
+    assert relativity_row(0.5, (0.4,)) == pytest.approx((0.25,))
+    assert relativity_row(0.0, (0.0, 0.3)) == (0.0, -1.0)
+    assert relativity_row(0.3, (0.0,)) == (math.inf,)
+    with pytest.raises(AggregationError, match="^relativity requires non-negative scores$"):
+        build_matrix(_group_scores({"1": -0.1, "2": 0.5}), "freq")
 
 
 def _group_scores(values, region="EU", group=ScenarioGroup.C2C):

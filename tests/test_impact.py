@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,13 +7,10 @@ from aebscore.impact import (
     KMH_TO_MS,
     ImpactModelError,
     ImpactPowerModel,
-    InterventionSample,
+    config_powers,
     impact_power,
     load_impact_config,
-    mu_pow,
-    passive_mu_pow,
     power_terms,
-    project_impact_speed,
     scenario_passive_power,
 )
 from aebscore.protocol import ScenarioGroup, enumerate_configs
@@ -29,78 +25,49 @@ def _config(protocol, code, light="day", **filters):
     raise AssertionError(f"no config matching {filters}")
 
 
-def test_projection_no_braking():
-    assert project_impact_speed(InterventionSample(50, 0, 10)) == 50
+def _power(model, config, mass, speed):
+    return impact_power(power_terms(model, config, mass), speed)
 
 
-def test_projection_exact_stop():
-    # 10 m/s with 5 m/s^2 over 10 m dissipates exactly v^2
-    assert project_impact_speed(InterventionSample(36, 5, 10)) == 0
-
-
-def test_projection_partial_braking():
-    # 20 m/s, 5 m/s^2 over 10 m -> sqrt(300) m/s
-    expected = math.sqrt(300.0) * 3.6
-    assert abs(project_impact_speed(InterventionSample(72, 5, 10)) - expected) < 1e-12
-    assert abs(expected - 62.3538) < 1e-3
-
-
-def test_projection_rejects_negative_inputs():
-    with pytest.raises(ImpactModelError):
-        project_impact_speed(InterventionSample(50, -1, 10))
-    with pytest.raises(ImpactModelError):
-        project_impact_speed(InterventionSample(50, 1, -10))
-    with pytest.raises(ImpactModelError):
-        project_impact_speed(InterventionSample(math.inf, 1, 10))
-
-
-def test_projection_monotonicity():
-    rng = random.Random(99)
-    for _ in range(200):
-        v = rng.uniform(1, 130)
-        a = rng.uniform(0, 10)
-        d = rng.uniform(0, 80)
-        base = project_impact_speed(InterventionSample(v, a, d))
-        assert project_impact_speed(InterventionSample(v + 5, a, d)) >= base
-        assert project_impact_speed(InterventionSample(v, a + 1, d)) <= base
-        assert project_impact_speed(InterventionSample(v, a, d + 5)) <= base
+def _passive(model, config, mass):
+    return config_powers(model, (config,), mass)[1][0]
 
 
 def test_c2c_reduced_mass_energy(protocol, model):
     config = _config(protocol, "CCRs", overlap=100, vut_speed=55)
     # equal 1500 kg masses, 36 km/h = 10 m/s head-on closing speed
-    assert mu_pow(model, config, 1500.0, 36.0) == pytest.approx(37500.0, abs=1e-9)
+    assert _power(model, config, 1500.0, 36.0) == pytest.approx(37500.0, abs=1e-9)
 
 
 def test_geometry_factor_linear(protocol, model):
     full = _config(protocol, "CCRs", overlap=100, vut_speed=55)
     half = _config(protocol, "CCRs", overlap=50, vut_speed=55, light="day")
-    assert mu_pow(model, half, 1500.0, 36.0) == pytest.approx(
-        0.5 * mu_pow(model, full, 1500.0, 36.0)
+    assert _power(model, half, 1500.0, 36.0) == pytest.approx(
+        0.5 * _power(model, full, 1500.0, 36.0)
     )
-    assert mu_pow(model, half, 1500.0, 36.0) == pytest.approx(18750.0)
+    assert _power(model, half, 1500.0, 36.0) == pytest.approx(18750.0)
 
 
 def test_zero_speed_zero_energy(protocol, model):
     for code in ("CCRs", "CCRm", "CPLA", "Pallets"):
         config = enumerate_configs(protocol, scenario=code)[0]
-        assert mu_pow(model, config, 1500.0, 0.0) == 0.0
+        assert _power(model, config, 1500.0, 0.0) == 0.0
 
 
 def test_moving_target_closing_speed(protocol, model):
     config = _config(protocol, "CCRm", overlap=100, vut_speed=55)
     # passive closing speed is 55 - 20 = 35 km/h
     expected = 0.5 * 750.0 * (35.0 / 3.6) ** 2
-    assert passive_mu_pow(model, config, 1500.0) == pytest.approx(expected)
+    assert _passive(model, config, 1500.0) == pytest.approx(expected)
     # impacts at or below the target speed transfer nothing
-    assert mu_pow(model, config, 1500.0, 20.0) == 0.0
-    assert mu_pow(model, config, 1500.0, 12.0) == 0.0
+    assert _power(model, config, 1500.0, 20.0) == 0.0
+    assert _power(model, config, 1500.0, 12.0) == 0.0
 
 
 def test_crossing_target_ignores_tg_speed(protocol, model):
     config = _config(protocol, "CCFtap", vut_speed=15, tg_speed=45)
     expected = 0.5 * 750.0 * (15.0 / 3.6) ** 2 * 0.5
-    assert passive_mu_pow(model, config, 1500.0) == pytest.approx(expected)
+    assert _passive(model, config, 1500.0) == pytest.approx(expected)
 
 
 def test_object_energy_is_vut_kinetic_energy(protocol, model):
@@ -108,7 +75,7 @@ def test_object_energy_is_vut_kinetic_energy(protocol, model):
     # overlap 50 halves the full kinetic energy at 55 km/h
     full = 0.5 * 1500.0 * (55.0 / 3.6) ** 2
     assert abs(full - 175057.87) < 0.5
-    assert passive_mu_pow(model, config, 1500.0) == pytest.approx(0.5 * full)
+    assert _passive(model, config, 1500.0) == pytest.approx(0.5 * full)
 
 
 def test_monotone_and_bounded_by_passive(protocol, model):
@@ -117,31 +84,30 @@ def test_monotone_and_bounded_by_passive(protocol, model):
     for _ in range(300):
         config = rng.choice(configs)
         v = rng.uniform(0, config.vut_speed)
-        lower = mu_pow(model, config, 1500.0, v)
-        higher = mu_pow(model, config, 1500.0, min(config.vut_speed, v + 3))
-        assert 0 <= lower <= higher <= passive_mu_pow(model, config, 1500.0) + 1e-9
+        lower = _power(model, config, 1500.0, v)
+        higher = _power(model, config, 1500.0, min(config.vut_speed, v + 3))
+        assert 0 <= lower <= higher <= _passive(model, config, 1500.0) + 1e-9
 
 
 def test_invalid_inputs(protocol, model):
     config = enumerate_configs(protocol)[0]
     with pytest.raises(ImpactModelError):
-        mu_pow(model, config, 1500.0, -1.0)
+        _power(model, config, 1500.0, -1.0)
     with pytest.raises(ImpactModelError):
-        mu_pow(model, config, 0.0, 10.0)
+        _power(model, config, 0.0, 10.0)
     with pytest.raises(ImpactModelError):
         ImpactPowerModel(geometry_rule="cubic").geometry_factor(50)
 
 
 @pytest.mark.parametrize("mass", [900.0, 1500.0, 2400.0])
-def test_power_terms_match_the_reference_energy_and_mu_pow(protocol, model, mass):
+def test_power_terms_match_the_reference_energy_and_config_powers(protocol, model, mass):
     powers = protocol.compiled.passive_powers(model)  # at the default mass, whatever ``mass`` is
     for i, config in enumerate(protocol.compiled.configs):
         terms = power_terms(model, config, mass)
         assert powers.terms[i] == power_terms(model, config, DEFAULT_VUT_MASS)
-        assert powers.by_config[i] == passive_mu_pow(model, config, DEFAULT_VUT_MASS)
+        assert powers.by_config[i] == _passive(model, config, DEFAULT_VUT_MASS)
         for speed in (0.0, 0.3 * config.vut_speed, 0.7 * config.vut_speed, config.vut_speed):
             power = impact_power(terms, speed)
-            assert power == mu_pow(model, config, mass, speed)
             assert power == pytest.approx(energy(config, mass, speed), rel=1e-12, abs=1e-12)
             # The formula as one product, multiplied in the order it always was.
             if config.scenario.group is ScenarioGroup.C2C:
@@ -163,7 +129,7 @@ def test_impact_power_rejects_a_negative_speed(protocol, model):
 
 def test_scenario_passive_power_average(protocol, model):
     configs = enumerate_configs(protocol, scenario="Pallets", light="day")
-    powers = [passive_mu_pow(model, c, 1500.0) for c in configs]
+    powers = [_passive(model, c, 1500.0) for c in configs]
     assert scenario_passive_power(configs, powers, 1500.0) == pytest.approx(
         sum(powers) / len(powers)
     )
@@ -179,7 +145,7 @@ def test_instance_passive_power_is_the_in_order_mean_of_its_configs(protocol, mo
         for pair, part in protocol.compiled.instances.items():
             total = 0.0
             for config in part.configs:
-                total += passive_mu_pow(model, config, mass)
+                total += _passive(model, config, mass)
             mean, power = total / len(part.configs), powers.by_instance[pair]
             if mass == DEFAULT_VUT_MASS:
                 assert power == mean

@@ -178,7 +178,7 @@ def _row_by_row(rows, protocol):
         return None if value in (None, "") else float(value)
 
     def flag(value):
-        return None if value in (None, "") else str(value).lower() == "true"
+        return None if value in (None, "") else value is True or value == "true"
 
     records = []
     for row in rows:
@@ -242,7 +242,7 @@ _ROW = {"scenario": "CCRm", "light": "day", "vut_speed": 55, "tg_speed": 20, "ov
     "field, good, bad, message",
     [
         ("vut_speed", 1, True, "vut_speed must be a number"),
-        ("intervention", 1, 1.0, "intervention must be a boolean"),
+        ("intervention", True, 1, "intervention must be a boolean"),
         ("tg_speed", 20, [20], "tg_speed must be a number"),
     ],
 )

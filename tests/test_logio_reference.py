@@ -158,6 +158,11 @@ def _impact(text):
     return ROW.replace('"impact_speed": 30', '"impact_speed": ' + text)
 
 
+def _intervention(text):
+    """ROW with ``text`` for its intervention."""
+    return ROW.replace('"intervention": true', '"intervention": ' + text)
+
+
 MEMO_CASES = {
     "escaped-key": (
         [ROW % '"B"', ROW.replace('"vehicle"', '"vehicl\\u0065"') % '"A"', ROW % '"C"'],
@@ -273,6 +278,15 @@ MEMO_CASES = {
     "impact-text-in-a-string": (
         [ROW % '"B"', _impact("41").replace('"day"', '"day \\"impact_speed\\": 5"') % '"A"'],
         "line 2: unknown light 'day \"impact_speed\": 5'",
+    ),
+    # A boolean is a JSON true or false, or a string that is exactly one.
+    "intervention-string": ([ROW % '"B"', _intervention('"true"') % '"A"'], ["B", "A"]),
+    "intervention-one": (
+        [ROW % '"B"', _intervention("1") % '"A"'], "line 2: intervention must be a boolean, got 1"
+    ),
+    "intervention-yes": (
+        [ROW % '"B"', _intervention('"yes"') % '"A"'],
+        "line 2: intervention must be a boolean, got 'yes'",
     ),
 }
 # The MEMO_CASES above that take the full parse on every line.
@@ -712,7 +726,16 @@ BAD_CELLS = {
     "intervention": (
         {"intervention": "maybe"}, "line 3: intervention must be a boolean, got 'maybe'"
     ),
+    # a boolean cell is exactly "true" or "false"
+    "intervention-padded": (
+        {"intervention": " Yes "}, "line 3: intervention must be a boolean, got ' Yes '"
+    ),
+    "intervention-upper": (
+        {"intervention": "TRUE"}, "line 3: intervention must be a boolean, got 'TRUE'"
+    ),
+    "intervention-one": ({"intervention": "1"}, "line 3: intervention must be a boolean, got '1'"),
     "projected": ({"projected": "2"}, "line 3: projected must be a boolean, got '2'"),
+    "projected-no": ({"projected": "no"}, "line 3: projected must be a boolean, got 'no'"),
     "pre-test": ({"pre_test": "skipped"}, "line 3: pre_test must be 'passed' or 'failed'"),
     "missing-outcome": ({"outcome": ""}, "line 3: missing field 'outcome'"),
     "outcome-before-tg-speed": (
@@ -798,6 +821,9 @@ JSON_VALUES = {
     "string": '"x"',
     "number": "12.5",
     "integer": "7",
+    "one": "1",
+    "string-true": '"true"',
+    "yes": '"yes"',
     "empty": '""',
     "null": "null",
     "huge-integer": "9" * 5000,
@@ -811,6 +837,9 @@ CSV_CELLS = {
     "string": "x",
     "number": "12.5",
     "integer": "7",
+    "one": "1",
+    "upper-true": "TRUE",
+    "padded-yes": " Yes ",
     "empty": "",
     "null": "null",
     "huge-integer": "9" * 5000,

@@ -17,11 +17,11 @@ import pytest
 
 from aebscore import cli
 from aebscore.aggregate import (
-    METRIC_FREQ, AggregationError, GroupScore, build_matrix, relativity, relativity_row
+    METRIC_FREQ, AggregationError, GroupScore, build_matrix, relativity_row
 )
 from aebscore.cli import main
 from aebscore.protocol import ScenarioGroup, bundled_protocol_path
-from aebscore.report import format_percent_cell, format_percent_row, matrix_table, render
+from aebscore.report import format_percent_row, matrix_table, render
 from aebscore.scoring import ScoreValue
 from reference import matrix_reference, percent_text, relativity_cell
 
@@ -176,8 +176,6 @@ def test_matrix_rows_built_and_formatted_a_row_at_a_time_match_the_reference(val
             assert relativity_row(values[x], ranked) == tuple(
                 relativity_cell(values[x], y) for y in ranked
             )
-            assert [relativity(values[x], y) for y in ranked] == list(row)
-            assert [format_percent_cell(v) for v in row] == list(texts)
 
 
 def test_cells_view_is_a_read_only_mapping_over_the_rows():

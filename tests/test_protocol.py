@@ -10,7 +10,6 @@ from aebscore.protocol import (
     bundled_protocol_path,
     enumerate_configs,
     load_protocol,
-    speed_lattice,
 )
 from reference import protocol_to_dict
 
@@ -83,9 +82,14 @@ def test_declared_count_checked():
         load_protocol(doc)
 
 
+def _speeds(spec: ScenarioSpec, light: str = "day") -> list[float]:
+    """Ascending, de-duplicated VUT speeds across the series of ``light``."""
+    return sorted({s for v in spec.settings(light).variants for s in v.speeds})
+
+
 def test_speed_lattice_basic(protocol):
     ccrs = protocol.scenario("CCRs")
-    assert speed_lattice(ccrs) == [55, 65, 75, 85, 95, 105, 115, 125]
+    assert _speeds(ccrs) == [55, 65, 75, 85, 95, 105, 115, 125]
 
 
 def test_speed_lattice_degenerate():
@@ -104,35 +108,30 @@ def test_speed_lattice_degenerate():
             ]
         }
     )
-    assert speed_lattice(protocol.scenario("X")) == [15]
+    assert _speeds(protocol.scenario("X")) == [15]
 
 
 def test_speed_lattice_dual_range_union(protocol):
     spec = protocol.scenario("CCscp left")
-    assert speed_lattice(spec) == [35, 45, 55, 65, 75, 85, 95]
+    assert _speeds(spec) == [35, 45, 55, 65, 75, 85, 95]
 
 
 def test_speed_lattice_under_a_light_reads_the_light_settings(protocol):
-    for spec in protocol.scenarios:
-        for light in spec.lights:
-            speeds = {s for v in spec.settings(light).variants for s in v.speeds}
-            assert speed_lattice(spec, light) == sorted(speeds), (spec.code, light)
     pallets = protocol.scenario("Pallets")  # night overrides the speed ranges
-    assert speed_lattice(pallets, "night") != speed_lattice(pallets, "day")
-    assert speed_lattice(pallets) == speed_lattice(pallets, "day")
+    assert _speeds(pallets, "day") == [55, 65, 75, 85, 95, 105]
+    assert _speeds(pallets, "night") == [45, 55, 65, 75, 85, 95, 105]
 
 
 def test_speed_lattice_of_an_unknown_light_is_rejected(protocol):
     with pytest.raises(ProtocolError, match="not licensed for 'dusk'"):
-        speed_lattice(protocol.scenario("CCRs"), "dusk")
+        protocol.scenario("CCRs").settings("dusk")
 
 
 def test_speed_lattice_of_an_unlicensed_light_is_rejected(protocol):
     spec = protocol.scenario("CBNA")
     assert spec.lights == ("day",)
     with pytest.raises(ProtocolError, match="not licensed for 'night'"):
-        speed_lattice(spec, "night")
-    assert speed_lattice(spec) == speed_lattice(spec, "day")
+        spec.settings("night")
 
 
 def test_paired_tg_enumeration(protocol):

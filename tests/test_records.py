@@ -12,7 +12,7 @@ import pytest
 
 from aebscore.aggregate import GroupScore, build_matrix, load_weight_table
 from aebscore.campaign import CompletionStats, Diagnostic, TestOutcome, TestRecord
-from aebscore.impact import ImpactPowerModel, InterventionSample
+from aebscore.impact import ImpactPowerModel
 from aebscore.protocol import (
     LightOverride,
     ScenarioGroup,
@@ -48,7 +48,6 @@ def _records():
         (Diagnostic("duplicate-record", "1A/CCRm", "duplicate record"), True),
         (CompletionStats(224, 180, 44, 100), True),
         (ImpactPowerModel(tg_masses={ScenarioGroup.C2C: 1400.0}), True),
-        (InterventionSample(50.0, 6.0, 10.0), True),
         (score, True),
         (ScenarioScore("1A", "CCRm", "day", score, score, 32), True),
         (load_weight_table(DATA / "weights_eu_example.json"), False),  # weights is a dict

@@ -6,7 +6,7 @@ from aebscore.aggregate import GroupScore, build_matrix
 from aebscore.protocol import ScenarioGroup
 from aebscore.report import (
     format_number,
-    format_percent_cell,
+    format_percent_row,
     format_score_cell,
     matrix_table,
     render,
@@ -36,12 +36,9 @@ def test_format_score_cell():
 
 
 def test_format_percent_cell():
-    assert format_percent_cell(0.1286) == "12.86%"
-    assert format_percent_cell(-0.1139) == "-11.39%"
-    assert format_percent_cell(0.0) == "0.00%"
-    assert format_percent_cell(-1.0) == "-100.00%"
-    assert format_percent_cell(math.inf) == "inf"
-    assert format_percent_cell(17.9963) == "1799.63%"
+    assert format_percent_row((0.1286, -0.1139, 0.0, -1.0, math.inf, 17.9963)) == (
+        "12.86%", "-11.39%", "0.00%", "-100.00%", "inf", "1799.63%"
+    )
 
 
 def test_cell_parsers_invert_formatters():

@@ -10,7 +10,6 @@ from aebscore.campaign import (
     TestOutcome,
     completion_stats,
     expand_night_judgements,
-    pretest_config,
     validate_log,
 )
 from aebscore.cli import main
@@ -277,7 +276,7 @@ def test_random_oracle_matches_a_per_config_reference_in_any_order(protocol, ora
     spec = load_simulation_spec({"seed": 11, "vehicles": [{"id": "V", "oracle": oracle}]})
     oracle_spec = spec.vehicles[0][1]
     configs = enumerate_configs(protocol) + [
-        pretest_config(protocol.scenario(code), light)
+        protocol.scenario(code).settings(light).pretest
         for code, light in protocol.licensed_pairs()
         if protocol.scenario(code).requires_pretest
     ]
@@ -324,7 +323,7 @@ def test_pretest_probe_is_one_object_per_light_for_every_vehicle(protocol, monke
     for code, light in pairs:
         probe = probes[("V1", code, light)]
         assert probes[("V2", code, light)] is probe
-        assert pretest_config(protocol.scenario(code), light) is probe
+        assert protocol.scenario(code).settings(light).pretest is probe
         assert probe.vut_speed == protocol.scenario(code).pretest_speed()
 
 
