@@ -119,12 +119,13 @@ def _weight_table(doc: Mapping) -> WeightTable:
             raise WeightTableError(f"unknown scenario group {name!r}") from None
         if not isinstance(members, list) or not members:
             raise WeightTableError(f"groups.{name}: expected a non-empty array")
-        instances = []
+        instances = {}  # each member, in order -> its index in the group
         for j, entry in enumerate(members):
             where = f"groups.{name}[{j}]"
             if not isinstance(entry, Mapping):
                 raise WeightTableError(f"{where}: expected an object")
-            instances.append(_instance(entry, where))
+            if instances.setdefault(instance := _instance(entry, where), j) != j:
+                raise WeightTableError(f"{where}: duplicate instance {instance}")
         groups[group] = tuple(instances)
         if not any(weights.get(inst, 0.0) > 0 for inst in instances):
             raise WeightTableError(f"groups.{name}: weights sum to zero")

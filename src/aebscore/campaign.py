@@ -10,10 +10,10 @@ pre-test first; no response there fails the whole scenario.
 
 A campaign log is its rows: ``CampaignLog`` keeps, per vehicle, its
 ``(position, config, outcome, pre_test)`` entries in row order, where the
-position indexes the protocol's compiled table, and the vehicle column as
+position indexes the protocol's config table, and the vehicle column as
 runs of consecutive rows. Validation, completion statistics, night
 expansion, scoring and log writing read each vehicle's entries, with the
-compiled series numbers and the night-to-day position pairs;
+protocol's series numbers and night-to-day position pairs;
 ``log.records`` builds ``TestRecord`` objects, in row order, on each read.
 """
 
@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from .protocol import (
     DAY,
-    CompiledProtocol,
     ProtocolDefinition,
     ScenarioSpec,
     TestConfig,
@@ -149,7 +148,7 @@ class CampaignLog:
 
     ``vehicles`` maps each vehicle, in order of first appearance, to its
     ``(position, config, outcome, pre_test)`` entries in row order, where the
-    position indexes the protocol's compiled ``configs`` or is None off the
+    position indexes the protocol's ``configs`` or is None off the
     lattice; rows that read alike may share one entry tuple. The vehicle
     column is kept as runs of consecutive rows with one vehicle:
     ``run_lengths[i]`` rows of ``run_vehicles[i]``, the log's own key string.
@@ -160,7 +159,7 @@ class CampaignLog:
     __slots__ = ("protocol", "vehicles", "run_vehicles", "run_lengths", "size")
 
     def __init__(self, protocol: ProtocolDefinition, records: Iterable[TestRecord] = ()):
-        index = protocol.compiled.index
+        index = protocol.index
         self._fill(
             protocol,
             (
@@ -305,23 +304,23 @@ def run_scenario(
     return records
 
 
-def _series(compiled: CompiledProtocol, pos: int | None, config: TestConfig):
-    """Escalation series of a record: its number in the compiled table, or
+def _series(protocol: ProtocolDefinition, pos: int | None, config: TestConfig):
+    """Escalation series of a record: its number in the protocol's table, or
     the series key when the lattice has no such series."""
     if pos is not None:
-        return compiled.series[pos]
+        return protocol.series[pos]
     key = series_key(config)
-    return compiled.series_index.get(key, key)
+    return protocol.series_index.get(key, key)
 
 
 def judged_nights(
-    compiled: CompiledProtocol, entries: Iterable[tuple], night_pairs: Iterable[tuple]
+    protocol: ProtocolDefinition, entries: Iterable[tuple], night_pairs: Iterable[tuple]
 ) -> Iterator[int]:
     """The night rule: night positions judged failed from one vehicle's day records.
 
     ``entries`` are the vehicle's ``(position, config, outcome, pre_test)``
     entries in row order; only the day ones count, and of repeats at one
-    configuration the last. ``night_pairs`` is ``compiled.night_pairs`` or a
+    configuration the last. ``night_pairs`` is ``protocol.night_pairs`` or a
     part of it. A night position is judged when its daylight counterpart was
     judged, or was an impact at the lowest impacted or judged speed of its
     day series. A night position without a daylight counterpart is never
@@ -332,7 +331,7 @@ def judged_nights(
     for pos, config, outcome, _ in entries:
         if config.light != DAY:
             continue
-        series = _series(compiled, pos, config)
+        series = _series(protocol, pos, config)
         speed = config.vut_speed
         day[config.key() if pos is None else pos] = (series, speed, outcome)
         kind = outcome.kind
@@ -356,19 +355,19 @@ def expand_night_judgements(log: CampaignLog) -> CampaignLog:
     records are never touched, and applying the expansion twice changes
     nothing.
     """
-    compiled = log.protocol.compiled
-    configs = compiled.configs
+    protocol = log.protocol
+    configs = protocol.configs
     judged = TestOutcome.judged()
     added = []
     for vehicle in log.vehicle_ids():
         entries = log.vehicles[vehicle]
-        nights = list(judged_nights(compiled, entries, compiled.night_pairs))
+        nights = list(judged_nights(protocol, entries, protocol.night_pairs))
         if nights:
             held = {entry[0] for entry in entries}
             added += [(vehicle, (n, configs[n], judged, None)) for n in nights if n not in held]
     if not added:
         return log
-    return CampaignLog._of_entries(log.protocol, added, base=log)
+    return CampaignLog._of_entries(protocol, added, base=log)
 
 
 class Diagnostic(NamedTuple):
@@ -396,7 +395,7 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
     come in row order, those about a series last, one series after another
     in order of its first row.
     """
-    compiled = log.protocol.compiled
+    protocol = log.protocol
     checked: dict[tuple, list[str]] = {}  # (position, id(outcome)) -> its problems
     # (vehicle, entry index, entry index of its series' first row or None, code, config, message)
     findings = []
@@ -424,21 +423,21 @@ def validate_log(log: CampaignLog) -> list[Diagnostic]:
             # A judged record, or an impact with no braking response, ends a
             # series; nothing may execute above the lowest such speed.
             if kind is _JUDGED_KIND or (kind is _IMPACTED_KIND and outcome.intervention is False):
-                series = _series(compiled, pos, config)
+                series = _series(protocol, pos, config)
                 stops[series] = min(config.vut_speed, stops.get(series, config.vut_speed))
         if not stops:
             continue
         above = []
         for i, (pos, config, outcome, _) in enumerate(entries):
             if outcome.kind in EXECUTED_KINDS:
-                series = _series(compiled, pos, config)
+                series = _series(protocol, pos, config)
                 if config.vut_speed > stops.get(series, math.inf):
                     above.append((series, i, config))
         if not above:
             continue
         first: dict = {}  # series -> index of its first entry
         for i, (pos, config, _, _) in enumerate(entries):
-            first.setdefault(_series(compiled, pos, config), i)
+            first.setdefault(_series(protocol, pos, config), i)
         for series, i, config in above:
             message = f"executed above a failure at {stops[series]:g} km/h in the same series"
             findings.append((vehicle, i, first[series], "executed-above-failure", config, message))

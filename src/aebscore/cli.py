@@ -24,7 +24,7 @@ from .aggregate import (
     load_weight_table,
 )
 from .campaign import completion_stats, validate_log
-from .impact import load_impact_config
+from .impact import load_impact_config, passive_powers
 from .logio import read_log, write_log
 from .protocol import LIGHTS, load_protocol
 from .report import (
@@ -201,7 +201,7 @@ def cmd_compare(args) -> int:
     by_vehicle: dict[str, dict] = {}  # vehicle -> (scenario, light) -> its score
     for s in scores:
         by_vehicle.setdefault(s.vehicle, {})[s.scenario, s.light] = s
-    by_instance = protocol.compiled.passive_powers(model).by_instance
+    by_instance = passive_powers(model, protocol)[2]
     group_scores = [
         [
             GroupScore(

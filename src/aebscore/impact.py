@@ -15,7 +15,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .protocol import MAX_MAGNITUDE, ScenarioGroup, TestConfig, read_document, within
+from .protocol import MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, TestConfig
+from .protocol import check_fields, read_document, within
 
 KMH_TO_MS = 1.0 / 3.6
 
@@ -68,9 +69,8 @@ def load_impact_config(source: str | Path | Mapping) -> ImpactPowerModel:
     masses are checked, not kept: they cancel out of every score (see ``scoring``).
     """
     doc = read_document(source, "impact model", ImpactModelError)
-    unknown = set(doc) - {"name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"}
-    if unknown:
-        raise ImpactModelError(f"unknown impact model field(s) {sorted(unknown)}")
+    fields = frozenset(("name", "tg_masses", "geometry_rule", "vut_masses", "default_vut_mass"))
+    check_fields(doc, fields, "impact model", ImpactModelError)
     geometry_rule = doc.get("geometry_rule", "linear")
     if not isinstance(geometry_rule, str) or geometry_rule not in GEOMETRY_RULES:
         raise ImpactModelError(
@@ -163,3 +163,18 @@ def scenario_passive_power(
     for power in passive:
         total += power
     return total / len(configs)
+
+
+def passive_powers(model: ImpactPowerModel, protocol: ProtocolDefinition) -> tuple:
+    """``(terms, by_config, by_instance)`` under ``model``'s geometry rule at the
+    default masses, built anew on each call: a mass scales a scenario group's
+    powers by one factor, and weight tables keep each group to its own scenarios.
+    ``terms[i]`` and ``by_config[i]`` belong to ``protocol.configs[i]`` (see
+    ``config_powers``); ``by_instance`` maps (scenario, light) to its mean."""
+    default_masses = ImpactPowerModel(geometry_rule=model.geometry_rule)
+    terms, by_config = config_powers(default_masses, protocol.configs, DEFAULT_VUT_MASS)
+    by_instance = {
+        pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], DEFAULT_VUT_MASS)
+        for pair, p in protocol.instances.items()
+    }
+    return terms, by_config, by_instance

@@ -13,7 +13,7 @@ a finite number", as a JSON ``NaN`` or ``1e400`` is. A boolean is a JSON
 them: ``TRUE``, `` yes ``, ``1`` and a JSON ``1`` are not booleans.
 
 ``read_log`` streams rows straight into the log (see ``campaign.CampaignLog``):
-each row appends its entry, the compiled position of its config with the
+each row appends its entry, the protocol's position of its config with the
 config, outcome and pre-test, to its vehicle's entries.
 Campaign logs repeat themselves: every vehicle runs the same configurations
 with few distinct outcomes. ``read_log`` therefore checks each distinct row
@@ -409,10 +409,9 @@ def _entry_from_row(row: Mapping, protocol: ProtocolDefinition) -> tuple:
 
     if not protocol.has_scenario(code):
         raise LogFormatError(f"unknown scenario {code!r}")
-    compiled = protocol.compiled
-    pos = compiled.index.get((code, light, overlap, vut_speed, tg_speed))
+    pos = protocol.index.get((code, light, overlap, vut_speed, tg_speed))
     if pos is not None:
-        config = compiled.configs[pos]
+        config = protocol.configs[pos]
     else:
         config = TestConfig(
             scenario=protocol.scenario(code),

@@ -10,15 +10,15 @@ Enumerating a protocol produces every concrete test configuration in a
 deterministic order: scenario order, day before night, ascending overlap,
 ascending VUT speed, ascending TG speed.
 
-Each protocol is compiled once, when it is constructed: a ``CompiledProtocol``
-holds the canonical ``TestConfig`` objects in enumeration order, a key ->
-position index, one slice per licensed (scenario, light) instance with an
-escalation-series id per config, and passive impact powers per impact
-model, computed on first use. The configs themselves are built
-with each scenario's light settings. Enumeration, lookups, log parsing,
-simulation and scoring all resolve against them, so every licensed
-configuration exists as exactly one object. Before anything is built, the
-size of the lattice is counted arithmetically and capped at ``MAX_CONFIGS``.
+Each protocol builds its table once, when it is constructed: a
+``ProtocolDefinition`` holds the canonical ``TestConfig`` objects in
+enumeration order, a key -> position index, and one slice per licensed
+(scenario, light) instance with an escalation-series id per config. The
+configs themselves are built with each scenario's light settings.
+Enumeration, lookups, log parsing, simulation and scoring all resolve
+against them, so every licensed configuration exists as exactly one object.
+Before anything is built, the size of the lattice is counted arithmetically
+and capped at ``MAX_CONFIGS``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 DAY = "day"
@@ -84,7 +84,7 @@ class LightSettings(NamedTuple):
     """The settings a scenario licenses under one light condition.
 
     ``configs`` maps each lattice cell (overlap, VUT speed, TG speed) to its
-    one ``TestConfig``: the compiled protocol and ``run_scenario`` share them.
+    one ``TestConfig``: the protocol's table and ``run_scenario`` share them.
     ``pretest`` is the low-speed probe below the lattice, one per light.
     """
 
@@ -180,7 +180,7 @@ class ScenarioSpec:
         """Upper bound on the configurations this scenario enumerates.
 
         Counted from the ranges and steps alone, without building a lattice;
-        exact unless ranges, TG speeds or overlaps repeat each other.
+        exact unless ranges or TG speeds repeat each other.
         """
         total = 0
         for light in self.lights:
@@ -238,9 +238,9 @@ class TestConfig(NamedTuple):
 
 
 class InstanceSlice(NamedTuple):
-    """The configs of one licensed (scenario, light) instance in the compiled table.
+    """The configs of one licensed (scenario, light) instance in the protocol's table.
 
-    ``configs`` is ``CompiledProtocol.configs[start:stop]``; ``series[i]``
+    ``configs`` is ``ProtocolDefinition.configs[start:stop]``; ``series[i]``
     numbers the escalation series of ``configs[i]`` from 0, in order of
     first appearance.
     """
@@ -251,21 +251,8 @@ class InstanceSlice(NamedTuple):
     series: tuple[int, ...]
 
 
-class PassivePowers(NamedTuple):
-    """Impact-power terms and passive impact powers under one impact model.
-
-    ``terms[i]`` (see ``impact.power_terms``) and ``by_config[i]`` belong to
-    ``CompiledProtocol.configs[i]``; ``by_instance`` maps (scenario, light)
-    to the unweighted mean over the instance's configs.
-    """
-
-    terms: tuple[tuple, ...]
-    by_config: tuple[float, ...]
-    by_instance: Mapping[tuple[str, str], float]
-
-
-class CompiledProtocol:
-    """Every test configuration of a protocol, built once and shared.
+class ProtocolDefinition:
+    """Validated, immutable scenario catalogue with every test configuration it licenses.
 
     ``configs`` holds the canonical configs in enumeration order, ``index``
     maps a config key to its position, and ``instances`` maps each licensed
@@ -277,7 +264,18 @@ class CompiledProtocol:
     the same settings or, when the day lattice lacks it, that config's key.
     """
 
-    def __init__(self, scenarios: Iterable[ScenarioSpec]):
+    __slots__ = ("scenarios", "provenance", "notes", "configs", "index", "instances", "series",
+                 "series_index", "night_pairs", "_by_code")
+
+    def __init__(self, scenarios: tuple[ScenarioSpec, ...], provenance: str = "", notes: str = ""):
+        total = 0
+        for i, spec in enumerate(scenarios):
+            total += spec.config_bound()
+            if total > MAX_CONFIGS:
+                raise ProtocolError(
+                    f"scenarios[{i}] ({spec.code}): the protocol would enumerate up to "
+                    f"{total} configurations; the limit is {MAX_CONFIGS}"
+                )
         configs: list[TestConfig] = []
         index: dict[tuple, int] = {}  # config key -> position
         instances: dict[tuple[str, str], InstanceSlice] = {}
@@ -303,53 +301,15 @@ class CompiledProtocol:
             instances[(spec.code, light)] = InstanceSlice(
                 start, len(configs), tuple(configs[start:]), tuple(series)
             )
-        self.configs: tuple[TestConfig, ...] = tuple(configs)
-        self.index = index
-        self.instances = instances
-        self.series_index = series_index
-        self.series = tuple(table_series)
-        self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
-        self._passive: dict[str, PassivePowers] = {}  # geometry rule -> its powers
-
-    def passive_powers(self, model) -> PassivePowers:
-        """Power terms and passive powers under ``model``'s geometry rule, at the
-        default masses, built on first use: a mass scales a scenario group's powers
-        by one factor, and weight tables keep each group to its own scenarios."""
-        rule = model.geometry_rule
-        powers = self._passive.get(rule)
-        if powers is None:
-            from .impact import (  # impact imports this module
-                DEFAULT_VUT_MASS, ImpactPowerModel, config_powers, scenario_passive_power,
-            )
-
-            default_masses = ImpactPowerModel(geometry_rule=rule)
-            terms, by_config = config_powers(default_masses, self.configs, DEFAULT_VUT_MASS)
-            by_instance = {
-                pair: scenario_passive_power(p.configs, by_config[p.start:p.stop], DEFAULT_VUT_MASS)
-                for pair, p in self.instances.items()
-            }
-            powers = self._passive[rule] = PassivePowers(terms, by_config, by_instance)
-        return powers
-
-
-class ProtocolDefinition:
-    """Validated, immutable scenario catalogue with its compiled config table."""
-
-    __slots__ = ("scenarios", "provenance", "notes", "compiled", "_by_code")
-
-    def __init__(self, scenarios: tuple[ScenarioSpec, ...], provenance: str = "", notes: str = ""):
-        total = 0
-        for i, spec in enumerate(scenarios):
-            total += spec.config_bound()
-            if total > MAX_CONFIGS:
-                raise ProtocolError(
-                    f"scenarios[{i}] ({spec.code}): the protocol would enumerate up to "
-                    f"{total} configurations; the limit is {MAX_CONFIGS}"
-                )
         self.scenarios = scenarios
         self.provenance = provenance
         self.notes = notes
-        self.compiled = CompiledProtocol(scenarios)
+        self.configs: tuple[TestConfig, ...] = tuple(configs)
+        self.index = index
+        self.instances = instances
+        self.series = tuple(table_series)
+        self.series_index = series_index
+        self.night_pairs: tuple[tuple[int, int | tuple], ...] = tuple(night_pairs)
         self._by_code = {s.code: s for s in scenarios}
 
     def scenario(self, code: str) -> ScenarioSpec:
@@ -362,11 +322,11 @@ class ProtocolDefinition:
         return code in self._by_code
 
     def config_count(self) -> int:
-        return len(self.compiled.configs)
+        return len(self.configs)
 
     def licensed_pairs(self) -> list[tuple[str, str]]:
         """(scenario code, light) pairs the protocol licenses, in output order."""
-        return list(self.compiled.instances)
+        return list(self.instances)
 
 
 def _tg_key(tg: float | None) -> float:
@@ -395,7 +355,7 @@ def enumerate_configs(
             raise ProtocolError(f"unknown scenario group {group!r}") from None
 
     configs: list[TestConfig] = []
-    for (code, lt), part in protocol.compiled.instances.items():
+    for (code, lt), part in protocol.instances.items():
         if scenario is not None and code != scenario:
             continue
         if light is not None and lt != light:
@@ -484,6 +444,12 @@ def read_document(source: str | Path | Mapping, kind: str, error: type[ValueErro
     return doc
 
 
+def check_fields(doc: Mapping, keys: frozenset, where: str, error: type[ValueError]) -> None:
+    """Raise ``error`` at ``where`` for the keys of ``doc`` that ``keys`` lacks."""
+    if not doc.keys() <= keys:
+        raise error(f"{where}: unknown field(s) {sorted(doc.keys() - keys)}")
+
+
 def has_lone_surrogate(text: str) -> bool:
     """No UTF-8 file holds a lone surrogate, but a JSON escape such as "\\ud800" makes one."""
     return not text.isascii() and any("\ud800" <= c <= "\udfff" for c in text)
@@ -492,9 +458,7 @@ def has_lone_surrogate(text: str) -> bool:
 def _parse_scenario(entry, where: str) -> ScenarioSpec:
     if not isinstance(entry, Mapping):
         raise ProtocolError(f"{where}: scenario entry must be an object")
-    unknown = set(entry) - _SCENARIO_KEYS
-    if unknown:
-        raise ProtocolError(f"{where}: unknown field(s) {sorted(unknown)}")
+    check_fields(entry, _SCENARIO_KEYS, where, ProtocolError)
     code = entry.get("code")
     if not isinstance(code, str) or not code:
         raise ProtocolError(f"{where}: 'code' must be a non-empty string")
@@ -551,9 +515,7 @@ def _flag(entry: Mapping, key: str, where: str) -> bool:
 def _parse_override(raw, step: float, where: str) -> LightOverride:
     if not isinstance(raw, Mapping):
         raise ProtocolError(f"{where}: override must be an object")
-    unknown = set(raw) - {"vut_speed_ranges", "tg_speeds", "overlaps"}
-    if unknown:
-        raise ProtocolError(f"{where}: unknown field(s) {sorted(unknown)}")
+    check_fields(raw, frozenset(LightOverride._fields), where, ProtocolError)
     ranges = None
     if raw.get("vut_speed_ranges") is not None:
         ranges = _parse_ranges(raw["vut_speed_ranges"], step, f"{where}.vut_speed_ranges")
@@ -599,9 +561,13 @@ def _parse_overlaps(raw, where: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or not raw:
         raise ProtocolError(f"{where}: expected a non-empty array of percentages")
     overlaps = tuple(_number(v, where) for v in raw)
+    seen = set()
     for o in overlaps:
         if not 0 < o <= 100:
             raise ProtocolError(f"{where}: overlap {o} outside (0, 100]")
+        if o in seen:
+            raise ProtocolError(f"{where}: overlap {o:g} given twice")
+        seen.add(o)
     return overlaps
 
 

@@ -19,12 +19,12 @@ One kernel computes both scores and the envelope: it takes an instance's
 configs with their series ids, outcomes, passive powers and power terms as
 parallel sequences and makes one pass over them per shift. ``score_campaign``
 feeds it slices of each vehicle's outcomes laid out like the protocol's
-compiled table, and of the terms and powers the compiled protocol keeps per
-geometry rule; ``frequency_score`` and ``mitigation_power_score`` feed it
-any config sequence with its outcome mapping. Within one ``score_campaign``
-call the kernel runs once per distinct input: vehicles whose outcomes in an
-instance are the same objects (``read_log`` shares them between rows that
-read alike) share its result. The key is the instance and the identities of
+config table, and of the terms and powers ``impact.passive_powers`` builds
+once per call; ``frequency_score`` and ``mitigation_power_score`` feed it
+any config sequence with its outcome mapping and per-config weights. Within
+one ``score_campaign`` call the kernel runs once per distinct input:
+vehicles whose outcomes in an instance are the same objects (``read_log``
+shares them between rows that read alike) share its result. The key is the instance and the identities of
 its outcomes, not their values, which in a log built in code may be ``-0.0``
 or ``nan``. Nothing is cached between calls.
 
@@ -44,7 +44,7 @@ from .campaign import (
     series_key,
     validate_log,
 )
-from .impact import ImpactPowerModel, PowerTerms, config_powers, impact_power
+from .impact import ImpactPowerModel, PowerTerms, config_powers, impact_power, passive_powers
 from .protocol import LIGHTS, TestConfig
 
 UNCERTAINTY_SHIFT_KMH = 5.0
@@ -201,7 +201,6 @@ def mitigation_power_score(
 def score_campaign(
     log: CampaignLog,
     model: ImpactPowerModel,
-    config_weights: Mapping[TestConfig, float] | None = None,
     validate: bool = True,
 ) -> list[ScenarioScore]:
     """Score every vehicle on every (scenario, light) instance of the protocol,
@@ -221,10 +220,10 @@ def score_campaign(
             raise ScoringError(
                 f"log has {len(diagnostics)} validation finding(s); first: {diagnostics[0]}"
             )
-    compiled = log.protocol.compiled
-    size = len(compiled.configs)
+    protocol = log.protocol
+    size = len(protocol.configs)
     scores: list[ScenarioScore] = []
-    powers = None
+    terms = None
     # (instance start, identities of its outcomes) -> (fs, mps). The log holds
     # every outcome for the call, so an identity names one object throughout.
     scored: dict[tuple, tuple] = {}
@@ -236,9 +235,9 @@ def score_campaign(
                 off_lattice.add((config.code, config.light))
             else:  # a later duplicate replaces an earlier record
                 outcomes[pos] = outcome
-        for spec in log.protocol.scenarios:
+        for spec in protocol.scenarios:
             for light in LIGHTS:
-                part = compiled.instances.get((spec.code, light))
+                part = protocol.instances.get((spec.code, light))
                 if part is None:
                     scores.append(
                         ScenarioScore(vehicle, spec.code, light, None, None, 0, True)
@@ -256,11 +255,11 @@ def score_campaign(
                 key = (part.start, *map(id, instance_outcomes))
                 result = scored.get(key)
                 if result is None:
-                    if powers is None:
-                        powers = compiled.passive_powers(model)
+                    if terms is None:
+                        terms, by_config, _ = passive_powers(model, protocol)
                     result = scored[key] = _kernel(
-                        part.configs, part.series, instance_outcomes, config_weights,
-                        powers.by_config[part.start:part.stop], powers.terms[part.start:part.stop],
+                        part.configs, part.series, instance_outcomes, None,
+                        by_config[part.start:part.stop], terms[part.start:part.stop],
                     )
                 fs, mps = result
                 scores.append(

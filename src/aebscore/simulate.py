@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple
 
 from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario, series_key
 from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
+from .protocol import check_fields
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
 
@@ -48,6 +49,7 @@ class SimulationSpec(NamedTuple):
 def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
     """Load and validate a simulation spec (a path or a mapping, see ``read_document``)."""
     doc = read_document(source, "simulation spec", SimulationSpecError)
+    check_fields(doc, _SPEC_KEYS, "simulation spec", SimulationSpecError)
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SimulationSpecError("'seed' must be an integer")
@@ -61,6 +63,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         where = f"vehicles[{i}]"
         if not isinstance(entry, Mapping):
             raise SimulationSpecError(f"{where}: expected an object")
+        check_fields(entry, _VEHICLE_KEYS, where, SimulationSpecError)
         vid = entry.get("id")
         if not isinstance(vid, str) or not vid:
             raise SimulationSpecError(f"{where}: 'id' must be a non-empty string")
@@ -81,11 +84,17 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         oracle_doc = entry.get("oracle", default_oracle)
         if oracle_doc is None:
             raise SimulationSpecError(f"{where}: no oracle and no default_oracle")
-        vehicles[vid] = _parse_oracle(oracle_doc, f"{where}.oracle")
+        vehicles[vid] = _parse_oracle(
+            oracle_doc, f"{where}.oracle" if "oracle" in entry else "default_oracle"
+        )
     return SimulationSpec(seed=seed, vehicles=tuple(vehicles.items()))
 
 
+_SPEC_KEYS = frozenset(("seed", "vehicles", "default_oracle"))
+_VEHICLE_KEYS = frozenset(("id", "mass", "sensors", "model_year", "is_prototype", "oracle"))
 _ORACLE_KINDS = ("always_avoid", "never_respond", "threshold", "random")
+_ORACLE_KEYS = frozenset(("type", *OracleSpec._fields[1:]))  # "type" names the kind
+_RULE_KEYS = frozenset(("scenario", "light", "overlap", "tg_speed", "fail_at"))
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -102,6 +111,7 @@ _ORACLE_NUMBERS = {
 def _parse_oracle(doc, where: str) -> OracleSpec:
     if not isinstance(doc, Mapping):
         raise SimulationSpecError(f"{where}: expected an object")
+    check_fields(doc, _ORACLE_KEYS, where, SimulationSpecError)
     kind = doc.get("type")
     if kind not in _ORACLE_KINDS:
         raise SimulationSpecError(f"{where}: 'type' must be one of {_ORACLE_KINDS}")
@@ -111,6 +121,7 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     for i, rule in enumerate(rules):
         if not isinstance(rule, Mapping):
             raise SimulationSpecError(f"{where}.rules[{i}]: expected an object")
+        check_fields(rule, _RULE_KEYS, f"{where}.rules[{i}]", SimulationSpecError)
         fail_at = rule.get("fail_at")
         if fail_at is not None and not within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
             raise SimulationSpecError(
@@ -234,10 +245,9 @@ def simulate_campaign(
     stop_on_impact: bool = True,
 ) -> CampaignLog:
     """Replay the incremental procedure for every vehicle in the spec."""
-    compiled = protocol.compiled
-    index, configs = compiled.index, compiled.configs
+    index, configs = protocol.index, protocol.configs
     night_pairs: dict[str, list[tuple]] = {}  # scenario -> its (night, day counterpart) pairs
-    for pair in compiled.night_pairs:
+    for pair in protocol.night_pairs:
         night_pairs.setdefault(configs[pair[0]].code, []).append(pair)
     entries = []  # (vehicle, (position, config, outcome, pre_test)) in row order
     avoided, judged_failed = TestOutcome.avoided(), TestOutcome.judged()  # one object each
@@ -252,7 +262,7 @@ def simulate_campaign(
                     continue
                 if light == NIGHT:
                     pairs = night_pairs.get(scenario.code, ())
-                    judged = {configs[night] for night in judged_nights(compiled, day, pairs)}
+                    judged = {configs[night] for night in judged_nights(protocol, day, pairs)}
                 for overlap in scenario.settings(light).overlaps:
                     for _, config, outcome, pre_test in run_scenario(
                         oracle,

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -266,6 +267,30 @@ def test_weight_table_errors_of_a_file_name_it(tmp_path):
     with pytest.raises(WeightTableError) as raised:  # a mapping has no file to name
         load_weight_table({"weights": [], "groups": {}})
     assert str(raised.value) == "'region' must be a non-empty string"
+
+
+def test_weight_table_rejects_a_group_member_given_twice(tmp_path):
+    # Counted twice, the member would weigh double in the group's weighted mean.
+    doc = {
+        "region": "EU",
+        "weights": [{"scenario": s, "light": "day", "w": 1} for s in ("CCRs", "CCRm")],
+        "groups": {
+            "C2C": [
+                {"scenario": "CCRs", "light": "day"},
+                {"scenario": "CCRm", "light": "day"},
+                {"scenario": "CCRs", "light": "day"},
+            ]
+        },
+    }
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(WeightTableError) as raised:
+        load_weight_table(path)
+    assert str(raised.value) == (
+        f"weight table {path}: groups.C2C[2]: duplicate instance ('CCRs', 'day')"
+    )
+    doc["groups"]["C2C"].pop()
+    assert load_weight_table(doc).groups[ScenarioGroup.C2C] == (("CCRs", "day"), ("CCRm", "day"))
 
 
 def test_the_region_limit_leaves_every_report_file_name_within_255_bytes():

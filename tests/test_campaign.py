@@ -352,7 +352,7 @@ def test_avoided_and_judged_outcomes_are_shared(protocol):
 
 
 def test_run_scenario_records_use_the_protocols_configs(protocol):
-    canonical = set(map(id, protocol.compiled.configs))
+    canonical = set(map(id, protocol.configs))
     for code, light in protocol.licensed_pairs():
         spec = protocol.scenario(code)
         for overlap in spec.settings(light).overlaps:

@@ -915,20 +915,21 @@ def test_stats_orders_an_id_of_5000_digits_without_int(tmp_path, capsys):
 
 def test_no_vut_or_target_mass_changes_a_score_or_compare_byte(tmp_path, capsys, monkeypatch):
     # A vehicle's or target's mass scales a scenario group's powers by one
-    # factor, so it cancels; the powers are built at the default masses, once
-    # per geometry rule, so even a target whose powers would round to zero
-    # gives the default reports.
-    from aebscore.protocol import CompiledProtocol
+    # factor, so it cancels; the powers are built at the default masses under
+    # the model's geometry rule, so even a target whose powers would round to
+    # zero gives the default reports.
+    from aebscore import scoring
+    from aebscore.impact import ImpactPowerModel, passive_powers
 
-    caches = set()
+    built = []  # per call: (geometry rule, the powers are the default model's)
 
-    def passive_powers(self, model):
-        powers = original(self, model)
-        caches.add(tuple(self._passive))
+    def recording(model, protocol):
+        powers = passive_powers(model, protocol)
+        built.append((model.geometry_rule, powers == passive_powers(ImpactPowerModel(), protocol)))
         return powers
 
-    original = CompiledProtocol.passive_powers
-    monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
+    monkeypatch.setattr(scoring, "passive_powers", recording)
+    monkeypatch.setattr(cli, "passive_powers", recording)
     configs = [
         {"vut_masses": {"1A": 900, "6": 2400}, "default_vut_mass": 1700},
         {"tg_masses": {"C2C": 3000}},
@@ -952,7 +953,9 @@ def test_no_vut_or_target_mass_changes_a_score_or_compare_byte(tmp_path, capsys,
     capsys.readouterr()
     assert len(trees[0]) == 3 * (8 + 12)  # 4 score and 6 matrix tables per region
     assert trees[1:] == trees[:1] * 3
-    assert caches == {("linear",)}
+    # Per model: one call from score's score_campaign, two from compare (its score_campaign and
+    # cmd_compare itself).
+    assert built == [("linear", True)] * (len(impacts) * 3)
 
 
 _LONE = "A\\ud800"  # a JSON escape that decodes to a lone surrogate

@@ -10,6 +10,7 @@ from aebscore.impact import (
     config_powers,
     impact_power,
     load_impact_config,
+    passive_powers,
     power_terms,
     scenario_passive_power,
 )
@@ -101,11 +102,12 @@ def test_invalid_inputs(protocol, model):
 
 @pytest.mark.parametrize("mass", [900.0, 1500.0, 2400.0])
 def test_power_terms_match_the_reference_energy_and_config_powers(protocol, model, mass):
-    powers = protocol.compiled.passive_powers(model)  # at the default mass, whatever ``mass`` is
-    for i, config in enumerate(protocol.compiled.configs):
+    # At the default mass, whatever ``mass`` is.
+    default_terms, by_config, _ = passive_powers(model, protocol)
+    for i, config in enumerate(protocol.configs):
         terms = power_terms(model, config, mass)
-        assert powers.terms[i] == power_terms(model, config, DEFAULT_VUT_MASS)
-        assert powers.by_config[i] == _passive(model, config, DEFAULT_VUT_MASS)
+        assert default_terms[i] == power_terms(model, config, DEFAULT_VUT_MASS)
+        assert by_config[i] == _passive(model, config, DEFAULT_VUT_MASS)
         for speed in (0.0, 0.3 * config.vut_speed, 0.7 * config.vut_speed, config.vut_speed):
             power = impact_power(terms, speed)
             assert power == pytest.approx(energy(config, mass, speed), rel=1e-12, abs=1e-12)
@@ -138,15 +140,15 @@ def test_scenario_passive_power_average(protocol, model):
 def test_instance_passive_power_is_the_in_order_mean_of_its_configs(protocol, model):
     # One set per model, at the default mass. At another mass every instance
     # of a scenario group scales by one factor, so no group score moves.
-    powers = protocol.compiled.passive_powers(model)
-    assert protocol.compiled.passive_powers(ImpactPowerModel()) is powers
+    by_instance = passive_powers(model, protocol)[2]
+    assert passive_powers(ImpactPowerModel(), protocol)[2] == by_instance
     for mass in (900.0, 1500.0):
         factors = {}  # scenario group -> the factor of its first instance
-        for pair, part in protocol.compiled.instances.items():
+        for pair, part in protocol.instances.items():
             total = 0.0
             for config in part.configs:
                 total += _passive(model, config, mass)
-            mean, power = total / len(part.configs), powers.by_instance[pair]
+            mean, power = total / len(part.configs), by_instance[pair]
             if mass == DEFAULT_VUT_MASS:
                 assert power == mean
             factor = factors.setdefault(protocol.scenario(pair[0]).group, mean / power)
@@ -168,3 +170,5 @@ def test_impact_config_defaults_and_fields():
         load_impact_config({"default_vut_mass": "1500"})
     with pytest.raises(ImpactModelError, match=r"vut_masses\['1A'\]: must be > 0"):
         load_impact_config({"vut_masses": {"1A": 0}})
+    with pytest.raises(ImpactModelError, match=r"^impact model: unknown field\(s\) \['tg_mass'\]$"):
+        load_impact_config({"tg_mass": {"C2C": 1400}})

@@ -165,7 +165,6 @@ def reference_expand(log, records):
 
 def reference_score(log, records, model, masses):
     """Each vehicle scored at its mass in ``masses`` or 1500 kg, from powers built per instance."""
-    compiled = log.protocol.compiled
     index = {c.key(): i for i, c in enumerate(enumerate_configs(log.protocol))}
     outcomes_of = {}
     off_lattice = set()
@@ -182,7 +181,7 @@ def reference_score(log, records, model, masses):
         outcomes = outcomes_of.get(vehicle, ())
         for spec in log.protocol.scenarios:
             for light in LIGHTS:
-                part = compiled.instances.get((spec.code, light))
+                part = log.protocol.instances.get((spec.code, light))
                 if part is None:
                     scores.append(ScenarioScore(vehicle, spec.code, light, None, None, 0, True))
                     continue
@@ -276,8 +275,7 @@ def messy_records(protocol, seed, shape, complete):
         r = records[pick(lambda r: r.config.light == DAY)]
         shifted = r.config._replace(vut_speed=r.config.vut_speed + 2.5)
         records.insert(rng.randrange(len(records) + 1), r._replace(config=shifted))
-    compiled = protocol.compiled
-    orphans = [key for _, key in compiled.night_pairs if not isinstance(key, int)]
+    orphans = [key for _, key in protocol.night_pairs if not isinstance(key, int)]
     for vehicle in ("V1", "V2", "V3"):
         for key in rng.sample(orphans, 3):
             code, light, overlap, speed, tg = key

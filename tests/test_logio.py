@@ -117,7 +117,7 @@ def test_licensed_rows_resolve_to_canonical_configs(protocol, tmp_path):
     log = _sample_log(protocol)
     path = tmp_path / "campaign.csv"
     write_log(log, path)
-    canonical = set(map(id, protocol.compiled.configs))
+    canonical = set(map(id, protocol.configs))
     assert all(id(r.config) in canonical for r in read_log(path, protocol).records)
     # a second read shares the same objects
     first, second = read_log(path, protocol), read_log(path, protocol)
@@ -130,8 +130,8 @@ def test_off_lattice_row_gets_a_fresh_config(protocol, tmp_path):
         '{"vehicle":"V","scenario":"CCRs","light":"day","vut_speed":60,"overlap":100,"outcome":"avoided"}\n'
     )
     config = read_log(path, protocol).records[0].config
-    assert config.key() not in protocol.compiled.index
-    assert all(config is not c for c in protocol.compiled.configs)
+    assert config.key() not in protocol.index
+    assert all(config is not c for c in protocol.configs)
     assert config.scenario is protocol.scenario("CCRs")
 
 
@@ -192,8 +192,8 @@ def _row_by_row(rows, protocol):
             intervention=flag(row.get("intervention")),
             projected=flag(row.get("projected")),
         )
-        i = protocol.compiled.index.get(key)
-        config = None if i is None else protocol.compiled.configs[i]
+        i = protocol.index.get(key)
+        config = None if i is None else protocol.configs[i]
         records.append((str(row["vehicle"]), config, outcome, row.get("pre_test") or None))
     return records
 

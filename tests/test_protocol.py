@@ -246,6 +246,24 @@ def _one_scenario(**fields):
     return {"scenarios": [entry]}
 
 
+def test_an_overlap_given_twice_is_rejected_with_location():
+    # Each repeat would enumerate its configs again: a simulated log of such a
+    # protocol holds duplicate records, which its own validation rejects.
+    with pytest.raises(ProtocolError) as raised:
+        load_protocol(_one_scenario(overlaps=[10, 50, 50.0, 75, 100]))
+    assert str(raised.value) == "scenarios[0] (X).overlaps: overlap 50 given twice"
+    assert load_protocol(_one_scenario(overlaps=[10, 50, 75, 100])).config_count() == 8
+
+
+def test_a_night_overlap_given_twice_is_rejected_with_location():
+    doc = _one_scenario(lights=["day", "night"], night={"overlaps": [50, 12.5, 12.5]})
+    with pytest.raises(ProtocolError) as raised:
+        load_protocol(doc)
+    assert str(raised.value) == "scenarios[0] (X).night.overlaps: overlap 12.5 given twice"
+    doc["scenarios"][0]["night"]["overlaps"].pop()
+    assert load_protocol(doc).config_count() == 6
+
+
 @pytest.mark.parametrize(
     "bad", [float("inf"), float("-inf"), float("nan"), 10**400], ids=["inf", "-inf", "nan", "10e400"]
 )
@@ -300,17 +318,16 @@ def test_declared_count_must_be_a_number():
 
 def test_config_hash_follows_key(protocol):
     again = load_protocol(bundled_protocol_path())
-    for a, b in zip(protocol.compiled.configs, again.compiled.configs):
+    for a, b in zip(protocol.configs, again.configs):
         assert a == b and a is not b
         assert hash(a) == hash(b) == hash(a.key())
-    assert {c: i for i, c in enumerate(protocol.compiled.configs)}[again.compiled.configs[7]] == 7
+    assert {c: i for i, c in enumerate(protocol.configs)}[again.configs[7]] == 7
 
 
 def test_compiled_table_matches_enumeration(protocol):
-    compiled = protocol.compiled
-    assert list(compiled.configs) == enumerate_configs(protocol)
-    assert compiled.index == {c.key(): i for i, c in enumerate(compiled.configs)}
-    for (code, light), part in compiled.instances.items():
+    assert list(protocol.configs) == enumerate_configs(protocol)
+    assert protocol.index == {c.key(): i for i, c in enumerate(protocol.configs)}
+    for (code, light), part in protocol.instances.items():
         configs = enumerate_configs(protocol, scenario=code, light=light)
         assert list(part.configs) == configs
         assert all(a is b for a, b in zip(part.configs, configs))

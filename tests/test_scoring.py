@@ -10,7 +10,7 @@ from aebscore.campaign import (
     TestOutcome,
     TestRecord,
 )
-from aebscore.impact import ImpactModelError, ImpactPowerModel
+from aebscore.impact import ImpactModelError, ImpactPowerModel, passive_powers
 from aebscore.logio import read_log, write_log
 from aebscore.protocol import (
     ScenarioGroup,
@@ -413,18 +413,6 @@ def test_score_campaign_unvalidated_matches_reference(protocol, model):
         _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1720.0))
 
 
-def test_score_campaign_config_weights_match_reference(protocol, model):
-    rng = random.Random(405)
-    log, expected = _campaign_with_noise(protocol, rng)
-    weights = {c: rng.uniform(0.1, 3.0) for c in enumerate_configs(protocol)}
-    for s in score_campaign(log, model, config_weights=weights, validate=False):
-        if s.not_applicable:
-            continue
-        configs, outcomes = expected[(s.scenario, s.light)]
-        _assert_triple(s.fs, frequency_triple(configs, outcomes, weights))
-        _assert_triple(s.mps, mitigation_triple(configs, outcomes, 1380.0, weights))
-
-
 @pytest.mark.parametrize("mass", [600.0, 900.0, 1500.0, 3500.0])
 @pytest.mark.parametrize("tg_mass", [800.0, 3000.0])
 def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
@@ -433,16 +421,13 @@ def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
     # The masses cancel out of every score: the reference, at a ``mass`` kg
     # vehicle and a 1500 kg target, agrees with score_campaign under a
     # ``tg_mass`` kg target, which scores at the default masses.
-    from aebscore.protocol import CompiledProtocol
-
     seen = []
 
-    def passive_powers(self, model):
+    def recording(model, protocol):
         seen.append(model)
-        return original(self, model)
+        return passive_powers(model, protocol)
 
-    original = CompiledProtocol.passive_powers
-    monkeypatch.setattr(CompiledProtocol, "passive_powers", passive_powers)
+    monkeypatch.setattr(scoring, "passive_powers", recording)
     model = ImpactPowerModel(tg_masses={ScenarioGroup.C2C: tg_mass})
     log, expected = _campaign_with_noise(protocol, random.Random(406))
     for s in score_campaign(log, model, validate=False):
@@ -453,29 +438,26 @@ def test_score_campaign_matches_the_reference_at_any_vut_or_target_mass(
 
 
 def test_models_differing_only_in_target_mass_share_one_set_of_passive_powers():
-    protocol = load_protocol(bundled_protocol_path())  # a cache no other test has filled
+    protocol = load_protocol(bundled_protocol_path())
     log, _ = _campaign_with_noise(protocol, random.Random(406))
     light = ImpactPowerModel(tg_masses={ScenarioGroup.C2C: 800.0})
     heavy = ImpactPowerModel(name="heavy", tg_masses={ScenarioGroup.C2C: 3000.0})
     assert score_campaign(log, light, validate=False) == score_campaign(
         log, heavy, validate=False
     )
-    compiled = protocol.compiled
-    assert list(compiled._passive) == ["linear"]
-    assert compiled.passive_powers(light) is compiled.passive_powers(ImpactPowerModel())
-    compiled.passive_powers(ImpactPowerModel(geometry_rule="unit"))
-    assert list(compiled._passive) == ["linear", "unit"]
+    default = passive_powers(ImpactPowerModel(), protocol)
+    assert passive_powers(light, protocol) == passive_powers(heavy, protocol) == default
+    unit = passive_powers(ImpactPowerModel(geometry_rule="unit"), protocol)
+    assert unit != default
+    assert unit == passive_powers(heavy._replace(geometry_rule="unit"), protocol)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-def test_score_campaign_rejects_nonpositive_weight(protocol, model, bad):
+def test_config_scores_reject_nonpositive_weight(protocol, model, bad):
     configs = enumerate_configs(protocol, scenario="CPLA", light="day")
     outcomes = escalation_outcomes(configs, None)
-    log = CampaignLog(
-        protocol=protocol, records=tuple(TestRecord("V1", c, o) for c, o in outcomes.items())
-    )
     with pytest.raises(ScoringError, match="config weight must be > 0"):
-        score_campaign(log, model, config_weights={configs[2]: bad})
+        frequency_score(configs, outcomes, {configs[2]: bad})
     with pytest.raises(ScoringError, match="config weight must be > 0"):
         mitigation_power_score(configs, outcomes, model, 1500.0, {configs[-1]: bad})
 

@@ -135,6 +135,29 @@ def test_spec_validation_errors():
         )
 
 
+def test_spec_rejects_unknown_fields_with_location():
+    # A misspelled "fail_at" would leave a threshold oracle avoiding every test.
+    oracle = {"type": "threshold", "fail_at": 40, "rules": [{"scenario": "CCRs", "fail_at": 30}]}
+    vehicle = {"id": "V", "mass": 1500, "sensors": [], "model_year": None, "is_prototype": False}
+    spec = {"seed": 1, "vehicles": [{**vehicle, "oracle": oracle}]}
+    load_simulation_spec(spec)
+    cases = [
+        ({**spec, "Seed": 2}, "simulation spec: unknown field(s) ['Seed']"),
+        ({**spec, "vehicles": [{**vehicle, "oracle": oracle, "weight": 1}]},
+         "vehicles[0]: unknown field(s) ['weight']"),
+        ({**spec, "vehicles": [{**vehicle, "oracle": {**oracle, "fail_At": 40}}]},
+         "vehicles[0].oracle: unknown field(s) ['fail_At']"),
+        ({**spec, "vehicles": [{**vehicle, "oracle": {**oracle, "kind": "random"}}]},
+         "vehicles[0].oracle: unknown field(s) ['kind']"),
+        ({"vehicles": [vehicle], "default_oracle": {**oracle, "rules": [{"failat": 30}]}},
+         "default_oracle.rules[0]: unknown field(s) ['failat']"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(SimulationSpecError) as raised:
+            load_simulation_spec(doc)
+        assert str(raised.value) == message
+
+
 def test_simulate_of_the_fixture_spec_matches_the_golden_log(tmp_path):
     out = tmp_path / "campaign.jsonl"
     args = ["simulate", "--protocol", str(bundled_protocol_path()), "--oracle", str(FIXTURE_SIM)]
@@ -302,7 +325,7 @@ def test_simulated_campaign_matches_one_driven_by_the_reference_oracle(protocol,
 
 def test_pretest_probe_is_one_object_per_light_for_every_vehicle(protocol, monkeypatch):
     probes = {}  # (vehicle, scenario, light) -> probe config the oracle was asked
-    lattice = set(map(id, protocol.compiled.configs))
+    lattice = set(map(id, protocol.configs))
     build = simulate.build_oracle
 
     def recording(spec, seed, vehicle):
