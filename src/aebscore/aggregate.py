@@ -9,7 +9,7 @@ impact power, so scenarios with more energy at stake count for more.
 Both read a vehicle's scores by (scenario, light), indexed once per vehicle,
 and give a ``ScoreValue``. That class lives here, where the weighted mean
 builds it, and ``scoring`` imports it from here: loading a weight table
-loads neither ``scoring`` nor ``impact``.
+loads none of ``scoring``, ``impact`` and ``campaign``.
 
 Relative scores compare two vehicles: their score ratio minus one. Ranked
 pairwise matrices of these relativities are the campaign's primary output,
@@ -23,7 +23,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .campaign import vehicle_sort_key
 from .protocol import (
     LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_document, within
 )
@@ -325,6 +324,9 @@ def build_matrix(group_scores: Sequence[GroupScore], metric: str) -> RelativityM
     regions = {gs.region for gs in group_scores}
     if len(groups) != 1 or len(regions) != 1:
         raise AggregationError("group scores must share one group and one region")
+    # Imported here, not at the top: loading a weight table never ranks.
+    from .campaign import vehicle_sort_key
+
     field = "fs" if metric == METRIC_FREQ else "mps"
     nominal = {gs.vehicle: getattr(gs, field).nominal for gs in group_scores}
     order = tuple(sorted(nominal, key=lambda v: (-nominal[v], vehicle_sort_key(v))))

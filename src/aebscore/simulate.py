@@ -16,11 +16,13 @@ from __future__ import annotations
 import random
 import sys
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario, series_key
 from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
 from .protocol import check_fields
+
+if TYPE_CHECKING:  # imported where a simulation first runs, see simulate_campaign
+    from .campaign import CampaignLog, TestOutcome
 
 KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
 
@@ -57,6 +59,7 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
     if not isinstance(raw_vehicles, list) or not raw_vehicles:
         raise SimulationSpecError("'vehicles' must be a non-empty array")
     default_oracle = doc.get("default_oracle")
+    default = None  # default_oracle parsed, once, for the first vehicle that falls back on it
 
     vehicles = {}  # vehicle id -> its oracle
     for i, entry in enumerate(raw_vehicles):
@@ -84,9 +87,12 @@ def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
         oracle_doc = entry.get("oracle", default_oracle)
         if oracle_doc is None:
             raise SimulationSpecError(f"{where}: no oracle and no default_oracle")
-        vehicles[vid] = _parse_oracle(
-            oracle_doc, f"{where}.oracle" if "oracle" in entry else "default_oracle"
-        )
+        if "oracle" in entry:
+            vehicles[vid] = _parse_oracle(oracle_doc, f"{where}.oracle")
+        else:
+            if default is None:
+                default = _parse_oracle(oracle_doc, "default_oracle")
+            vehicles[vid] = default
     return SimulationSpec(seed=seed, vehicles=tuple(vehicles.items()))
 
 
@@ -94,7 +100,8 @@ _SPEC_KEYS = frozenset(("seed", "vehicles", "default_oracle"))
 _VEHICLE_KEYS = frozenset(("id", "mass", "sensors", "model_year", "is_prototype", "oracle"))
 _ORACLE_KINDS = ("always_avoid", "never_respond", "threshold", "random")
 _ORACLE_KEYS = frozenset(("type", *OracleSpec._fields[1:]))  # "type" names the kind
-_RULE_KEYS = frozenset(("scenario", "light", "overlap", "tg_speed", "fail_at"))
+_RULE_CONDITIONS = ("scenario", "light", "overlap", "tg_speed")
+_RULE_KEYS = frozenset((*_RULE_CONDITIONS, "fail_at"))
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -171,6 +178,8 @@ def _stable_rng(*parts) -> random.Random:
 
 def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
     """Deterministic braking oracle for one vehicle."""
+    # Imported here, not at the top: loading a spec never simulates.
+    from .campaign import TestOutcome, series_key
 
     def threshold_for(config: TestConfig) -> float | None:
         for rule in spec.rules:
@@ -239,12 +248,46 @@ def _series_speeds(config: TestConfig) -> tuple[float, ...]:
     return (config.vut_speed,)
 
 
+def _check_rules(protocol: ProtocolDefinition, spec: SimulationSpec) -> None:
+    """Raise for an oracle rule that no configuration of ``protocol`` meets.
+
+    A rule is compared as ``build_oracle`` compares it, with each licensed
+    (scenario, light) and the overlaps and TG speeds of its settings; every
+    lattice cell of those is a configuration. Each rule object is checked once.
+    """
+    matched = set()  # ids of the rules some configuration meets
+    for i, (vehicle, oracle_spec) in enumerate(spec.vehicles):
+        for j, rule in enumerate(oracle_spec.rules):
+            if id(rule) in matched:
+                continue
+            code, light = rule.get("scenario"), rule.get("light")
+            overlap, tg = rule.get("overlap"), rule.get("tg_speed", "any")
+            for c, lt in protocol.instances:
+                if code in (None, c) and light in (None, lt):
+                    settings = protocol.scenario(c).settings(lt)
+                    if overlap in (None, *settings.overlaps) and tg in (
+                        "any", *(v.tg_speed for v in settings.variants)
+                    ):
+                        matched.add(id(rule))
+                        break
+            else:
+                given = ", ".join(f"{k} {rule[k]!r}" for k in _RULE_CONDITIONS if k in rule)
+                raise SimulationSpecError(
+                    f"vehicles[{i}] ({vehicle!r}): oracle rules[{j}] matches no configuration"
+                    f" of the protocol ({given or 'no condition'})"
+                )
+
+
 def simulate_campaign(
     protocol: ProtocolDefinition,
     spec: SimulationSpec,
     stop_on_impact: bool = True,
 ) -> CampaignLog:
     """Replay the incremental procedure for every vehicle in the spec."""
+    # Imported here, not at the top: loading a spec never simulates.
+    from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario
+
+    _check_rules(protocol, spec)
     index, configs = protocol.index, protocol.configs
     night_pairs: dict[str, list[tuple]] = {}  # scenario -> its (night, day counterpart) pairs
     for pair in protocol.night_pairs:

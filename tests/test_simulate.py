@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import random
 from pathlib import Path
 
@@ -156,6 +158,111 @@ def test_spec_rejects_unknown_fields_with_location():
         with pytest.raises(SimulationSpecError) as raised:
             load_simulation_spec(doc)
         assert str(raised.value) == message
+
+
+def test_default_oracle_is_parsed_once_and_shared(monkeypatch):
+    parse = simulate._parse_oracle
+    calls = []
+    monkeypatch.setattr(simulate, "_parse_oracle", lambda *a: calls.append(a[1]) or parse(*a))
+    default = {"type": "threshold", "fail_at": 40, "rules": [{"scenario": "CCRs", "fail_at": 30}]}
+    vehicles = [{"id": f"V{i}"} for i in range(400)]
+    spec = load_simulation_spec({"vehicles": vehicles, "default_oracle": default})
+    assert calls == ["default_oracle"]
+    shared = spec.vehicles[0][1]
+    assert shared == parse(default, "default_oracle")
+    assert all(oracle is shared for _, oracle in spec.vehicles)
+    # A vehicle's own oracle is its own, and the default is parsed on first use.
+    calls.clear()
+    own = {"id": "own", "oracle": {"type": "always_avoid"}}
+    spec = load_simulation_spec({"vehicles": [own, *vehicles[:3]], "default_oracle": default})
+    assert calls == ["vehicles[0].oracle", "default_oracle"]
+    assert spec.vehicles[1][1] is spec.vehicles[3][1] is not spec.vehicles[0][1]
+
+
+def test_a_bad_default_oracle_is_located_where_used_and_loads_where_unused():
+    bad = {"type": "threshold", "fail_at": "fast"}
+    vehicles = [{"id": "A", "oracle": {"type": "always_avoid"}}, {"id": "B"}]
+    with pytest.raises(SimulationSpecError) as raised:
+        load_simulation_spec({"vehicles": vehicles, "default_oracle": bad})
+    assert str(raised.value) == "default_oracle: 'fail_at' must be a finite number, got 'fast'"
+    spec = load_simulation_spec({"vehicles": vehicles[:1], "default_oracle": bad})
+    assert [vehicle for vehicle, _ in spec.vehicles] == ["A"]
+
+
+def _matches_a_config(protocol, rule):
+    """Whether some configuration of the table meets the rule, as build_oracle compares."""
+    return any(
+        rule.get("scenario") in (None, c.code)
+        and rule.get("light") in (None, c.light)
+        and rule.get("overlap") in (None, c.overlap)
+        and rule.get("tg_speed", "any") in ("any", c.tg_speed)
+        for c in protocol.configs
+    )
+
+
+OMIT = object()  # the field is left out of the rule
+RULE_CONDITIONS = {
+    "scenario": [OMIT, None, "CCRs", "CCFtap", "CPLAs", "CCRX", ["CCRs"]],
+    "light": [OMIT, "day", "night", "dusk"],
+    "overlap": [OMIT, 10, 50.0, 100, "50", 25],
+    "tg_speed": [OMIT, "any", None, 20, 45.0, 5, 3],
+}
+
+
+def test_the_rule_check_agrees_with_a_scan_of_the_config_table(protocol):
+    outcomes = set()
+    for values in itertools.product(*RULE_CONDITIONS.values()):
+        rule = {k: v for k, v in zip(RULE_CONDITIONS, values) if v is not OMIT}
+        oracle = {"type": "threshold", "rules": [{**rule, "fail_at": 30}]}
+        spec = load_simulation_spec({"vehicles": [{"id": "V", "oracle": oracle}]})
+        try:
+            simulate._check_rules(protocol, spec)
+            accepted = True
+        except SimulationSpecError:
+            accepted = False
+        assert accepted is _matches_a_config(protocol, rule), rule
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "rule, given",
+    [
+        ({"scenario": "CCRX", "fail_at": 30}, "scenario 'CCRX'"),
+        ({"scenario": "CCRs", "light": "dusk", "overlap": "50", "fail_at": 30},
+         "scenario 'CCRs', light 'dusk', overlap '50'"),
+        ({"overlap": "50", "fail_at": 30}, "overlap '50'"),
+        ({"scenario": "CCRs", "light": "night", "overlap": 50},
+         "scenario 'CCRs', light 'night', overlap 50"),
+        ({"scenario": "CPLAs", "light": "day"}, "scenario 'CPLAs', light 'day'"),
+        ({"scenario": "CCRm", "tg_speed": None, "fail_at": 30}, "scenario 'CCRm', tg_speed None"),
+    ],
+    ids=["unknown-scenario", "dusk", "overlap-string", "night-overlap", "day-of-night-only",
+         "tg-speed"],
+)
+def test_simulation_rejects_a_rule_that_matches_no_configuration(protocol, tmp_path, rule, given):
+    # A rule matching nothing would be ignored, and the vehicle tested by its fall-back.
+    fixture = json.loads(FIXTURE_SIM.read_text(encoding="utf-8"))
+    fixture["vehicles"][2]["oracle"]["rules"].insert(1, rule)
+    message = "vehicles[2] ('6'): oracle rules[1] matches no configuration of the protocol"
+    message += f" ({given})"
+    with pytest.raises(SimulationSpecError) as raised:
+        simulate_campaign(protocol, load_simulation_spec(fixture))
+    assert str(raised.value) == message
+    path, out = tmp_path / "spec.json", tmp_path / "campaign.jsonl"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    args = ["simulate", "--protocol", str(bundled_protocol_path()), "--oracle", str(path)]
+    assert main([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_default_oracle_rule_is_checked_for_the_vehicle_that_uses_it(protocol):
+    rules = [{"scenario": "CCRs", "fail_at": 30}, {"light": "dusk"}]
+    default = {"type": "threshold", "rules": rules}
+    vehicles = [{"id": "A", "oracle": {"type": "always_avoid"}}, {"id": "B"}, {"id": "C"}]
+    spec = load_simulation_spec({"vehicles": vehicles, "default_oracle": default})
+    with pytest.raises(SimulationSpecError, match=r"^vehicles\[1\] \('B'\): oracle rules\[1\] "):
+        simulate_campaign(protocol, spec)
 
 
 def test_simulate_of_the_fixture_spec_matches_the_golden_log(tmp_path):

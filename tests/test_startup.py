@@ -2,12 +2,14 @@
 
 ``import aebscore`` imports no submodule; its names are looked up in their
 modules on access. Loading the inputs of a run (protocol, weight tables,
-simulation spec) loads ``aebscore.protocol``, ``campaign``, ``aggregate`` and
-``simulate`` and no other module of the package, and neither ``dataclasses``
-nor ``hashlib``; the first simulation loads ``hashlib``. The CLI module does
-not load ``dataclasses`` either. Each module imports first in a fresh
-interpreter, so no import cycle hides behind another module imported before
-it. Untimed: these are checks of what is imported, in a fresh interpreter.
+simulation spec) loads ``aebscore.protocol``, ``aggregate`` and ``simulate``
+and no other module of the package, and neither ``dataclasses`` nor
+``hashlib``. The first simulation loads ``campaign`` and ``hashlib``, and the
+first matrix loads ``campaign``, whose natural vehicle order ranks it. The
+CLI module does not load ``dataclasses`` either. Each module imports first in
+a fresh interpreter, so no import cycle hides behind another module imported
+before it. Untimed: these are checks of what is imported, in a fresh
+interpreter.
 """
 
 import importlib
@@ -62,17 +64,17 @@ spec = aebscore.load_simulation_spec(sys.argv[4])
 package = sorted(m for m in sys.modules if m.split(".")[0] == "aebscore")
 after_setup = [m for m in sys.argv[5:] if m in sys.modules]
 records = len(aebscore.simulate_campaign(protocol, spec).records)
-hashlib = "hashlib" in sys.modules
+after_simulation = [m for m in sys.argv[5:] if m in sys.modules]
 import aebscore.cli
 print(json.dumps({
-    "package": package, "after_setup": after_setup, "records": records, "hashlib": hashlib,
-    "cli_dataclasses": "dataclasses" in sys.modules,
+    "package": package, "after_setup": after_setup, "records": records,
+    "after_simulation": after_simulation, "cli_dataclasses": "dataclasses" in sys.modules,
 }))
 """
 # Modules a run's set-up does not call, so it must not load them.
 NOT_AT_SETUP = (
-    "dataclasses", "hashlib", "aebscore.logio", "aebscore.scoring", "aebscore.impact",
-    "aebscore.report", "aebscore.cli",
+    "dataclasses", "hashlib", "aebscore.campaign", "aebscore.logio", "aebscore.scoring",
+    "aebscore.impact", "aebscore.report", "aebscore.cli",
 )
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -88,18 +90,56 @@ def test_setup_and_cli_import_load_neither_dataclasses_nor_the_log_reader():
         aebscore.load_protocol(inputs[0]), aebscore.load_simulation_spec(inputs[3])
     )
     assert json.loads(done.stdout) == {
-        "package": [
-            "aebscore", "aebscore.aggregate", "aebscore.campaign", "aebscore.protocol",
-            "aebscore.simulate",
-        ],
+        "package": ["aebscore", "aebscore.aggregate", "aebscore.protocol", "aebscore.simulate"],
         "after_setup": [],
         "records": len(simulated.records),
-        "hashlib": True,  # loaded by the first draw
+        # hashlib by the first draw, campaign by the procedure the simulation runs
+        "after_simulation": ["hashlib", "aebscore.campaign"],
         "cli_dataclasses": False,
     }
 
 
-@pytest.mark.parametrize("module", ["scoring", "aggregate", "report", "impact", "simulate", "cli"])
+RANK = """
+import json, sys
+from aebscore.aggregate import GroupScore, ScoreValue, build_matrix
+from aebscore.protocol import ScenarioGroup
+before = "aebscore.campaign" in sys.modules
+scores = [
+    GroupScore(v, ScenarioGroup.C2C, "EU", ScoreValue.constant(s), ScoreValue.constant(s))
+    for v, s in json.loads(sys.argv[1])
+]
+matrix = build_matrix(scores, "freq")
+after = "aebscore.campaign" in sys.modules
+print(json.dumps({"campaign": [before, after], "order": matrix.order, "rows": matrix.rows}))
+"""
+
+
+def test_a_matrix_built_after_importing_only_aggregate_is_ranked_as_in_process():
+    # Equal scores rank by the natural vehicle order, which campaign holds.
+    scores = [("10", 0.5), ("9B", 0.5), ("07", 0.5), ("7", 0.5), ("x", 0.8), ("2", 0.25)]
+    done = subprocess.run(
+        [sys.executable, "-c", RANK, json.dumps(scores)],
+        env=ENV, capture_output=True, text=True, timeout=60, check=True,
+    )
+    constant = aebscore.ScoreValue.constant
+    group_scores = [
+        aebscore.GroupScore(v, protocol.ScenarioGroup.C2C, "EU", constant(s), constant(s))
+        for v, s in scores
+    ]
+    matrix = aebscore.build_matrix(group_scores, "freq")
+    assert matrix.order == ("x", "07", "7", "9B", "10", "2")
+    assert json.loads(done.stdout) == {
+        "campaign": [False, True],  # loaded by the first matrix, which ranks with it
+        "order": list(matrix.order),
+        "rows": [list(row) for row in matrix.rows],
+    }
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["scoring", "aggregate", "report", "impact", "simulate", "cli", "campaign", "logio",
+     "protocol"],
+)
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # In one process the first test to import a module hides a cycle that
     # only breaks when another module of the cycle is imported first.
