@@ -27,12 +27,15 @@ quote or NUL and is within ``csv.field_size_limit()``: ``csv.reader`` would
 split it on its commas alone. While the header's first column is its only
 ``vehicle`` column and each line is plain, a line is keyed on its text after
 the first comma; a line that matches a key splits alike if its vehicle cell
-is one a checked line had. From the first other line on, ``csv.reader`` reads
-the rest of the file. A CSV row that reaches its
-cells is keyed on them with the vehicle and impact-speed cells emptied, as
-each impact has its own measured speed. A match shares the checked row's
-entry, or all of it but a new impact speed, parsed alone: no check spans it
-and another field. Any other row takes the full check.
+is one a checked line had. A line that misses is looked up once more with its
+impact cell emptied too, as each impact has its own measured speed: a match
+with such a vehicle cell shares the checked line's entry with that cell for
+its impact speed, parsed alone, and is not keyed on its text. From the first
+other line on, ``csv.reader`` reads the rest of the file. A CSV row that
+reaches its cells is keyed on them with the vehicle and impact-speed cells
+emptied. A match shares the checked row's entry, or all of it but a new
+impact speed, parsed alone: no check spans it and another field. Any other
+row takes the full check.
 A JSON line is keyed on its text around the body of the first string after
 the first ``"vehicle"``, which json's own string scanner reads, escapes
 included. The line becomes a key only when that string is the decoded
@@ -52,16 +55,19 @@ order). A blank line holds no ``"vehicle"``, so only a miss tests for one.
 A vehicle is a non-empty string or an integer. In both formats
 ``\n``, ``\r\n`` and ``\r`` alone end a line, and nothing else does.
 ``write_log`` works the other way round: it walks the log's runs of rows
-and splices each vehicle's cell into its rows, encoding each distinct row
-and each vehicle cell the first time a line needs it. The memos are locals
-of one call; nothing is cached between calls. CSV errors name the physical
-line a row starts on.
+and splices each vehicle's cell and each impact speed into its rows' text.
+A row is keyed on all but those two: its position (or config off the
+lattice), outcome kind, intervention, projected, pre-test and whether it
+has an impact speed. Each distinct key and each vehicle cell is encoded the
+first time a line needs it; a speed is printed per line, as ``json.dumps``
+or ``str`` prints it. The memos are locals of one call; nothing is cached
+between calls. CSV errors name the physical line a row starts on.
 
 Neither direction holds a log whole. ``read_log`` iterates the lines of the
 open file and checks each as it arrives, keeping per row only its entry in
 the log; a read that fails reads the file again in ``_CHECK_CHUNK``-byte
 parts, to tell a byte that is not UTF-8 from a bad row. ``write_log`` keeps
-one text per distinct row and per vehicle, and writes ``_WRITE_BATCH`` lines
+one text per distinct row key and per vehicle, and writes ``_WRITE_BATCH`` lines
 per call to the file's ``write``.
 Every error names the file, as in ``log <file>: line N: ...``.
 """
@@ -118,8 +124,8 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     """Write a log as CSV (``.csv``) or JSON lines (any other suffix).
 
     Same bytes as encoding each record in full, but each distinct row and
-    vehicle cell is encoded once per call, by the first line that holds it
-    (see the module docstring).
+    vehicle cell is encoded once per call, by the first line that holds it;
+    a row's impact speed alone is printed per line (see the module docstring).
     """
     path = Path(path)
     as_csv = path.suffix.lower() == ".csv"
@@ -127,8 +133,9 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
     # "\r" in its terminator makes it quote a cell holding one; lines end in "\n".
     encode = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     cells: dict[str, str] = {}  # vehicle -> its encoded cell
-    # (position, or config off the lattice, outcome, pre_test) -> text around the vehicle cell
-    rows: dict[tuple, tuple[str, str]] = {}
+    # (position, or config off the lattice, outcome, pre_test) with no impact speed, or
+    # (position, or config, kind, intervention, projected, pre_test) with any -> _row_text
+    rows: dict[tuple, tuple[str, str, str]] = {}
     with path.open("w", encoding="utf-8") as file:
         if as_csv:
             file.write(encode(LOG_COLUMNS)[:-2] + "\n")
@@ -141,19 +148,30 @@ def write_log(log: CampaignLog, path: str | Path) -> None:
                 else:
                     cell = cells[vehicle] = f'"vehicle": {json.dumps(vehicle)}, '
             for pos, config, outcome, pre_test in entries:
-                key = (config if pos is None else pos, outcome, pre_test)
+                impact = outcome.impact_speed
+                if impact is None:
+                    key, speed = (config if pos is None else pos, outcome, pre_test), ""
+                else:
+                    kind, _, intervention, projected = outcome
+                    key = (config if pos is None else pos, kind, intervention, projected, pre_test)
+                    speed = _speed_text(impact, as_csv)
                 text = rows.get(key)
                 if text is None:
                     text = rows[key] = _row_text(config, outcome, pre_test, as_csv, encode)
-                lines.append(text[0] + cell + text[1])
+                if as_csv:  # the vehicle is column 0, the speed column 7
+                    lines.append(cell + text[1] + speed + text[2])
+                else:  # "impact_speed" sorts first, "vehicle" just before "vut_speed"
+                    lines.append(text[0] + speed + text[1] + cell + text[2])
                 if len(lines) == _WRITE_BATCH:
                     file.write("".join(lines))
                     lines.clear()
         file.write("".join(lines))
 
 
-def _row_text(config, outcome, pre_test, as_csv, encode) -> tuple[str, str]:
-    """A row's encoded text before and after its vehicle cell."""
+def _row_text(config, outcome, pre_test, as_csv, encode) -> tuple[str, str, str]:
+    """A row's encoded text around its two holes, in line order: the vehicle
+    cell and the impact speed (CSV), or the impact speed and the vehicle (JSON).
+    A row with no impact speed has an empty speed hole."""
     impact, tg = outcome.impact_speed, config.tg_speed
     fields = {
         "scenario": config.code,
@@ -162,18 +180,28 @@ def _row_text(config, outcome, pre_test, as_csv, encode) -> tuple[str, str]:
         "tg_speed": None if tg is None else _plain(tg),
         "overlap": _plain(config.overlap),
         "outcome": outcome.kind.value,
-        "impact_speed": None if impact is None else _plain(impact),
+        "impact_speed": None if impact is None else 0,
         "intervention": outcome.intervention,
         "projected": outcome.projected,
         "pre_test": pre_test,
     }
-    if as_csv:  # the vehicle is column 0
-        return "", encode([_csv_cell(fields.get(k)) for k in LOG_COLUMNS])[:-2] + "\n"
-    # Only tg_speed is written as null; "vehicle" sorts just before "vut_speed".
+    if as_csv:  # the cells before the impact cell, and after it
+        cells = [_csv_cell(fields.get(k)) for k in LOG_COLUMNS]
+        return "", "," + encode(cells[1:7])[:-2] + ",", "," + encode(cells[8:])[:-2] + "\n"
+    # Only tg_speed is written as null.
     fields = {k: v for k, v in fields.items() if v is not None or k == "tg_speed"}
     text = json.dumps(fields, sort_keys=True)
     cut = text.rindex('"vut_speed": ')
-    return text[:cut], text[cut:] + "\n"
+    if impact is None:
+        return "", text[:cut], text[cut:] + "\n"
+    hole = len('{"impact_speed": ')  # where the 0 written for the speed stands
+    return text[:hole], text[hole + 1 : cut], text[cut:] + "\n"
+
+
+def _speed_text(speed, as_csv: bool) -> str:
+    """An impact speed as ``json.dumps`` (JSON) or ``str`` (CSV) prints its ``_plain`` value."""
+    speed = _plain(speed)
+    return str(speed) if as_csv or math.isfinite(speed) else json.dumps(speed)
 
 
 def _csv_cell(value) -> str:
@@ -296,7 +324,12 @@ def _read_csv(file: Iterator[str], protocol: ProtocolDefinition) -> Iterator[tup
     ):
         rows = _CsvRows(header, protocol)
         memo: dict[str, tuple] = {}  # line after its vehicle cell -> entry
+        cuts: dict[str, tuple] = {}  # that text with its impact cell emptied -> entry
         vehicles = set()  # vehicle cells of checked lines: a hit on one is plain too
+        # Finds the impact cell in a line's text after its vehicle cell, if there is a column.
+        impact_cell = rows.impact < rows.width and re.compile(
+            r"(?:[^,]*,){%d}([^,\r\n]*)" % (rows.impact - 1)
+        ).match
         for line, head in enumerate(file, start=2):
             vehicle, _, key = head.partition(",")
             shared = memo.get(key)
@@ -305,6 +338,17 @@ def _read_csv(file: Iterator[str], protocol: ProtocolDefinition) -> Iterator[tup
                 continue
             if '"' in head or "\0" in head or len(head) > limit:
                 break
+            speed = impact_cell and impact_cell(key)
+            if speed:
+                cut = key[: speed.start(1)] + key[speed.end(1) :]
+                shared = cuts.get(cut)
+                if shared is not None and vehicle in vehicles:
+                    try:
+                        shared = _with_impact(shared, speed[1])
+                    except LogFormatError as exc:
+                        raise LogFormatError(f"line {line}: {exc}") from None
+                    yield vehicle, shared
+                    continue
             cells = head.rstrip("\r\n").split(",")
             if cells == [""]:
                 continue
@@ -313,6 +357,8 @@ def _read_csv(file: Iterator[str], protocol: ProtocolDefinition) -> Iterator[tup
             except LogFormatError as exc:
                 raise LogFormatError(f"line {line}: {exc}") from None
             memo[key] = shared
+            if speed:
+                cuts[cut] = shared
             vehicles.add(vehicle)
             yield vehicle, shared
         else:

@@ -378,6 +378,8 @@ def load_protocol(source: str | Path | Mapping) -> ProtocolDefinition:
     raw_scenarios = doc.get("scenarios")
     if not isinstance(raw_scenarios, list):
         raise ProtocolError("protocol document needs a top-level 'scenarios' array")
+    if not raw_scenarios:  # a protocol that licenses no test rates no vehicle
+        raise ProtocolError("scenarios: the protocol needs at least one scenario")
 
     scenarios = []
     codes: set[str] = set()

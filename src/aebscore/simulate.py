@@ -122,6 +122,8 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     kind = doc.get("type")
     if kind not in _ORACLE_KINDS:
         raise SimulationSpecError(f"{where}: 'type' must be one of {_ORACLE_KINDS}")
+    if "rules" in doc and kind != "threshold":  # no other kind reads them
+        raise SimulationSpecError(f"{where}: 'rules' apply only to a 'threshold' oracle")
     rules = doc.get("rules", [])
     if not isinstance(rules, list):
         raise SimulationSpecError(f"{where}: 'rules' must be an array")

@@ -78,6 +78,9 @@ PINNED = [
     ("impact", ("tg_masses", "C2O"), -1, "impact-tg-mass-c2o-negative"),
     ("weights", ("groups", "C2C", 0, "scenario"), "CPNAO", "weights-c2c-group-names-cpnao"),
     ("weights", ("region",), "R" * 300, "weights-region-300-characters"),
+    ("protocol", ("scenarios",), [], "protocol-no-scenarios"),
+    ("spec", ("vehicles", 3, "oracle", "rules"), [{"scenario": "CCRs", "fail_at": 10}],
+     "spec-random-oracle-rules"),
 ]
 
 

@@ -297,6 +297,63 @@ def test_repeated_rows_share_one_outcome(protocol, tmp_path):
     assert c.outcome is not a.outcome and c.outcome.impact_speed == 21
 
 
+_IMPACT_ROW = {"vehicle": "V", **_ROW, "intervention": "true"}  # the vehicle first, as plain CSV is read
+_BAD_SPEEDS = {  # a bad impact cell -> (its JSON text, the error it gives)
+    "abc": ('"abc"', "impact_speed must be a number, got 'abc'"),
+    "inf": ('"inf"', "impact_speed must be a finite number, got 'inf'"),
+    "1e400": ("1e400", "impact_speed must be a finite number, got '1e400'"),
+    "05": ('"05"', "impact_speed must be a number, got '05'"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_SPEEDS)
+@pytest.mark.parametrize("form", ["plain-csv", "quoted-csv", "jsonl"])
+def test_a_bad_impact_speed_on_a_checked_row_shape_is_located(protocol, tmp_path, form, bad):
+    # Line 3 repeats line 2, a checked row of the same vehicle, but for its
+    # impact speed: a match on everything else must still name line 3.
+    text, message = _BAD_SPEEDS[bad]
+    rows = [dict(_IMPACT_ROW, vehicle="W"), _IMPACT_ROW, dict(_IMPACT_ROW, impact_speed=bad)]
+    if form == "jsonl":
+        path = tmp_path / "log.jsonl"
+        lines = [json.dumps(r) for r in rows]
+        lines[2] = lines[2].replace(json.dumps(bad), text)
+        if bad == "1e400":  # the decoder reads the literal as inf
+            message = message.replace("'1e400'", "inf")
+    else:
+        path = tmp_path / "log.csv"
+        quote = '"' if form == "quoted-csv" else ""
+        lines = [",".join(_IMPACT_ROW)] + [
+            ",".join(f"{quote}{v}{quote}" for v in r.values()) for r in rows[1:]
+        ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogFormatError, match=_located(path, f"line 3: {re.escape(message)}$")):
+        read_log(path, protocol)
+
+
+def test_plain_csv_checks_each_row_shape_once_whatever_its_impact_speeds(
+    protocol, tmp_path, monkeypatch
+):
+    configs = enumerate_configs(protocol, scenario="CCRm", light="day")[:3]
+    speeds = iter(range(1, 1000))
+    records = []
+    for vehicle in (f"V{i}" for i in range(30)):  # every impact its own measured speed
+        records.append(TestRecord(vehicle, configs[0], TestOutcome.avoided()))
+        for config, flag in zip(configs, (True, False, None)):
+            outcome = TestOutcome.impacted(next(speeds) / 8, intervention=flag)
+            records.append(TestRecord(vehicle, config, outcome))
+    path = tmp_path / "log.csv"
+    write_log(CampaignLog(protocol=protocol, records=tuple(records)), path)
+    assert '"' not in path.read_text()
+    calls = []
+    entry = logio._CsvRows.entry
+    monkeypatch.setattr(logio._CsvRows, "entry", lambda self, cells: calls.append(1) or entry(self, cells))
+    got = read_log(path, protocol).records
+    # The four row shapes once each, then each later vehicle's first line:
+    # not each impact line.
+    assert len(calls) == 4 + 29
+    assert got == tuple(records)
+
+
 def _csv_text(header, *rows):
     return "\n".join((",".join(header),) + rows) + "\n"
 
@@ -372,6 +429,11 @@ OUTCOMES = (
     TestOutcome(OutcomeKind.IMPACTED, impact_speed=12.25),
     TestOutcome.judged(),
     TestOutcome(OutcomeKind.NOT_EXECUTED),
+    # one row shape at many speeds: each line prints its own
+    *(
+        TestOutcome.impacted(speed, intervention=True, projected=False)
+        for speed in (42.0, -0.0, 0.1 + 0.2, 1e16, 1e300, 5e-324, math.inf, math.nan)
+    ),
 )
 
 

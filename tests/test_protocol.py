@@ -21,10 +21,10 @@ def test_bundled_protocol_totals(protocol):
     assert len(enumerate_configs(protocol, scenario="CCRs", light="day")) == 32
 
 
-def test_empty_protocol_is_valid():
-    protocol = load_protocol({"scenarios": []})
-    assert protocol.config_count() == 0
-    assert enumerate_configs(protocol) == []
+def test_empty_protocol_is_rejected():
+    # a protocol that licenses no test would simulate, validate and score nothing
+    with pytest.raises(ProtocolError, match=r"^scenarios: the protocol needs at least one scenario$"):
+        load_protocol({"scenarios": []})
 
 
 def test_lattice_violation_rejected():

@@ -160,6 +160,26 @@ def test_spec_rejects_unknown_fields_with_location():
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("kind", ["random", "always_avoid", "never_respond"])
+def test_rules_on_an_oracle_that_never_reads_them_are_rejected(kind):
+    # Only a threshold oracle reads its rules: a random one with rules
+    # simulated the same records as one without.
+    oracle = {"type": kind, "rules": [{"scenario": "CCRs", "fail_at": 10}]}
+    with pytest.raises(SimulationSpecError) as raised:
+        load_simulation_spec({"seed": 1, "vehicles": [{"id": "V", "oracle": oracle}]})
+    assert str(raised.value) == "vehicles[0].oracle: 'rules' apply only to a 'threshold' oracle"
+
+
+def test_simulate_with_a_protocol_of_no_scenarios_exits_2_and_writes_no_log(tmp_path, capsys):
+    protocol, spec, out = tmp_path / "protocol.json", tmp_path / "spec.json", tmp_path / "log.jsonl"
+    protocol.write_text('{"scenarios": []}')
+    spec.write_text(json.dumps({"seed": 1, "vehicles": [{"id": "V", "oracle": {"type": "random"}}]}))
+    args = ["simulate", "--protocol", str(protocol), "--oracle", str(spec), "--out", str(out)]
+    assert main(args) == 2
+    assert "scenarios: the protocol needs at least one scenario" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_oracle_is_parsed_once_and_shared(monkeypatch):
     parse = simulate._parse_oracle
     calls = []
