@@ -10,16 +10,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "aggregate": "GroupScore RelativityMatrix ScoreValue WeightTable aggregate_fs aggregate_mps"
-    " build_matrix load_weight_table",
+    "aggregate": "GroupScore RelativityMatrix ScoreValue aggregate_fs aggregate_mps build_matrix",
     "campaign": "CampaignLog CompletionStats OutcomeKind TestOutcome TestRecord completion_stats"
     " expand_night_judgements run_scenario validate_log",
     "impact": "ImpactPowerModel",
+    "inputs": "WeightTable load_simulation_spec load_weight_table",
     "logio": "read_log write_log",
     "protocol": "ProtocolDefinition ScenarioGroup ScenarioSpec TestConfig bundled_protocol_path"
     " enumerate_configs load_protocol",
     "scoring": "ScenarioScore frequency_score mitigation_power_score score_campaign",
-    "simulate": "load_simulation_spec simulate_campaign",
+    "simulate": "simulate_campaign",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

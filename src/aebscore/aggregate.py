@@ -4,12 +4,12 @@ Scenario-level scores roll up to scenario-group scores through a weight
 table that encodes how relevant each (scenario, light) instance is in a
 region's accident statistics. Frequency scores aggregate as a weighted
 average; mitigation scores additionally weight each instance by its passive
-impact power, so scenarios with more energy at stake count for more.
+impact power, so scenarios with more energy at stake count for more. The
+table is loaded by ``inputs``; it is checked against the protocol here.
 
 Both read a vehicle's scores by (scenario, light), indexed once per vehicle,
 and give a ``ScoreValue``. That class lives here, where the weighted mean
-builds it, and ``scoring`` imports it from here: loading a weight table
-loads none of ``scoring``, ``impact`` and ``campaign``.
+builds it, and ``scoring`` imports it from here.
 
 Relative scores compare two vehicles: their score ratio minus one. Ranked
 pairwise matrices of these relativities are the campaign's primary output,
@@ -19,13 +19,13 @@ each row one ``relativity_row`` call.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .protocol import (
-    LIGHTS, MAX_MAGNITUDE, ProtocolDefinition, ScenarioGroup, read_document, within
-)
+from .campaign import vehicle_sort_key
+from .inputs import Instance, WeightTable
+from .inputs import load_weight_table  # re-exported: the benchmark tracer wraps it here
+from .protocol import ProtocolDefinition, ScenarioGroup
 
 if TYPE_CHECKING:  # scoring imports this module, for ScoreValue
     from .scoring import ScenarioScore
@@ -34,111 +34,9 @@ METRIC_FREQ = "freq"
 METRIC_MP = "MP"
 METRICS = (METRIC_FREQ, METRIC_MP)
 
-Instance = tuple[str, str]  # (scenario code, light)
-
-
-class WeightTableError(ValueError):
-    """Raised when a weight table is malformed or inconsistent."""
-
 
 class AggregationError(ValueError):
     """Raised when aggregation preconditions fail."""
-
-
-class WeightTable(NamedTuple):
-    """Regional relevance weights and the group membership of instances."""
-
-    region: str
-    weights: Mapping[Instance, float]
-    groups: Mapping[ScenarioGroup, tuple[Instance, ...]]
-
-    def weight(self, instance: Instance) -> float:
-        try:
-            return self.weights[instance]
-        except KeyError:
-            raise WeightTableError(
-                f"no weight for instance {instance} in region {self.region!r}"
-            ) from None
-
-
-# Report file names end in the region, spelled region.upper().lower(); the longest is
-# freq_score_mean_night_<region>.html (see report.py), and a name holds 255 bytes at most.
-MAX_REGION_BYTES = 255 - len("freq_score_mean_night_.html")
-
-
-def load_weight_table(source: str | Path | Mapping) -> WeightTable:
-    """Load and validate a weight table (a path or a mapping, see ``read_document``);
-    an error in a file's table starts with ``weight table <file>: ``."""
-    doc = read_document(source, "weight table", WeightTableError)
-    try:
-        return _weight_table(doc)
-    except WeightTableError as exc:
-        if isinstance(source, Mapping):
-            raise
-        raise WeightTableError(f"weight table {source}: {exc}") from None
-
-
-def _weight_table(doc: Mapping) -> WeightTable:
-    region = doc.get("region")
-    if not isinstance(region, str) or not region:
-        raise WeightTableError("'region' must be a non-empty string")
-    if "/" in region or "\\" in region or "\0" in region:  # it names report files
-        raise WeightTableError(f"region {region!r} cannot be in a file name")
-    size = len(region.upper().lower().encode("utf-8", "surrogatepass"))
-    if size > MAX_REGION_BYTES:
-        raise WeightTableError(
-            f"region is {size} bytes in a report file name, more than {MAX_REGION_BYTES}"
-        )
-    raw_weights = doc.get("weights")
-    if not isinstance(raw_weights, list) or not raw_weights:
-        raise WeightTableError("'weights' must be a non-empty array")
-    weights: dict[Instance, float] = {}
-    for i, entry in enumerate(raw_weights):
-        where = f"weights[{i}]"
-        if not isinstance(entry, Mapping):
-            raise WeightTableError(f"{where}: expected an object")
-        instance = _instance(entry, where)
-        w = entry.get("w")
-        if not within(w, 0, MAX_MAGNITUDE):
-            raise WeightTableError(
-                f"{where}: 'w' must be a finite number in [0, {MAX_MAGNITUDE:g}], got {w!r}"
-            )
-        if instance in weights:
-            raise WeightTableError(f"{where}: duplicate instance {instance}")
-        weights[instance] = float(w)
-
-    raw_groups = doc.get("groups")
-    if not isinstance(raw_groups, Mapping) or not raw_groups:
-        raise WeightTableError("'groups' must be a non-empty object")
-    groups: dict[ScenarioGroup, tuple[Instance, ...]] = {}
-    for name, members in raw_groups.items():
-        try:
-            group = ScenarioGroup(name)
-        except ValueError:
-            raise WeightTableError(f"unknown scenario group {name!r}") from None
-        if not isinstance(members, list) or not members:
-            raise WeightTableError(f"groups.{name}: expected a non-empty array")
-        instances = {}  # each member, in order -> its index in the group
-        for j, entry in enumerate(members):
-            where = f"groups.{name}[{j}]"
-            if not isinstance(entry, Mapping):
-                raise WeightTableError(f"{where}: expected an object")
-            if instances.setdefault(instance := _instance(entry, where), j) != j:
-                raise WeightTableError(f"{where}: duplicate instance {instance}")
-        groups[group] = tuple(instances)
-        if not any(weights.get(inst, 0.0) > 0 for inst in instances):
-            raise WeightTableError(f"groups.{name}: weights sum to zero")
-    return WeightTable(region=region, weights=weights, groups=groups)
-
-
-def _instance(entry: Mapping, where: str) -> Instance:
-    code = entry.get("scenario")
-    light = entry.get("light")
-    if not isinstance(code, str) or not code:
-        raise WeightTableError(f"{where}: 'scenario' must be a non-empty string")
-    if light not in LIGHTS:
-        raise WeightTableError(f"{where}: 'light' must be one of {LIGHTS}")
-    return (code, light)
 
 
 def check_weight_table(table: WeightTable, protocol: ProtocolDefinition) -> list[str]:
@@ -324,9 +222,6 @@ def build_matrix(group_scores: Sequence[GroupScore], metric: str) -> RelativityM
     regions = {gs.region for gs in group_scores}
     if len(groups) != 1 or len(regions) != 1:
         raise AggregationError("group scores must share one group and one region")
-    # Imported here, not at the top: loading a weight table never ranks.
-    from .campaign import vehicle_sort_key
-
     field = "fs" if metric == METRIC_FREQ else "mps"
     nominal = {gs.vehicle: getattr(gs, field).nominal for gs in group_scores}
     order = tuple(sorted(nominal, key=lambda v: (-nominal[v], vehicle_sort_key(v))))

@@ -14,24 +14,18 @@ from pathlib import Path
 from typing import Sequence
 
 from .aggregate import (
-    METRICS,
-    GroupScore,
-    WeightTableError,
-    aggregate_fs,
-    aggregate_mps,
-    build_matrix,
-    check_weight_table,
-    load_weight_table,
+    METRICS, GroupScore, aggregate_fs, aggregate_mps, build_matrix, check_weight_table
 )
 from .campaign import completion_stats, validate_log
 from .impact import load_impact_config, passive_powers
+from .inputs import WeightTableError, load_simulation_spec, load_weight_table
 from .logio import read_log, write_log
 from .protocol import LIGHTS, load_protocol
 from .report import (
     EXTENSIONS, FORMATS, completion_table, matrix_table, render, score_table, score_title
 )
 from .scoring import score_campaign
-from .simulate import load_simulation_spec, simulate_campaign
+from .simulate import simulate_campaign
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1

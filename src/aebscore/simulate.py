@@ -1,177 +1,32 @@
 """Seeded campaign simulation against configurable braking oracles.
 
-A simulation spec names the vehicle pool and gives each vehicle a braking
-oracle: a deterministic rule mapping a test configuration to avoided or
-impacted. The driver replays the full incremental procedure - pre-tests,
-speed escalation, judged expansion above failures, and night tests judged
-where the daylight counterpart failed. Randomized oracles derive all draws
-from the seed and the configuration identity, so a seed fixes the log
-byte for byte regardless of execution order: one draw per escalation series
-and one per pre-tested (scenario, light), each made on first use and kept
-for that vehicle.
+A simulation spec, loaded by ``inputs``, names the vehicle pool and gives
+each vehicle a braking oracle: a deterministic rule mapping a test
+configuration to avoided or impacted. Before a run, each oracle rule is
+checked against the protocol: one that meets no configuration is refused.
+The driver replays the full incremental procedure - pre-tests, speed
+escalation, judged expansion above failures, and night tests judged where
+the daylight counterpart failed. Randomized oracles derive all draws from
+the seed and the configuration identity, so a seed fixes the log byte for
+byte regardless of execution order: one draw per escalation series and one
+per pre-tested (scenario, light), each made on first use and kept for
+that vehicle.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig, read_document, within
-from .protocol import check_fields
-
-if TYPE_CHECKING:  # imported where a simulation first runs, see simulate_campaign
-    from .campaign import CampaignLog, TestOutcome
-
-KNOWN_SENSORS = ("radar", "corner_radar", "camera", "lidar")
-
-
-class SimulationSpecError(ValueError):
-    """Raised when a simulation spec is malformed."""
-
-
-class OracleSpec(NamedTuple):
-    kind: str
-    fail_at: float | None = None
-    rules: tuple[Mapping, ...] = ()
-    impact_fraction: float = 0.6
-    respond: bool = True
-    pretest_fail_prob: float = 0.0
-    never_prob: float = 0.25
-    impact_fraction_range: tuple[float, float] = (0.3, 0.95)
-    respond_prob: float = 0.9
-
-
-class SimulationSpec(NamedTuple):
-    seed: int
-    vehicles: tuple[tuple[str, OracleSpec], ...]  # (vehicle id, its oracle)
-
-
-def load_simulation_spec(source: str | Path | Mapping) -> SimulationSpec:
-    """Load and validate a simulation spec (a path or a mapping, see ``read_document``)."""
-    doc = read_document(source, "simulation spec", SimulationSpecError)
-    check_fields(doc, _SPEC_KEYS, "simulation spec", SimulationSpecError)
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SimulationSpecError("'seed' must be an integer")
-    raw_vehicles = doc.get("vehicles")
-    if not isinstance(raw_vehicles, list) or not raw_vehicles:
-        raise SimulationSpecError("'vehicles' must be a non-empty array")
-    default_oracle = doc.get("default_oracle")
-    default = None  # default_oracle parsed, once, for the first vehicle that falls back on it
-
-    vehicles = {}  # vehicle id -> its oracle
-    for i, entry in enumerate(raw_vehicles):
-        where = f"vehicles[{i}]"
-        if not isinstance(entry, Mapping):
-            raise SimulationSpecError(f"{where}: expected an object")
-        check_fields(entry, _VEHICLE_KEYS, where, SimulationSpecError)
-        vid = entry.get("id")
-        if not isinstance(vid, str) or not vid:
-            raise SimulationSpecError(f"{where}: 'id' must be a non-empty string")
-        if vid in vehicles:
-            raise SimulationSpecError(f"{where}: duplicate vehicle id {vid!r}")
-        # Checked, not kept, as the next three: a mass cancels out of every score.
-        mass = entry.get("mass", 1.0)
-        if not within(mass, 0, _FLOAT_MAX) or mass == 0:
-            raise SimulationSpecError(f"{where}: 'mass' must be a number > 0")
-        sensors = entry.get("sensors", [])
-        if not isinstance(sensors, list) or any(s not in KNOWN_SENSORS for s in sensors):
-            raise SimulationSpecError(f"{where}: 'sensors' must be a subset of {KNOWN_SENSORS}")
-        model_year, is_prototype = entry.get("model_year"), entry.get("is_prototype", False)
-        if isinstance(model_year, bool) or not isinstance(model_year, (int, type(None))):
-            raise SimulationSpecError(f"{where}: 'model_year' must be an integer or null")
-        if not isinstance(is_prototype, bool):
-            raise SimulationSpecError(f"{where}: 'is_prototype' must be a boolean")
-        oracle_doc = entry.get("oracle", default_oracle)
-        if oracle_doc is None:
-            raise SimulationSpecError(f"{where}: no oracle and no default_oracle")
-        if "oracle" in entry:
-            vehicles[vid] = _parse_oracle(oracle_doc, f"{where}.oracle")
-        else:
-            if default is None:
-                default = _parse_oracle(oracle_doc, "default_oracle")
-            vehicles[vid] = default
-    return SimulationSpec(seed=seed, vehicles=tuple(vehicles.items()))
-
-
-_SPEC_KEYS = frozenset(("seed", "vehicles", "default_oracle"))
-_VEHICLE_KEYS = frozenset(("id", "mass", "sensors", "model_year", "is_prototype", "oracle"))
-_ORACLE_KINDS = ("always_avoid", "never_respond", "threshold", "random")
-_ORACLE_KEYS = frozenset(("type", *OracleSpec._fields[1:]))  # "type" names the kind
-_RULE_CONDITIONS = ("scenario", "light", "overlap", "tg_speed")
-_RULE_KEYS = frozenset((*_RULE_CONDITIONS, "fail_at"))
-
-
-_FLOAT_MAX = sys.float_info.max
-# Numeric oracle fields: default, lowest and highest accepted value.
-_ORACLE_NUMBERS = {
-    "fail_at": (None, -_FLOAT_MAX, _FLOAT_MAX),
-    "impact_fraction": (0.6, -_FLOAT_MAX, _FLOAT_MAX),
-    "pretest_fail_prob": (0.0, 0.0, 1.0),
-    "never_prob": (0.25, 0.0, 1.0),
-    "respond_prob": (0.9, 0.0, 1.0),
-}
-
-
-def _parse_oracle(doc, where: str) -> OracleSpec:
-    if not isinstance(doc, Mapping):
-        raise SimulationSpecError(f"{where}: expected an object")
-    check_fields(doc, _ORACLE_KEYS, where, SimulationSpecError)
-    kind = doc.get("type")
-    if kind not in _ORACLE_KINDS:
-        raise SimulationSpecError(f"{where}: 'type' must be one of {_ORACLE_KINDS}")
-    if "rules" in doc and kind != "threshold":  # no other kind reads them
-        raise SimulationSpecError(f"{where}: 'rules' apply only to a 'threshold' oracle")
-    rules = doc.get("rules", [])
-    if not isinstance(rules, list):
-        raise SimulationSpecError(f"{where}: 'rules' must be an array")
-    for i, rule in enumerate(rules):
-        if not isinstance(rule, Mapping):
-            raise SimulationSpecError(f"{where}.rules[{i}]: expected an object")
-        check_fields(rule, _RULE_KEYS, f"{where}.rules[{i}]", SimulationSpecError)
-        fail_at = rule.get("fail_at")
-        if fail_at is not None and not within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
-            raise SimulationSpecError(
-                f"{where}.rules[{i}]: 'fail_at' must be a finite number, got {fail_at!r}"
-            )
-    numbers = {}
-    for name, (default, lo, hi) in _ORACLE_NUMBERS.items():
-        value = doc.get(name, default)
-        if value is not None or default is not None:  # null only where it is the default
-            if not within(value, lo, hi):
-                bounds = "" if hi == _FLOAT_MAX else f" in [{lo:g}, {hi:g}]"
-                raise SimulationSpecError(
-                    f"{where}: {name!r} must be a finite number{bounds}, got {value!r}"
-                )
-            value = float(value)
-        numbers[name] = value
-    fraction_range = doc.get("impact_fraction_range", [0.3, 0.95])
-    if not (
-        isinstance(fraction_range, list)
-        and len(fraction_range) == 2
-        and within(fraction_range[0], 0.0, 1.0)
-        and within(fraction_range[1], fraction_range[0], 1.0)
-    ):
-        raise SimulationSpecError(
-            f"{where}: 'impact_fraction_range' must be [lo, hi] with 0 <= lo <= hi <= 1"
-        )
-    respond = doc.get("respond", True)
-    if not isinstance(respond, bool):
-        raise SimulationSpecError(f"{where}: 'respond' must be true or false")
-    return OracleSpec(
-        kind=kind,
-        rules=tuple(rules),
-        respond=respond,
-        impact_fraction_range=(float(fraction_range[0]), float(fraction_range[1])),
-        **numbers,
-    )
+from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario, series_key
+from .inputs import _RULE_CONDITIONS, OracleSpec, SimulationSpec, SimulationSpecError
+from .inputs import load_simulation_spec  # re-exported: the benchmark tracer wraps it here
+from .protocol import LIGHTS, NIGHT, ProtocolDefinition, TestConfig
 
 
 def _stable_rng(*parts) -> random.Random:
-    # Imported here, not at the top: loading a spec never hashes, and hashlib
-    # loads OpenSSL. A repeated import statement costs about 0.1 us.
+    # Imported here, not at the top: only a random oracle hashes, and hashlib
+    # loads OpenSSL, which importing the CLI would then load for every command.
+    # A repeated import statement costs about 0.1 us.
     import hashlib
 
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
@@ -180,8 +35,6 @@ def _stable_rng(*parts) -> random.Random:
 
 def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
     """Deterministic braking oracle for one vehicle."""
-    # Imported here, not at the top: loading a spec never simulates.
-    from .campaign import TestOutcome, series_key
 
     def threshold_for(config: TestConfig) -> float | None:
         for rule in spec.rules:
@@ -286,9 +139,6 @@ def simulate_campaign(
     stop_on_impact: bool = True,
 ) -> CampaignLog:
     """Replay the incremental procedure for every vehicle in the spec."""
-    # Imported here, not at the top: loading a spec never simulates.
-    from .campaign import CampaignLog, TestOutcome, judged_nights, run_scenario
-
     _check_rules(protocol, spec)
     index, configs = protocol.index, protocol.configs
     night_pairs: dict[str, list[tuple]] = {}  # scenario -> its (night, day counterpart) pairs

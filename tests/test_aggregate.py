@@ -5,17 +5,15 @@ import random
 import pytest
 
 from aebscore.aggregate import (
-    MAX_REGION_BYTES,
     AggregationError,
     GroupScore,
-    WeightTableError,
     aggregate_fs,
     aggregate_mps,
     build_matrix,
     check_weight_table,
-    load_weight_table,
     relativity_row,
 )
+from aebscore.inputs import MAX_REGION_BYTES, WeightTableError, load_weight_table
 from aebscore.protocol import ScenarioGroup
 from aebscore.scoring import ScenarioScore, ScoreValue
 

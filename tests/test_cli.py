@@ -11,7 +11,7 @@ import aebscore
 from aebscore import cli
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path
-from aebscore.simulate import load_simulation_spec
+from aebscore.inputs import load_simulation_spec
 
 DATA_DIR = bundled_protocol_path().parent
 FIXTURE_SIM = Path(__file__).parent / "data" / "fixture_sim.json"

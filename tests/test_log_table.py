@@ -35,6 +35,7 @@ from aebscore.campaign import (
 )
 from aebscore.cli import main
 from aebscore.impact import ImpactPowerModel, config_powers
+from aebscore.inputs import load_simulation_spec
 from aebscore.logio import LOG_COLUMNS, read_log, write_log
 from aebscore.protocol import (
     DAY,
@@ -45,7 +46,7 @@ from aebscore.protocol import (
     enumerate_configs,
 )
 from aebscore.scoring import ScenarioScore, ScoreValue, ScoringError, _kernel, score_campaign
-from aebscore.simulate import load_simulation_spec, simulate_campaign
+from aebscore.simulate import simulate_campaign
 from reference import record_to_row
 
 DATA_DIR = bundled_protocol_path().parent

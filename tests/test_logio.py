@@ -11,10 +11,11 @@ import pytest
 
 from aebscore import logio
 from aebscore.campaign import CampaignLog, OutcomeKind, TestOutcome, TestRecord
+from aebscore.inputs import load_simulation_spec
 from aebscore.logio import LOG_COLUMNS, LogFormatError, read_log, write_log
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path, enumerate_configs
-from aebscore.simulate import load_simulation_spec, simulate_campaign
+from aebscore.simulate import simulate_campaign
 from reference import record_to_row
 
 

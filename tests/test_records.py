@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from aebscore.aggregate import GroupScore, build_matrix, load_weight_table
+from aebscore.aggregate import GroupScore, build_matrix
 from aebscore.campaign import CompletionStats, Diagnostic, TestOutcome, TestRecord
 from aebscore.impact import ImpactPowerModel
 from aebscore.protocol import (
@@ -23,7 +23,7 @@ from aebscore.protocol import (
 )
 from aebscore.report import completion_table
 from aebscore.scoring import ScenarioScore, ScoreValue
-from aebscore.simulate import load_simulation_spec
+from aebscore.inputs import load_simulation_spec, load_weight_table
 
 DATA = bundled_protocol_path().parent
 FIXTURE_SIM = Path(__file__).parent / "data" / "fixture_sim.json"

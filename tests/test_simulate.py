@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aebscore import simulate
+from aebscore import inputs, simulate
 from aebscore.campaign import (
     OutcomeKind,
     TestOutcome,
@@ -16,12 +16,8 @@ from aebscore.campaign import (
 )
 from aebscore.cli import main
 from aebscore.protocol import bundled_protocol_path, enumerate_configs, load_protocol
-from aebscore.simulate import (
-    SimulationSpecError,
-    build_oracle,
-    load_simulation_spec,
-    simulate_campaign,
-)
+from aebscore.inputs import SimulationSpecError, load_simulation_spec
+from aebscore.simulate import build_oracle, simulate_campaign
 from reference import night_must_be_judged, record_to_row
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -181,9 +177,9 @@ def test_simulate_with_a_protocol_of_no_scenarios_exits_2_and_writes_no_log(tmp_
 
 
 def test_default_oracle_is_parsed_once_and_shared(monkeypatch):
-    parse = simulate._parse_oracle
+    parse = inputs._parse_oracle
     calls = []
-    monkeypatch.setattr(simulate, "_parse_oracle", lambda *a: calls.append(a[1]) or parse(*a))
+    monkeypatch.setattr(inputs, "_parse_oracle", lambda *a: calls.append(a[1]) or parse(*a))
     default = {"type": "threshold", "fail_at": 40, "rules": [{"scenario": "CCRs", "fail_at": 30}]}
     vehicles = [{"id": f"V{i}"} for i in range(400)]
     spec = load_simulation_spec({"vehicles": vehicles, "default_oracle": default})
