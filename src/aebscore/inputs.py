@@ -227,14 +227,16 @@ def _parse_oracle(doc, where: str) -> OracleSpec:
     if not isinstance(rules, list):
         raise SimulationSpecError(f"{where}: 'rules' must be an array")
     for i, rule in enumerate(rules):
+        at = f"{where}.rules[{i}]"
         if not isinstance(rule, Mapping):
-            raise SimulationSpecError(f"{where}.rules[{i}]: expected an object")
-        check_fields(rule, _RULE_KEYS, f"{where}.rules[{i}]", SimulationSpecError)
+            raise SimulationSpecError(f"{at}: expected an object")
+        check_fields(rule, _RULE_KEYS, at, SimulationSpecError)
+        for name in ("overlap", "tg_speed"):  # True == 1 and False == 0 would match numbers
+            if isinstance(value := rule.get(name), bool):
+                raise SimulationSpecError(f"{at}: {name!r} must not be a boolean, got {value!r}")
         fail_at = rule.get("fail_at")
         if fail_at is not None and not within(fail_at, -_FLOAT_MAX, _FLOAT_MAX):
-            raise SimulationSpecError(
-                f"{where}.rules[{i}]: 'fail_at' must be a finite number, got {fail_at!r}"
-            )
+            raise SimulationSpecError(f"{at}: 'fail_at' must be a finite number, got {fail_at!r}")
     numbers = {}
     for name, (default, lo, hi) in _ORACLE_NUMBERS.items():
         value = doc.get(name, default)

@@ -285,9 +285,8 @@ class ProtocolDefinition:
         # A scenario's day configs are indexed before its night ones.
         for spec, light in ((s, lt) for s in scenarios for lt in LIGHTS if lt in s.lights):
             cells = spec.settings(light).configs
-            start = len(configs)
-            ids: dict[tuple, int] = {}
-            series = []
+            # An instance's series keys are all new, so it numbers them from here.
+            start, first = len(configs), len(series_index)
             for cell in sorted(cells, key=lambda t: (t[0], t[1], _tg_key(t[2]))):
                 overlap, speed, tg = cell
                 if light == NIGHT:
@@ -295,11 +294,11 @@ class ProtocolDefinition:
                     night_pairs.append((len(configs), index.get(day, day)))
                 index[(spec.code, light, overlap, speed, tg)] = len(configs)
                 configs.append(cells[cell])
-                series.append(ids.setdefault((overlap, tg), len(ids)))
                 key = (spec.code, light, overlap, tg)
                 table_series.append(series_index.setdefault(key, len(series_index)))
+            series = tuple(n - first for n in table_series[start:])
             instances[(spec.code, light)] = InstanceSlice(
-                start, len(configs), tuple(configs[start:]), tuple(series)
+                start, len(configs), tuple(configs[start:]), series
             )
         self.scenarios = scenarios
         self.provenance = provenance

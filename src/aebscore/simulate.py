@@ -3,7 +3,7 @@
 A simulation spec, loaded by ``inputs``, names the vehicle pool and gives
 each vehicle a braking oracle: a deterministic rule mapping a test
 configuration to avoided or impacted. Before a run, each oracle rule is
-checked against the protocol: one that meets no configuration is refused.
+checked against the protocol's series: one that meets none is refused.
 The driver replays the full incremental procedure - pre-tests, speed
 escalation, judged expansion above failures, and night tests judged where
 the daylight counterpart failed. Randomized oracles derive all draws from
@@ -33,21 +33,29 @@ def _stable_rng(*parts) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _meets(rule, code, light, overlap, tg) -> bool:
+    """Whether each condition of ``rule`` equals its field of a series key. A
+    missing or null scenario, light or overlap, or a missing or "any" tg_speed,
+    matches any value."""
+    return (
+        rule.get("scenario") in (None, code)
+        and rule.get("light") in (None, light)
+        and rule.get("overlap") in (None, overlap)
+        and rule.get("tg_speed", "any") in ("any", tg)
+    )
+
+
 def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
     """Deterministic braking oracle for one vehicle."""
+    # A rule reads only series fields, so its answer holds for a whole series.
+    fail_ats: dict[tuple, float | None] = {}  # series key -> first matching rule's fail_at
 
-    def threshold_for(config: TestConfig) -> float | None:
-        for rule in spec.rules:
-            if rule.get("scenario") not in (None, config.code):
-                continue
-            if rule.get("light") not in (None, config.light):
-                continue
-            if rule.get("overlap") not in (None, config.overlap):
-                continue
-            if rule.get("tg_speed", "any") not in ("any", config.tg_speed):
-                continue
-            return rule.get("fail_at")
-        return spec.fail_at
+    def threshold_for(series: tuple) -> float | None:
+        if series not in fail_ats:
+            fail_ats[series] = next(
+                (rule.get("fail_at") for rule in spec.rules if _meets(rule, *series)), spec.fail_at
+            )
+        return fail_ats[series]
 
     pretest_failed: dict[tuple, bool] = {}  # (scenario, light) -> pre-test draw failed
     series_draws: dict[tuple, tuple] = {}  # series key -> (fail speed, fraction, respond)
@@ -60,7 +68,7 @@ def build_oracle(spec: OracleSpec, seed: int, vehicle: str):
         if kind == "never_respond":
             return TestOutcome.impacted(config.vut_speed, intervention=False)
         if kind == "threshold":
-            fail_at = threshold_for(config)
+            fail_at = threshold_for(series_key(config))
             if fail_at is None or config.vut_speed < fail_at:
                 return TestOutcome.avoided()
             impact = max(min(spec.impact_fraction, 1.0), 1e-3) * config.vut_speed
@@ -106,25 +114,15 @@ def _series_speeds(config: TestConfig) -> tuple[float, ...]:
 def _check_rules(protocol: ProtocolDefinition, spec: SimulationSpec) -> None:
     """Raise for an oracle rule that no configuration of ``protocol`` meets.
 
-    A rule is compared as ``build_oracle`` compares it, with each licensed
-    (scenario, light) and the overlaps and TG speeds of its settings; every
-    lattice cell of those is a configuration. Each rule object is checked once.
+    A rule is matched by ``_meets``, as ``build_oracle`` matches it, against
+    the protocol's series: the keys of ``protocol.series_index`` are exactly
+    the series keys of its configurations. Each rule object is checked once.
     """
-    matched = set()  # ids of the rules some configuration meets
+    matched = set()  # ids of the rules some series meets
     for i, (vehicle, oracle_spec) in enumerate(spec.vehicles):
         for j, rule in enumerate(oracle_spec.rules):
-            if id(rule) in matched:
-                continue
-            code, light = rule.get("scenario"), rule.get("light")
-            overlap, tg = rule.get("overlap"), rule.get("tg_speed", "any")
-            for c, lt in protocol.instances:
-                if code in (None, c) and light in (None, lt):
-                    settings = protocol.scenario(c).settings(lt)
-                    if overlap in (None, *settings.overlaps) and tg in (
-                        "any", *(v.tg_speed for v in settings.variants)
-                    ):
-                        matched.add(id(rule))
-                        break
+            if id(rule) in matched or any(_meets(rule, *key) for key in protocol.series_index):
+                matched.add(id(rule))
             else:
                 given = ", ".join(f"{k} {rule[k]!r}" for k in _RULE_CONDITIONS if k in rule)
                 raise SimulationSpecError(

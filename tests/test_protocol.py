@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from aebscore.campaign import series_key
 from aebscore.protocol import (
     ProtocolError,
     ScenarioGroup,
@@ -327,6 +328,7 @@ def test_config_hash_follows_key(protocol):
 def test_compiled_table_matches_enumeration(protocol):
     assert list(protocol.configs) == enumerate_configs(protocol)
     assert protocol.index == {c.key(): i for i, c in enumerate(protocol.configs)}
+    assert set(protocol.series_index) == {series_key(c) for c in protocol.configs}
     for (code, light), part in protocol.instances.items():
         configs = enumerate_configs(protocol, scenario=code, light=light)
         assert list(part.configs) == configs
@@ -335,6 +337,9 @@ def test_compiled_table_matches_enumeration(protocol):
         assert sorted(set(part.series)) == list(range(len(set(keys))))
         for i, j in ((i, j) for i in range(len(keys)) for j in range(len(keys))):
             assert (part.series[i] == part.series[j]) == (keys[i] == keys[j])
+        first = protocol.series[part.start]
+        for i, number in enumerate(part.series):
+            assert number == protocol.series[part.start + i] - first
 
 
 def test_light_settings_are_built_once_per_light_and_spec(protocol):

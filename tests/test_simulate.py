@@ -272,6 +272,32 @@ def test_simulation_rejects_a_rule_that_matches_no_configuration(protocol, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("tg_speed", False), ("overlap", True)])
+def test_a_boolean_rule_condition_is_refused_where_it_would_equal_a_number(
+    tmp_path, capsys, field, value
+):
+    # CCRm at TG speed 0 and overlap 1: False == 0 and True == 1 would meet its series.
+    doc = json.loads(bundled_protocol_path().read_text(encoding="utf-8"))
+    (ccrm,) = [entry for entry in doc["scenarios"] if entry["code"] == "CCRm"]
+    ccrm["tg_speeds"], ccrm["overlaps"] = [0], [1, 50, 75, 100]
+    protocol = load_protocol(doc)
+    assert any(c.code == "CCRm" and c.tg_speed == 0 and c.overlap == 1 for c in protocol.configs)
+    fixture = json.loads(FIXTURE_SIM.read_text(encoding="utf-8"))
+    fixture["vehicles"][0]["oracle"]["rules"][0] = {field: value, "fail_at": 0}
+    message = f"vehicles[0].oracle.rules[0]: {field!r} must not be a boolean, got {value!r}"
+    with pytest.raises(SimulationSpecError) as raised:
+        load_simulation_spec(fixture)
+    assert str(raised.value) == message
+    paths = {name: tmp_path / f"{name}.json" for name in ("protocol", "oracle")}
+    paths["protocol"].write_text(json.dumps(doc), encoding="utf-8")
+    paths["oracle"].write_text(json.dumps(fixture), encoding="utf-8")
+    out = tmp_path / "campaign.jsonl"
+    args = [f"--{name}={path}" for name, path in paths.items()]
+    assert main(["simulate", *args, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_default_oracle_rule_is_checked_for_the_vehicle_that_uses_it(protocol):
     rules = [{"scenario": "CCRs", "fail_at": 30}, {"light": "dusk"}]
     default = {"type": "threshold", "rules": rules}
@@ -417,21 +443,93 @@ RANDOM_ORACLES = [
 ]
 
 
-@pytest.mark.parametrize("oracle", RANDOM_ORACLES)
-def test_random_oracle_matches_a_per_config_reference_in_any_order(protocol, oracle):
-    spec = load_simulation_spec({"seed": 11, "vehicles": [{"id": "V", "oracle": oracle}]})
-    oracle_spec = spec.vehicles[0][1]
-    configs = enumerate_configs(protocol) + [
+def _configs_and_probes(protocol):
+    """Every config of the table, then each pre-tested instance's probe."""
+    return enumerate_configs(protocol) + [
         protocol.scenario(code).settings(light).pretest
         for code, light in protocol.licensed_pairs()
         if protocol.scenario(code).requires_pretest
     ]
+
+
+@pytest.mark.parametrize("oracle", RANDOM_ORACLES)
+def test_random_oracle_matches_a_per_config_reference_in_any_order(protocol, oracle):
+    spec = load_simulation_spec({"seed": 11, "vehicles": [{"id": "V", "oracle": oracle}]})
+    oracle_spec = spec.vehicles[0][1]
+    configs = _configs_and_probes(protocol)
     random.Random(3).shuffle(configs)
     for vehicle in ("V1", "V2", "a,b"):
         got = build_oracle(oracle_spec, spec.seed, vehicle)
         expected = _reference_random_oracle(oracle_spec, spec.seed, vehicle)
         for config in configs:
             assert got(config) == expected(config), (vehicle, config.key())
+
+
+def _reference_threshold_oracle(spec):
+    """The threshold oracle matching its rules afresh, per call."""
+
+    def threshold_for(config):
+        for rule in spec.rules:
+            if rule.get("scenario") not in (None, config.code):
+                continue
+            if rule.get("light") not in (None, config.light):
+                continue
+            if rule.get("overlap") not in (None, config.overlap):
+                continue
+            if rule.get("tg_speed", "any") not in ("any", config.tg_speed):
+                continue
+            return rule.get("fail_at")
+        return spec.fail_at
+
+    def oracle(config):
+        fail_at = threshold_for(config)
+        if fail_at is None or config.vut_speed < fail_at:
+            return TestOutcome.avoided()
+        impact = max(min(spec.impact_fraction, 1.0), 1e-3) * config.vut_speed
+        return TestOutcome.impacted(impact, intervention=spec.respond)
+
+    return oracle
+
+
+def _threshold_oracles():
+    """One oracle per rule of the condition grid, then rule lists in which an
+    earlier rule shadows a later one for some configurations."""
+    grid = [
+        {k: v for k, v in zip(RULE_CONDITIONS, values) if v is not OMIT}
+        for values in itertools.product(*RULE_CONDITIONS.values())
+    ]
+    for n, rule in enumerate(grid):
+        rules = [{**rule, "fail_at": 30}]
+        yield {"type": "threshold", "fail_at": (None, 45)[n % 2], "rules": rules}
+    fail_ats = (None, 20, 35, 50, 65, 80)
+    shuffled = [{**rule, "fail_at": fail_ats[n % 6]} for n, rule in enumerate(grid)]
+    random.Random(7).shuffle(shuffled)
+    for n in range(0, len(shuffled), 9):
+        yield {"type": "threshold", "fail_at": 60, "rules": shuffled[n:n + 9], "respond": False}
+    yield {"type": "threshold", "impact_fraction": 0.5, "rules": [
+        {"scenario": "CCRs", "light": "day", "overlap": 50, "fail_at": 20},
+        {"scenario": "CCRs", "fail_at": None},
+        {"light": "night", "fail_at": 40},
+        {"scenario": "CCRs", "light": "night", "fail_at": 10},
+    ]}
+    yield {"type": "threshold", "fail_at": 70, "rules": [
+        {"scenario": "CCRm", "tg_speed": 20, "fail_at": 25},
+        {"tg_speed": "any", "fail_at": 55},
+        {"scenario": "CCRm", "fail_at": 15},
+    ]}
+
+
+def test_threshold_oracle_matches_a_per_config_reference_in_any_order(protocol):
+    configs = _configs_and_probes(protocol)
+    shuffle = random.Random(5).shuffle
+    for oracle in _threshold_oracles():
+        spec = load_simulation_spec({"vehicles": [{"id": "V", "oracle": oracle}]})
+        oracle_spec = spec.vehicles[0][1]
+        got = build_oracle(oracle_spec, spec.seed, "V")
+        expected = _reference_threshold_oracle(oracle_spec)
+        shuffle(configs)
+        for config in configs:
+            assert got(config) == expected(config), (oracle, config.key())
 
 
 def test_simulated_campaign_matches_one_driven_by_the_reference_oracle(protocol, monkeypatch):
